@@ -42,6 +42,7 @@ from .particle_filter import (
     Particle,
     initialize,
     innovation_step,
+    iter_filter,
     propagate_ensemble,
     run_filter,
     survival_of_the_fittest,

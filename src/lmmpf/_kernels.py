@@ -3,8 +3,7 @@
 Each kernel has a vectorized numpy implementation (``*_numpy``) and a
 loop-style numba twin (``*_jit``). The public name dispatches on the
 ``LMMPF_NUMBA`` environment flag, resolved once at import in `_accel`.
-Both variants are kept parity-tested; the benchmark script times them
-against each other.
+Both variants are kept parity-tested.
 """
 
 import numpy as np
@@ -32,9 +31,17 @@ def normalize_log_weights_numpy(logw):
 
 
 def inverse_cdf_indices_numpy(cumw, us):
-    """Ancestor indices: smallest k with cumw[k] > u, for each u in us."""
-    idx = np.searchsorted(cumw, us, side="right")
-    return np.minimum(idx, cumw.shape[0] - 1).astype(np.int64)
+    """Ancestor indices: smallest k with cumw[k] > u, for each u in us.
+
+    The uniforms are looked up in sorted order, so successive binary
+    searches walk the CDF forwards and stay in cache, then scattered back
+    to their own positions; each lookup is elementwise, so the result is
+    the same as searching ``us`` as given.
+    """
+    order = np.argsort(us)
+    idx = np.empty(us.shape[0], dtype=np.int64)
+    idx[order] = np.searchsorted(cumw, us[order], side="right")
+    return np.minimum(idx, cumw.shape[0] - 1, out=idx)
 
 
 def weighted_mean_var_numpy(values, weights):
@@ -42,9 +49,9 @@ def weighted_mean_var_numpy(values, weights):
 
     values: (N, d), weights: (N,) summing to 1. Returns ((d,), (d,)).
     """
-    mean = weights @ values
+    mean = np.einsum("n,nd->d", weights, values)
     diff = values - mean[None, :]
-    var = weights @ (diff * diff)
+    var = np.einsum("n,nd->d", weights, diff * diff)
     return mean, var
 
 

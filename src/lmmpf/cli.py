@@ -10,6 +10,7 @@ from typing import List, Optional
 from ._accel import accel_mode
 from .experiment import (
     ConfigError,
+    DEFAULT_TAU,
     ExperimentConfig,
     ResultsTable,
     emit_outputs,
@@ -30,6 +31,8 @@ _FLAG_TO_FIELD = {
     "stride": ("stride", int),
     "noise": ("noise_stddev", float),
     "tau": ("tau", float),
+    "eps_floor": ("eps_floor", float),
+    "resampler": ("resampler", str),
     "seed": ("seed", int),
     "reps": ("replicates", int),
     "outdir": ("outdir", str),
@@ -43,7 +46,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--tend", type=float, help="end time (default: problem span)")
     parser.add_argument("--stride", type=int, help="steps between observations (default 1)")
     parser.add_argument("--noise", type=float, help="observation noise stddev")
-    parser.add_argument("--tau", type=float, help="error-control safety factor (default 1.5)")
+    parser.add_argument(
+        "--tau", type=float, help=f"error-control safety factor (default {DEFAULT_TAU})"
+    )
     parser.add_argument("--seed", type=int, help="base seed (default 1234)")
     parser.add_argument("--reps", type=int, help="replicate count (default 10)")
     parser.add_argument("--outdir", help="output directory (default results)")
@@ -92,10 +97,6 @@ def _collect_settings(args) -> dict:
         value = getattr(args, flag, None)
         if value is not None:
             settings[field] = value
-    if getattr(args, "eps_floor", None) is not None:
-        settings["eps_floor"] = args.eps_floor
-    if getattr(args, "resampler", None) is not None:
-        settings["resampler"] = args.resampler
     return settings
 
 

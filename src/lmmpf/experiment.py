@@ -17,7 +17,7 @@ from .homec import PAIR_IDS, make_pair
 from .integrators import DEFAULT_SOLVE
 from .metrics import RunDiagnostics, diagnostics
 from .ode_models import PROBLEMS, get_problem, synthesize_observations
-from .particle_filter import FilterConfig, run_filter
+from .particle_filter import RESAMPLERS, FilterConfig, iter_filter
 from .state_space import EvolutionObservationModel
 from .svg_plot import render_line_plot
 
@@ -98,6 +98,10 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("dt must be positive")
     if config.tau <= 1.0:
         raise ConfigError("tau must be > 1")
+    if config.resampler not in RESAMPLERS:
+        raise ConfigError(
+            f"unknown resampler {config.resampler!r}; valid resamplers: {', '.join(RESAMPLERS)}"
+        )
     problem = get_problem(config.problem)
     pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
     t_start = problem.t_span[0]
@@ -136,7 +140,7 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
         resampler=config.resampler,
         seed=_sub_seed(config.seed, replicate, 1),
     )
-    run = run_filter(fconfig, model, records, problem.initial_state, t_start=t_start)
+    run = iter_filter(fconfig, model, records, problem.initial_state, t_start=t_start)
     return diagnostics(run, problem.exact_solution)
 
 
@@ -267,6 +271,8 @@ CONFIG_KEYS = (
     "stride",
     "noise",
     "tau",
+    "eps_floor",
+    "resampler",
     "seed",
     "reps",
     "outdir",

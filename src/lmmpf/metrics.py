@@ -1,7 +1,7 @@
 """Filter-run diagnostics: per-step absolute error, sample variance, norms."""
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,6 +32,12 @@ def _moments(ensemble: Ensemble):
     return weighted_mean_var(values, ensemble.weights)
 
 
+def _mean_and_variance(ensemble: Ensemble):
+    if ensemble.n_particles < 2:
+        raise ValueError("sample variance needs at least 2 particles")
+    return _moments(ensemble)
+
+
 def ensemble_mean(ensemble: Ensemble) -> np.ndarray:
     """Weighted mean of the newest block over the ensemble."""
     return _moments(ensemble)[0]
@@ -39,18 +45,26 @@ def ensemble_mean(ensemble: Ensemble) -> np.ndarray:
 
 def sample_variance(ensemble: Ensemble) -> np.ndarray:
     """Weighted population variance per component of the newest block."""
-    if ensemble.n_particles < 2:
-        raise ValueError("sample variance needs at least 2 particles")
-    return _moments(ensemble)[1]
+    return _mean_and_variance(ensemble)[1]
 
 
 def diagnostics(
-    run: Sequence[Ensemble], exact: Callable[[float], np.ndarray]
+    run: Iterable[Ensemble], exact: Callable[[float], np.ndarray]
 ) -> RunDiagnostics:
-    """Assemble error/variance sequences for a filter run against the truth."""
-    times = np.array([ens.time for ens in run])
-    means = np.stack([ensemble_mean(ens) for ens in run])
-    variances = np.stack([sample_variance(ens) for ens in run])
+    """Assemble error/variance sequences for a filter run against the truth.
+
+    ``run`` is read once, in order, so it may be a generator such as
+    `iter_filter`; no ensemble is kept after its moments are taken.
+    """
+    times, means, variances = [], [], []
+    for ens in run:
+        mean, var = _mean_and_variance(ens)
+        times.append(ens.time)
+        means.append(mean)
+        variances.append(var)
+    times = np.array(times)
+    means = np.stack(means)
+    variances = np.stack(variances)
     truth = np.stack([np.atleast_1d(np.asarray(exact(t), dtype=float)) for t in times])
     errors = np.abs(means - truth)
     return RunDiagnostics(

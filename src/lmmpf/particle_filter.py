@@ -9,11 +9,14 @@ Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
 then per step the resampling uniforms (N for multinomial, 1 for systematic,
 none between observations) followed by one (N, d) innovation normal block.
-All operations return new ensembles; inputs are never mutated.
+All operations return new ensembles and never write to their inputs. To
+avoid copies, an ensemble may hold the very arrays it was built from (the
+predictors of one step are shared by its resampled and its innovated
+ensemble), so every ensemble array must be treated as read-only.
 """
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,12 +190,12 @@ def survival_of_the_fittest(
     idx = _resample_indices(fitness, rng, resampler)
     n = ensemble.n_particles
     return Ensemble(
-        states=ensemble.states[idx].copy(),
+        states=np.take(ensemble.states, idx, axis=0),
         weights=np.full(n, 1.0 / n),
         time_index=ensemble.time_index,
         time=ensemble.time,
-        predictors=predictors[idx].copy(),
-        innovation_vars=None if gammas is None else gammas[idx].copy(),
+        predictors=np.take(predictors, idx, axis=0),
+        innovation_vars=None if gammas is None else np.take(gammas, idx, axis=0),
     )
 
 
@@ -206,7 +209,9 @@ def innovation_step(
 ) -> Ensemble:
     """Proliferate: perturb each predictor's newest block by N(0, Gamma_n).
 
-    Older blocks pass through untouched; weights are carried over.
+    Older blocks pass through untouched; weights are carried over. The
+    returned ensemble holds ``predictors``, ``gammas`` and the input weights
+    themselves, not copies.
     """
     n, _, d = predictors.shape
     noise = np.sqrt(gammas) * rng.standard_normal((n, d))
@@ -214,11 +219,11 @@ def innovation_step(
     states = np.concatenate([newest[:, None, :], predictors[:, 1:]], axis=1)
     return Ensemble(
         states=states,
-        weights=ensemble.weights.copy(),
+        weights=ensemble.weights,
         time_index=ensemble.time_index + 1,
         time=ensemble.time + h,
-        predictors=predictors.copy(),
-        innovation_vars=gammas.copy(),
+        predictors=predictors,
+        innovation_vars=gammas,
     )
 
 
@@ -265,27 +270,30 @@ def _observation_schedule(
     return float(t_start), schedule
 
 
-def run_filter(
+def iter_filter(
     config: FilterConfig,
     model: EvolutionObservationModel,
     observations: Sequence[ObservationRecord],
     prior_mean: np.ndarray,
     *,
     t_start: Optional[float] = None,
-) -> List[Ensemble]:
-    """Run the filter over all observations; returns [S_0, S_1, ..., S_T].
+) -> Iterator[Ensemble]:
+    """Run the filter over all observations, yielding S_0, S_1, ..., S_T.
 
-    Element 0 is the initial ensemble. Steps without an observation execute
-    propagation and innovation only. Identical seeds give identical output.
-    Observation time indices count integrator steps from t_start; when
-    t_start is omitted it is inferred from the first record.
+    The first ensemble is the initial one. Steps without an observation
+    execute propagation and innovation only. Identical seeds give identical
+    output. Observation time indices count integrator steps from t_start;
+    when t_start is omitted it is inferred from the first record. Each step
+    is computed when the next ensemble is requested, so a consumer that drops
+    S_j before asking for S_{j+1} keeps about one ensemble alive; invalid
+    observations raise on the first request.
     """
     h = config.step
     t_start, schedule = _observation_schedule(observations, h, t_start)
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)
-    out = [ensemble]
+    yield ensemble
     for j in range(1, last_step + 1):
         predictors, gammas = propagate_ensemble(ensemble, model, h)
         record = schedule.get(j)
@@ -305,5 +313,19 @@ def run_filter(
             ensemble = weight_update(ensemble, predictors, record, model)
         else:
             ensemble = innovation_step(ensemble, predictors, gammas, rng, h=h)
-        out.append(ensemble)
-    return out
+        yield ensemble
+
+
+def run_filter(
+    config: FilterConfig,
+    model: EvolutionObservationModel,
+    observations: Sequence[ObservationRecord],
+    prior_mean: np.ndarray,
+    *,
+    t_start: Optional[float] = None,
+) -> List[Ensemble]:
+    """Run the filter over all observations; returns [S_0, S_1, ..., S_T].
+
+    The whole run held in memory: `iter_filter` as a list.
+    """
+    return list(iter_filter(config, model, observations, prior_mean, t_start=t_start))

@@ -77,6 +77,23 @@ def test_replicates_differ():
     assert d0.error_inf_norm != d1.error_inf_norm
 
 
+def test_streamed_replicate_matches_stored_run(monkeypatch):
+    from lmmpf import experiment
+    from lmmpf.particle_filter import run_filter
+
+    cfg = ExperimentConfig(problem="smooth", pair="AM3-AM4", stride=2, **FAST)
+    streamed = run_replicate(cfg, 1)
+    # the same replicate with the whole run materialized before diagnostics
+    monkeypatch.setattr(experiment, "iter_filter", run_filter)
+    stored = run_replicate(cfg, 1)
+    for name, value in vars(stored).items():
+        other = getattr(streamed, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and np.array_equal(other, value), name
+        else:
+            assert other == value, name
+
+
 def test_diagnostics_include_initial_ensemble():
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)
     d = run_replicate(cfg, 0)
@@ -318,6 +335,33 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     table = (tmp_path / "out" / "table.csv").read_text()
     assert "AM1-AM2" in table and "AB1-AB2" not in table
+
+
+def test_config_file_sets_resampler_and_eps_floor(tmp_path):
+    from lmmpf.cli import _build_parser, _collect_settings
+
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(
+        "problem=gaussian_decay\npair=BDF1-BDF2\nnsample=15\nreps=1\ntend=1.0\n"
+        f"resampler=systematic\neps_floor=1e-10\noutdir={tmp_path / 'out'}\n"
+    )
+    parser = _build_parser()
+    settings = _collect_settings(parser.parse_args(["run", "--config", str(cfg_file)]))
+    assert settings["resampler"] == "systematic"
+    assert settings["eps_floor"] == 1e-10
+    flags = ["run", "--config", str(cfg_file), "--resampler", "multinomial", "--eps-floor", "1e-8"]
+    settings = _collect_settings(parser.parse_args(flags))
+    assert settings["resampler"] == "multinomial"
+    assert settings["eps_floor"] == 1e-8
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    assert (tmp_path / "out" / "table.csv").exists()
+
+
+def test_config_file_rejects_unknown_resampler(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("problem=gaussian_decay\npair=AB1-AB2\nresampler=stratified\n")
+    assert main(["run", "--config", str(cfg_file)]) == 2
+    assert "valid resamplers" in capsys.readouterr().err
 
 
 def test_cli_sweep_success(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Parity between the jitted kernels and their numpy twins."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,55 @@ def test_inverse_cdf_boundaries():
     us = np.array([0.0, 0.25, 0.49999, 0.5, 0.99999])
     idx = K.inverse_cdf_indices(cum, us)
     assert list(idx) == [0, 1, 1, 2, 2]
+
+
+def _inverse_cdf_reference(cum, us):
+    return np.minimum(np.searchsorted(cum, us, side="right"), cum.shape[0] - 1)
+
+
+@pytest.mark.parametrize("order", ["unsorted", "sorted", "tied"])
+def test_inverse_cdf_matches_plain_search(rng, order):
+    w = rng.uniform(0.0, 1.0, size=97)
+    w[[3, 40, 41]] = 0.0  # zero-weight particles are never drawn
+    cum = np.cumsum(w / w.sum())
+    us = rng.random(1000)
+    if order == "sorted":
+        us.sort()
+    elif order == "tied":
+        us = np.repeat(us[:50], 20)
+        us[::7] = cum[10]  # exactly on a CDF step
+        rng.shuffle(us)
+    idx = K.inverse_cdf_indices_numpy(cum, us)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, _inverse_cdf_reference(cum, us))
+
+
+def test_inverse_cdf_clamps_at_and_beyond_last_step():
+    cum = np.cumsum(np.full(10, 0.1))  # cum[-1] rounds just below 1.0
+    us = np.array([cum[-1], 1.0, 0.5, np.nextafter(cum[-1], 2.0), 0.0])
+    idx = K.inverse_cdf_indices_numpy(cum, us)
+    assert np.array_equal(idx, _inverse_cdf_reference(cum, us))
+    assert list(idx[[0, 1, 3]]) == [9, 9, 9]
+
+
+def test_inverse_cdf_single_particle(rng):
+    cum = np.array([1.0])
+    us = np.concatenate([rng.random(5), [1.0]])
+    idx = K.inverse_cdf_indices_numpy(cum, us)
+    assert np.array_equal(idx, np.zeros(6, dtype=np.int64))
+
+
+def test_weighted_mean_var_matches_exact_sums(rng):
+    values = 3.0 + rng.normal(size=(2000, 3))
+    w = rng.uniform(0.0, 1.0, size=2000)
+    w /= w.sum()
+    mean, var = K.weighted_mean_var(values, w)
+    for k in range(3):
+        col = values[:, k].tolist()
+        ref_mean = math.fsum(wi * x for wi, x in zip(w.tolist(), col))
+        ref_var = math.fsum(wi * (x - ref_mean) ** 2 for wi, x in zip(w.tolist(), col))
+        assert mean[k] == pytest.approx(ref_mean, rel=1e-14, abs=0.0)
+        assert var[k] == pytest.approx(ref_var, rel=1e-14, abs=0.0)
 
 
 def test_weighted_mean_var_parity(rng):

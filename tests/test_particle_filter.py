@@ -12,6 +12,7 @@ from lmmpf.particle_filter import (
     LikelihoodUnderflowError,
     initialize,
     innovation_step,
+    iter_filter,
     propagate_ensemble,
     run_filter,
     survival_of_the_fittest,
@@ -380,6 +381,62 @@ def test_run_filter_tracks_gaussian_decay():
     out = run_filter(cfg, model, records, p.initial_state, t_start=0.0)
     errors = [abs(ensemble_mean(e)[0] - p.exact_solution(e.time)[0]) for e in out]
     assert max(errors) < 0.15
+
+
+ENSEMBLE_ARRAYS = ("states", "weights", "predictors", "innovation_vars")
+
+
+def streamed_inputs(pair_id, resampler):
+    # observed at every other step, so both the observed and the
+    # propagate-only branches of the loop run
+    p = gaussian_decay_problem()
+    model = make_model(pair_id, system=p.system, var=0.05)
+    cfg = FilterConfig(
+        n_particles=30, initial_variance=0.05, step=0.1, pair=model.pair,
+        resampler=resampler, seed=13,
+    )
+    records = [
+        ObservationRecord(time_index=k, time=0.1 * k, value=p.exact_solution(0.1 * k))
+        for k in range(2, 11, 2)
+    ]
+    return cfg, model, records, p.initial_state
+
+
+STREAM_CASES = [
+    (pair_id, resampler)
+    for pair_id in ("AB3-AB4", "AM3-AM4", "BDF3-BDF4", "RK4-RK5")
+    for resampler in ("multinomial", "systematic")
+]
+
+
+@pytest.mark.parametrize("pair_id,resampler", STREAM_CASES)
+def test_iter_filter_yields_what_run_filter_returns(pair_id, resampler):
+    cfg, model, records, prior = streamed_inputs(pair_id, resampler)
+    streamed = list(iter_filter(cfg, model, records, prior, t_start=0.0))
+    stored = run_filter(cfg, model, records, prior, t_start=0.0)
+    assert len(streamed) == len(stored) == 11
+    for a, b in zip(streamed, stored):
+        assert (a.time_index, a.time) == (b.time_index, b.time)
+        for name in ENSEMBLE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            assert x is None or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("pair_id,resampler", STREAM_CASES)
+def test_later_steps_leave_yielded_ensembles_unchanged(pair_id, resampler):
+    # ensembles share arrays instead of copying them; no later step may
+    # write through one of those shared arrays
+    cfg, model, records, prior = streamed_inputs(pair_id, resampler)
+    run, snapshots = [], []
+    for ens in iter_filter(cfg, model, records, prior, t_start=0.0):
+        run.append(ens)
+        arrays = {name: getattr(ens, name) for name in ENSEMBLE_ARRAYS}
+        snapshots.append({k: None if v is None else v.copy() for k, v in arrays.items()})
+    for ens, snap in zip(run, snapshots):
+        for name, before in snap.items():
+            after = getattr(ens, name)
+            assert before is None or np.array_equal(after, before), (ens.time_index, name)
 
 
 def test_particles_view():
