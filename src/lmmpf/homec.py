@@ -9,7 +9,7 @@ per-step (local) quantity.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +70,11 @@ class MethodPair:
     @property
     def steps_required(self) -> int:
         return max(self.low.steps, self.high.steps)
+
+    @property
+    def uses_derivatives(self) -> bool:
+        """Whether a step reads f at the history blocks (AB and AM, not BDF or RK)."""
+        return bool(np.any(self.low.beta) or np.any(self.high.beta))
 
     @property
     def label(self) -> str:
@@ -161,6 +166,15 @@ def propagate_pair(
     return u_low[0], u_high[0]
 
 
+def history_derivatives(
+    system: OdeSystem, blocks: np.ndarray, t: float, h: float
+) -> np.ndarray:
+    """f(t - i*h, blocks[:, i]) for every history block i, shape (N, r, d)."""
+    return np.stack(
+        [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(blocks.shape[1])], axis=1
+    )
+
+
 def propagate_blocks(
     pair: MethodPair,
     system: OdeSystem,
@@ -168,12 +182,15 @@ def propagate_blocks(
     t: float,
     h: float,
     solve: ImplicitSolveConfig = DEFAULT_SOLVE,
+    derivs: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched pair step over stacked histories.
 
     blocks: (N, r, d) newest-first with r = pair.steps_required, aligned at
-    time t. Returns the shifted predictor blocks (N, r, d) whose newest block
-    is the low-order step, and the floored innovation diagonal (N, d).
+    time t. ``derivs``, when given, holds f of every block (N, r, d) and
+    spares the r rhs evaluations; otherwise they are evaluated at t - i*h.
+    Returns the shifted predictor blocks (N, r, d) whose newest block is the
+    low-order step, and the floored innovation diagonal (N, d).
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
@@ -181,12 +198,11 @@ def propagate_blocks(
     if pair.low.family is Family.RUNGE_KUTTA_EMBEDDED:
         u_low, u_high = rk_embedded_step_batch(pair.low, system, t, blocks[:, 0], h)
     else:
-        if np.any(pair.low.beta) or np.any(pair.high.beta):
-            derivs = np.stack(
-                [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(r)], axis=1
-            )
-        else:
-            derivs = np.zeros_like(blocks)
+        if derivs is None:
+            if pair.uses_derivatives:
+                derivs = history_derivatives(system, blocks, t, h)
+            else:
+                derivs = np.zeros_like(blocks)
         u_low = advance_batch(
             pair.low, system, t, blocks[:, : pair.low.steps], derivs[:, : pair.low.steps], h, solve
         )

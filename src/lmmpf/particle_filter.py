@@ -13,6 +13,15 @@ All operations return new ensembles and never write to their inputs. To
 avoid copies, an ensemble may hold the very arrays it was built from (the
 predictors of one step are shared by its resampled and its innovated
 ensemble), so every ensemble array must be treated as read-only.
+
+For a system whose rhs is not vectorized (``rhs_batch`` loops over the
+particles in Python) and a pair that reads history derivatives (AB, AM), each
+ensemble carries the f-values of its history blocks, so a step evaluates the
+rhs once, for the block innovation creates, instead of once per block. The
+cache adds N*r*d floats to every ensemble, including each one `run_filter`
+keeps. For a time-dependent rhs a carried value is f at the filter clock of
+the step that made the block, which can differ from t - i*h in the last ulp;
+see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 """
 
 from dataclasses import dataclass, replace
@@ -21,16 +30,31 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._kernels import inverse_cdf_indices, normalize_log_weights
-from .homec import MethodPair, propagate_blocks
+from .homec import MethodPair, history_derivatives, propagate_blocks
 from .integrators import startup_states_batch
-from .ode_models import ObservationRecord
+from .ode_models import ObservationRecord, OdeSystem
 from .state_space import AugmentedState, EvolutionObservationModel
 
 RESAMPLERS = ("multinomial", "systematic")
 
 
 class LikelihoodUnderflowError(RuntimeError):
-    pass
+    """No particle gives the observation a positive weight.
+
+    ``time_index`` is the filter step that assimilates the observation,
+    ``time`` the observation time and ``max_log_value`` the largest log
+    fitness (resampling) or log likelihood ratio (reweighting), which is
+    -inf or nan.
+    """
+
+    def __init__(self, time_index: int, time: float, max_log_value: float):
+        super().__init__(
+            f"likelihood underflow at step {time_index} (t={time:g}): largest log value "
+            f"{max_log_value}; observation inconsistent with ensemble"
+        )
+        self.time_index = time_index
+        self.time = time
+        self.max_log_value = max_log_value
 
 
 @dataclass(frozen=True)
@@ -47,6 +71,20 @@ class Ensemble:
     ``states`` holds each particle's history blocks (N, r, d) newest first;
     ``predictors`` and ``innovation_vars``, when present, are the pair
     propagation outputs aligned row-by-row with the particles.
+
+    ``derivatives`` (N, r, d) is set only for a non-vectorized system and a
+    pair that uses history derivatives: ``derivatives[n, i]`` is f of
+    ``states[n, i]`` at the filter time at which that block was newest
+    (``t_start - i*h`` for the initial ensemble). For an autonomous rhs, and
+    for every vectorized system (which recompute f at ``time - i*h``), runs
+    are bit-identical to evaluating all blocks each step. For a
+    time-dependent non-vectorized rhs the accumulated filter time of an
+    older block can differ from ``time - i*h`` in the last ulp, so states
+    can drift from the recompute path at rounding level; replay under one
+    seed stays byte-identical.
+
+    ``predictor_loglik`` (N,) is set on resampled ensembles only: log
+    pi(y | predictor) of each survivor, which `weight_update` reuses.
     """
 
     states: np.ndarray
@@ -55,6 +93,8 @@ class Ensemble:
     time: float
     predictors: Optional[np.ndarray] = None
     innovation_vars: Optional[np.ndarray] = None
+    derivatives: Optional[np.ndarray] = None
+    predictor_loglik: Optional[np.ndarray] = None
 
     @property
     def n_particles(self) -> int:
@@ -124,6 +164,8 @@ def initialize(
 
     The sampled value is each particle's newest block; older blocks are
     filled by reverse-time RK startup steps along the particle's own flow.
+    A non-vectorized system with an AB or AM pair also gets the blocks'
+    f-values (see `Ensemble`).
     """
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     n, d = config.n_particles, prior_mean.shape[0]
@@ -135,8 +177,14 @@ def initialize(
         blocks = startup_states_batch(
             model.system, draws, t_start, config.step, r, backward=True
         )
+    t_start = float(t_start)
+    derivatives = None
+    if model.pair.uses_derivatives and not model.system.vectorized:
+        derivatives = history_derivatives(model.system, blocks, t_start, config.step)
     weights = np.full(n, 1.0 / n)
-    return Ensemble(states=blocks, weights=weights, time_index=0, time=float(t_start))
+    return Ensemble(
+        states=blocks, weights=weights, time_index=0, time=t_start, derivatives=derivatives
+    )
 
 
 def propagate_ensemble(
@@ -144,7 +192,13 @@ def propagate_ensemble(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pair-propagate every particle; returns (predictors, innovation diag)."""
     return propagate_blocks(
-        model.pair, model.system, ensemble.states, ensemble.time, h, model.solve
+        model.pair,
+        model.system,
+        ensemble.states,
+        ensemble.time,
+        h,
+        model.solve,
+        derivs=ensemble.derivatives,
     )
 
 
@@ -175,17 +229,16 @@ def survival_of_the_fittest(
     """Resample particles with replacement by normalized predictor fitness.
 
     Fitness of particle n is w_n * pi(y | predictor_n). States, predictors,
-    and the per-particle innovation covariances are reshuffled together; the
-    returned ensemble carries the reshuffled arrays and uniform weights.
+    the per-particle innovation covariances, the carried derivatives and the
+    predictor log-likelihoods are reshuffled together; the returned ensemble
+    carries the reshuffled arrays and uniform weights.
     """
     loglik = model.log_likelihood_batch(observation.value, predictors[:, 0])
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
     m = np.max(log_fitness)
     if not np.isfinite(m):
-        raise LikelihoodUnderflowError(
-            "likelihood underflow; observation inconsistent with ensemble"
-        )
+        raise LikelihoodUnderflowError(ensemble.time_index + 1, observation.time, float(m))
     fitness = normalize_log_weights(np.ascontiguousarray(log_fitness))
     idx = _resample_indices(fitness, rng, resampler)
     n = ensemble.n_particles
@@ -196,6 +249,10 @@ def survival_of_the_fittest(
         time=ensemble.time,
         predictors=np.take(predictors, idx, axis=0),
         innovation_vars=None if gammas is None else np.take(gammas, idx, axis=0),
+        derivatives=(
+            None if ensemble.derivatives is None else np.take(ensemble.derivatives, idx, axis=0)
+        ),
+        predictor_loglik=np.take(loglik, idx),
     )
 
 
@@ -206,24 +263,34 @@ def innovation_step(
     rng: np.random.Generator,
     *,
     h: float,
+    system: Optional[OdeSystem] = None,
 ) -> Ensemble:
     """Proliferate: perturb each predictor's newest block by N(0, Gamma_n).
 
     Older blocks pass through untouched; weights are carried over. The
     returned ensemble holds ``predictors``, ``gammas`` and the input weights
-    themselves, not copies.
+    themselves, not copies. When ``ensemble`` carries derivatives, f of the
+    new newest block is evaluated with ``system`` and the older ones shift
+    along; without ``system`` the cache is dropped and the next propagation
+    evaluates every block.
     """
     n, _, d = predictors.shape
     noise = np.sqrt(gammas) * rng.standard_normal((n, d))
     newest = predictors[:, 0] + noise
     states = np.concatenate([newest[:, None, :], predictors[:, 1:]], axis=1)
+    time = ensemble.time + h
+    derivatives = None
+    if ensemble.derivatives is not None and system is not None:
+        f_new = system.rhs_batch(time, newest)
+        derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
     return Ensemble(
         states=states,
         weights=ensemble.weights,
         time_index=ensemble.time_index + 1,
-        time=ensemble.time + h,
+        time=time,
         predictors=predictors,
         innovation_vars=gammas,
+        derivatives=derivatives,
     )
 
 
@@ -232,16 +299,21 @@ def weight_update(
     predictors: np.ndarray,
     observation: ObservationRecord,
     model: EvolutionObservationModel,
+    *,
+    predictor_loglik: Optional[np.ndarray] = None,
 ) -> Ensemble:
-    """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized."""
+    """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized.
+
+    ``predictor_loglik``, when given, is log pi(y | predictors[:, 0]) as
+    resampling computed it; otherwise it is evaluated here.
+    """
     ll_state = model.log_likelihood_batch(observation.value, ensemble.states[:, 0])
-    ll_pred = model.log_likelihood_batch(observation.value, predictors[:, 0])
-    log_ratio = ll_state - ll_pred
+    if predictor_loglik is None:
+        predictor_loglik = model.log_likelihood_batch(observation.value, predictors[:, 0])
+    log_ratio = ll_state - predictor_loglik
     m = np.max(log_ratio)
     if not np.isfinite(m):
-        raise LikelihoodUnderflowError(
-            "likelihood underflow; observation inconsistent with ensemble"
-        )
+        raise LikelihoodUnderflowError(ensemble.time_index, observation.time, float(m))
     weights = normalize_log_weights(np.ascontiguousarray(log_ratio))
     return replace(ensemble, weights=weights)
 
@@ -309,10 +381,17 @@ def iter_filter(
             )
             predictors = ensemble.predictors
             gammas = ensemble.innovation_vars
-            ensemble = innovation_step(ensemble, predictors, gammas, rng, h=h)
-            ensemble = weight_update(ensemble, predictors, record, model)
+            loglik = ensemble.predictor_loglik
+            ensemble = innovation_step(
+                ensemble, predictors, gammas, rng, h=h, system=model.system
+            )
+            ensemble = weight_update(
+                ensemble, predictors, record, model, predictor_loglik=loglik
+            )
         else:
-            ensemble = innovation_step(ensemble, predictors, gammas, rng, h=h)
+            ensemble = innovation_step(
+                ensemble, predictors, gammas, rng, h=h, system=model.system
+            )
         yield ensemble
 
 

@@ -4,6 +4,7 @@ import pytest
 from lmmpf.homec import (
     PAIR_IDS,
     MethodPair,
+    history_derivatives,
     innovation_covariance,
     make_pair,
     propagate_blocks,
@@ -158,3 +159,24 @@ def test_propagate_blocks_rejects_wrong_block_count():
     pair = make_pair("AB1-AB2")
     with pytest.raises(ValueError, match="blocks"):
         propagate_blocks(pair, p.system, np.zeros((2, 1, 1)), 0.0, 0.1)
+
+
+def test_uses_derivatives_only_for_adams_pairs():
+    uses = {pair_id: make_pair(pair_id).uses_derivatives for pair_id in PAIR_IDS}
+    assert uses == {
+        pair_id: pair_id.startswith(("AB", "AM")) for pair_id in PAIR_IDS
+    }
+
+
+@pytest.mark.parametrize("pair_id", ["AB1-AB2", "AB3-AB4", "AM1-AM2", "AM3-AM4"])
+def test_propagate_blocks_with_given_derivatives_matches_recompute(pair_id):
+    p = gaussian_decay_problem()
+    pair = make_pair(pair_id)
+    r, t, h = pair.steps_required, 0.4, 0.1
+    rng = np.random.default_rng(3)
+    blocks = 1.0 + 0.1 * rng.standard_normal((5, r, 1))
+    derivs = history_derivatives(p.system, blocks, t, h)
+    given = propagate_blocks(pair, p.system, blocks, t, h, derivs=derivs)
+    recomputed = propagate_blocks(pair, p.system, blocks, t, h)
+    for a, b in zip(given, recomputed):
+        assert np.array_equal(a, b)

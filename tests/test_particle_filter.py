@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lmmpf.homec import make_pair
 from lmmpf.metrics import ensemble_mean, sample_variance
-from lmmpf.ode_models import ObservationRecord, gaussian_decay_problem
+from lmmpf.ode_models import ObservationRecord, gaussian_decay_problem, smooth_problem
 from lmmpf.particle_filter import (
     Ensemble,
     FilterConfig,
@@ -162,6 +163,34 @@ def test_survival_underflow_raises():
         survival_of_the_fittest(ens, predictors, obs, model, np.random.default_rng(0))
 
 
+def test_survival_underflow_names_step_time_and_log_fitness():
+    model = make_model(system=constant_system(), var=1e-300)
+    ens = flat_ensemble([0.0, 1.0])
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
+    with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError) as info:
+        survival_of_the_fittest(ens, ens.states.copy(), obs, model, np.random.default_rng(0))
+    err = info.value
+    assert (err.time_index, err.time) == (1, 0.1)
+    assert not np.isfinite(err.max_log_value)
+    assert "step 1" in str(err) and "t=0.1" in str(err)
+    assert str(err.max_log_value) in str(err)
+
+
+def test_weight_update_underflow_names_step_time_and_log_ratio():
+    model = make_model(system=constant_system(), var=1e-300)
+    ens = replace(flat_ensemble([0.0, 1.0]), time_index=3, time=0.3)
+    predictors = np.ones((2, 1, 1))
+    obs = ObservationRecord(time_index=3, time=0.3, value=np.array([1e200]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        LikelihoodUnderflowError
+    ) as info:
+        weight_update(ens, predictors, obs, model)
+    err = info.value
+    assert (err.time_index, err.time) == (3, 0.3)
+    assert not np.isfinite(err.max_log_value)
+    assert "step 3" in str(err) and "t=0.3" in str(err)
+
+
 def test_resampling_unbiasedness_multinomial():
     # offspring counts of grouped particles track N * fitness within 3 SE
     n = 100_000
@@ -251,6 +280,40 @@ def test_weight_update_normalized():
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
     out = weight_update(ens, predictors, obs, model)
     assert abs(np.sum(out.weights) - 1.0) < 1e-12
+
+
+def test_weight_update_reuses_resampled_predictor_loglik():
+    # the log-likelihoods resampling gathers equal a recompute bit for bit
+    model = make_model(var=0.05)
+    rng = np.random.default_rng(5)
+    ens = flat_ensemble(rng.normal(size=30), r=2)
+    predictors = rng.normal(size=(30, 2, 1))
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
+    res = survival_of_the_fittest(ens, predictors, obs, model, rng)
+    assert np.array_equal(
+        res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors[:, 0])
+    )
+    moved = innovation_step(res, res.predictors, np.full((30, 1), 0.01), rng, h=0.1)
+    assert moved.predictor_loglik is None
+    reused = weight_update(
+        moved, res.predictors, obs, model, predictor_loglik=res.predictor_loglik
+    )
+    recomputed = weight_update(moved, res.predictors, obs, model)
+    assert np.array_equal(reused.weights, recomputed.weights)
+
+
+def test_filter_evaluates_likelihood_twice_per_observed_step(monkeypatch):
+    calls = []
+    original = EvolutionObservationModel.log_likelihood_batch
+
+    def counted(self, y, newest):
+        calls.append(newest.shape[0])
+        return original(self, y, newest)
+
+    monkeypatch.setattr(EvolutionObservationModel, "log_likelihood_batch", counted)
+    cfg, model, records, prior = streamed_inputs("AB3-AB4", "multinomial")
+    run_filter(cfg, model, records, prior, t_start=0.0)
+    assert calls == [cfg.n_particles] * (2 * len(records))
 
 
 # ------------------------------------------------------------- equivariance
@@ -384,13 +447,17 @@ def test_run_filter_tracks_gaussian_decay():
 
 
 ENSEMBLE_ARRAYS = ("states", "weights", "predictors", "innovation_vars")
+SNAPSHOT_ARRAYS = ENSEMBLE_ARRAYS + ("derivatives",)
 
 
-def streamed_inputs(pair_id, resampler):
+def streamed_inputs(pair_id, resampler, problem=gaussian_decay_problem, vectorized=True):
     # observed at every other step, so both the observed and the
     # propagate-only branches of the loop run
-    p = gaussian_decay_problem()
-    model = make_model(pair_id, system=p.system, var=0.05)
+    p = problem()
+    system = p.system
+    if not vectorized:
+        system = OdeSystem(dimension=1, rhs=system.rhs, vectorized=False)
+    model = make_model(pair_id, system=system, var=0.05)
     cfg = FilterConfig(
         n_particles=30, initial_variance=0.05, step=0.1, pair=model.pair,
         resampler=resampler, seed=13,
@@ -423,20 +490,114 @@ def test_iter_filter_yields_what_run_filter_returns(pair_id, resampler):
             assert x is None or np.array_equal(x, y), name
 
 
-@pytest.mark.parametrize("pair_id,resampler", STREAM_CASES)
-def test_later_steps_leave_yielded_ensembles_unchanged(pair_id, resampler):
-    # ensembles share arrays instead of copying them; no later step may
-    # write through one of those shared arrays
-    cfg, model, records, prior = streamed_inputs(pair_id, resampler)
+def assert_later_steps_leave_yielded_ensembles_unchanged(cfg, model, records, prior):
     run, snapshots = [], []
     for ens in iter_filter(cfg, model, records, prior, t_start=0.0):
         run.append(ens)
-        arrays = {name: getattr(ens, name) for name in ENSEMBLE_ARRAYS}
+        arrays = {name: getattr(ens, name) for name in SNAPSHOT_ARRAYS}
         snapshots.append({k: None if v is None else v.copy() for k, v in arrays.items()})
     for ens, snap in zip(run, snapshots):
         for name, before in snap.items():
             after = getattr(ens, name)
             assert before is None or np.array_equal(after, before), (ens.time_index, name)
+
+
+@pytest.mark.parametrize("pair_id,resampler", STREAM_CASES)
+def test_later_steps_leave_yielded_ensembles_unchanged(pair_id, resampler):
+    # ensembles share arrays instead of copying them; no later step may
+    # write through one of those shared arrays
+    assert_later_steps_leave_yielded_ensembles_unchanged(
+        *streamed_inputs(pair_id, resampler)
+    )
+
+
+# ------------------------------------------------- carried f-evaluations
+
+CARRIED_CASES = [
+    (pair_id, resampler)
+    for pair_id in ("AB1-AB2", "AB3-AB4", "AM1-AM2", "AM3-AM4")
+    for resampler in ("multinomial", "systematic")
+]
+
+
+@pytest.mark.parametrize("pair_id,resampler", CARRIED_CASES)
+def test_later_steps_leave_carried_derivatives_unchanged(pair_id, resampler):
+    assert_later_steps_leave_yielded_ensembles_unchanged(
+        *streamed_inputs(pair_id, resampler, smooth_problem, vectorized=False)
+    )
+
+
+@pytest.mark.parametrize(
+    "problem,atol",
+    [(smooth_problem, 0.0), (gaussian_decay_problem, 1e-12)],
+    ids=["autonomous-exact", "time_dependent-1e-12"],
+)
+@pytest.mark.parametrize("pair_id,resampler", CARRIED_CASES)
+def test_carried_derivatives_match_recomputed(pair_id, resampler, problem, atol):
+    # non-vectorized systems carry f-values, vectorized ones recompute them
+    # at t - i*h; a carried value is taken at the filter clock of the step
+    # that made its block, which for a time-dependent rhs may differ from
+    # t - i*h in the last ulp
+    cfg, model, records, prior = streamed_inputs(pair_id, resampler, problem)
+    recomputed = run_filter(cfg, model, records, prior, t_start=0.0)
+    cfg, model, records, prior = streamed_inputs(pair_id, resampler, problem, vectorized=False)
+    carried = run_filter(cfg, model, records, prior, t_start=0.0)
+    assert all(e.derivatives is None for e in recomputed)
+    assert all(e.derivatives is not None for e in carried)
+    for a, b in zip(carried, recomputed):
+        assert (a.time_index, a.time) == (b.time_index, b.time)
+        for name in ENSEMBLE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            assert x is None or np.allclose(x, y, rtol=0.0, atol=atol), (a.time_index, name)
+
+
+def test_carried_derivatives_are_rhs_of_each_block():
+    cfg, model, records, prior = streamed_inputs(
+        "AB3-AB4", "multinomial", smooth_problem, vectorized=False
+    )
+    h, system = cfg.step, model.system
+    for ens in iter_filter(cfg, model, records, prior, t_start=0.0):
+        assert ens.derivatives.shape == ens.states.shape
+        for i in range(ens.states.shape[1]):
+            want = system.rhs_batch(ens.time - i * h, ens.states[:, i])
+            assert np.array_equal(ens.derivatives[:, i], want), (ens.time_index, i)
+
+
+@pytest.mark.parametrize(
+    "pair_id,vectorized",
+    [("AB3-AB4", True), ("AM3-AM4", True), ("BDF3-BDF4", False), ("RK4-RK5", False),
+     ("BDF3-BDF4", True), ("RK4-RK5", True)],
+)
+def test_only_non_vectorized_adams_runs_carry_derivatives(pair_id, vectorized):
+    cfg, model, records, prior = streamed_inputs(
+        pair_id, "multinomial", smooth_problem, vectorized=vectorized
+    )
+    assert all(
+        e.derivatives is None for e in iter_filter(cfg, model, records, prior, t_start=0.0)
+    )
+
+
+def test_carried_derivatives_evaluate_one_row_per_particle_per_step():
+    rows = []
+    smooth_rhs = smooth_problem().system.rhs
+
+    def counted(t, u, params):
+        rows.append(t)
+        return smooth_rhs(t, u, params)
+
+    system = OdeSystem(dimension=1, rhs=counted, vectorized=False)
+    cfg, model, records, prior = streamed_inputs("AB3-AB4", "systematic")
+    model = make_model("AB3-AB4", system=system, var=0.05)
+    run = iter_filter(cfg, model, records, prior, t_start=0.0)
+    next(run)  # initialization
+    per_step = []
+    while True:
+        before = len(rows)
+        if next(run, None) is None:
+            break
+        per_step.append(len(rows) - before)
+    assert per_step == [cfg.n_particles] * 10
 
 
 def test_particles_view():
