@@ -1,28 +1,20 @@
 """State estimation with linear-multistep propagators and pair-based error control."""
 
-from ._accel import accel_mode
 from .homec import (
     PAIR_IDS,
-    InnovationCovariance,
     MethodPair,
     innovation_covariance,
     make_pair,
-    propagate_pair,
 )
 from .integrators import (
     ColdHistoryError,
     Family,
-    HistoryBuffer,
     ImplicitSolveConfig,
     ImplicitSolveError,
     MethodSpec,
     SolveStrategy,
-    bootstrap_history,
     integrate_problem,
     make_method,
-    step_explicit,
-    step_implicit,
-    step_rk_embedded,
 )
 from .metrics import RunDiagnostics, diagnostics, ensemble_mean, sample_variance
 from .ode_models import (
@@ -39,7 +31,6 @@ from .particle_filter import (
     Ensemble,
     FilterConfig,
     LikelihoodUnderflowError,
-    Particle,
     initialize,
     innovation_step,
     iter_filter,
@@ -48,16 +39,7 @@ from .particle_filter import (
     survival_of_the_fittest,
     weight_update,
 )
-from .state_space import (
-    AugmentedState,
-    EvolutionObservationModel,
-    GaussianDensity,
-    augment,
-    log_density,
-    observe,
-    project_history,
-    propagate,
-)
+from .state_space import EvolutionObservationModel
 from .experiment import (
     ConfigError,
     ExperimentConfig,

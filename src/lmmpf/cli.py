@@ -7,7 +7,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ._accel import accel_mode
 from .experiment import (
     ConfigError,
     DEFAULT_TAU,
@@ -118,7 +117,7 @@ def _cmd_run(args) -> int:
     table = ResultsTable(rows=[row])
     manifest = emit_outputs(table, diags, config.outdir)
     _print_table(table)
-    print(f"[{accel_mode()} kernels] wrote {len(manifest)} files to {config.outdir}")
+    print(f"wrote {len(manifest)} files to {config.outdir}")
     return 0
 
 
@@ -145,7 +144,7 @@ def _cmd_sweep(args) -> int:
     table = run_sweep(problem, pair_ids, v_values, replicates=replicates, seed=seed, **settings)
     manifest = emit_outputs(table, [], outdir)
     _print_table(table)
-    print(f"[{accel_mode()} kernels] wrote {len(manifest)} files to {outdir}")
+    print(f"wrote {len(manifest)} files to {outdir}")
     return 0
 
 

@@ -15,29 +15,16 @@ import numpy as np
 
 from .integrators import (
     DEFAULT_SOLVE,
+    ColdHistoryError,
     Family,
-    HistoryBuffer,
     ImplicitSolveConfig,
     MethodSpec,
-    _require_warm,
     advance_batch,
+    history_derivatives,
     make_method,
     rk_embedded_step_batch,
 )
 from .ode_models import OdeSystem
-
-
-@dataclass(frozen=True)
-class InnovationCovariance:
-    """Diagonal covariance diag(gamma), entries >= 0."""
-
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        diag = np.atleast_1d(np.asarray(self.diagonal, dtype=float))
-        if np.any(diag < 0.0):
-            raise ValueError("innovation covariance entries must be nonnegative")
-        object.__setattr__(self, "diagonal", diag)
 
 
 @dataclass(frozen=True)
@@ -113,66 +100,14 @@ def make_pair(pair_id: str, tau: float = 1.5, eps_floor: float = 1e-20) -> Metho
     )
 
 
-def innovation_covariance(
-    u_low: np.ndarray, u_high: np.ndarray, tau: float
-) -> InnovationCovariance:
-    """gamma_i = tau^2 (u_low - u_high)_i^2, exactly (no floor applied)."""
-    u_low = np.atleast_1d(np.asarray(u_low, dtype=float))
-    u_high = np.atleast_1d(np.asarray(u_high, dtype=float))
+def innovation_covariance(u_low: np.ndarray, u_high: np.ndarray, tau: float) -> np.ndarray:
+    """gamma = tau^2 (u_low - u_high)^2 elementwise, exactly (no floor applied)."""
+    u_low = np.asarray(u_low, dtype=float)
+    u_high = np.asarray(u_high, dtype=float)
     if u_low.shape != u_high.shape:
         raise ValueError("solution vectors must have matching dimension")
     diff = u_low - u_high
-    return InnovationCovariance(diagonal=tau * tau * diff * diff)
-
-
-def propagate_pair(
-    pair: MethodPair,
-    system: OdeSystem,
-    history_low: HistoryBuffer,
-    history_high: HistoryBuffer,
-    h: float,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One step of each method of the pair from aligned histories."""
-    if history_low.current_time != history_high.current_time:
-        raise ValueError("pair histories must be aligned at the same time")
-    if pair.low.family is Family.RUNGE_KUTTA_EMBEDDED:
-        _require_warm(pair.low, history_low)
-        low, high = rk_embedded_step_batch(
-            pair.low, system, history_low.current_time, history_low.states[0][None], h
-        )
-        return low[0], high[0]
-    _require_warm(pair.low, history_low)
-    _require_warm(pair.high, history_high)
-    t = history_low.current_time
-    u_low = advance_batch(
-        pair.low,
-        system,
-        t,
-        history_low.state_array()[None],
-        history_low.deriv_array()[None],
-        h,
-        solve,
-    )
-    u_high = advance_batch(
-        pair.high,
-        system,
-        t,
-        history_high.state_array()[None],
-        history_high.deriv_array()[None],
-        h,
-        solve,
-    )
-    return u_low[0], u_high[0]
-
-
-def history_derivatives(
-    system: OdeSystem, blocks: np.ndarray, t: float, h: float
-) -> np.ndarray:
-    """f(t - i*h, blocks[:, i]) for every history block i, shape (N, r, d)."""
-    return np.stack(
-        [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(blocks.shape[1])], axis=1
-    )
+    return tau * tau * diff * diff
 
 
 def propagate_blocks(
@@ -194,7 +129,9 @@ def propagate_blocks(
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
-        raise ValueError(f"blocks have {blocks.shape[1]} entries; pair needs {r}")
+        raise ColdHistoryError(
+            f"insufficient startup values: blocks have {blocks.shape[1]} entries; pair needs {r}"
+        )
     if pair.low.family is Family.RUNGE_KUTTA_EMBEDDED:
         u_low, u_high = rk_embedded_step_batch(pair.low, system, t, blocks[:, 0], h)
     else:
@@ -215,7 +152,6 @@ def propagate_blocks(
             h,
             solve,
         )
-    diff = u_low - u_high
-    gamma = np.maximum(pair.tau * pair.tau * diff * diff, pair.eps_floor)
+    gamma = np.maximum(innovation_covariance(u_low, u_high, pair.tau), pair.eps_floor)
     pred = np.concatenate([u_low[:, None, :], blocks[:, : r - 1]], axis=1)
     return pred, gamma

@@ -1,14 +1,14 @@
 """Fixed-step ODE propagators: Adams-Bashforth, Adams-Moulton, BDF, and
 embedded Runge-Kutta pairs, with multistep history management and startup.
 
-All stepping routines are written against particle batches of shape (N, d);
-the single-trajectory operations wrap the batched ones with N=1. Steps never
-mutate their inputs and are bit-reproducible.
+All stepping routines are written against particle batches: states (N, d)
+and multistep histories (N, r, d), newest block first; a single trajectory
+is the batch N = 1. Steps never mutate their inputs and are bit-reproducible.
 """
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -201,29 +201,6 @@ def make_method(family: Family, order: int) -> MethodSpec:
     raise ValueError(f"unsupported method ({family.value}, order {order}); supported: {_SUPPORTED}")
 
 
-@dataclass
-class HistoryBuffer:
-    """The r most recent states (newest first), their f-evaluations, and t_j."""
-
-    states: List[np.ndarray]
-    derivatives: List[np.ndarray]
-    current_time: float
-
-    def state_array(self) -> np.ndarray:
-        return np.stack(self.states)
-
-    def deriv_array(self) -> np.ndarray:
-        return np.stack(self.derivatives)
-
-
-def _require_warm(method: MethodSpec, history: HistoryBuffer):
-    if len(history.states) != method.steps or len(history.derivatives) != method.steps:
-        raise ColdHistoryError(
-            f"insufficient startup values: {method.label} needs {method.steps} states, "
-            f"history has {len(history.states)}"
-        )
-
-
 # --------------------------------------------------------------- batch steps
 
 
@@ -347,53 +324,13 @@ def advance_batch(
     return rk_embedded_step_batch(spec, system, t, states[:, 0], h)[0]
 
 
-# ------------------------------------------------------- single-trajectory
-
-
-def step_explicit(
-    method: MethodSpec, system: OdeSystem, history: HistoryBuffer, h: float
+def history_derivatives(
+    system: OdeSystem, blocks: np.ndarray, t: float, h: float
 ) -> np.ndarray:
-    """Explicit multistep step u_{j+1} = u_j + h sum_i beta_i f(t_{j-i}, u_{j-i})."""
-    if method.family is not Family.ADAMS_BASHFORTH:
-        raise ValueError(f"step_explicit requires an Adams-Bashforth method, got {method.label}")
-    _require_warm(method, history)
-    out = explicit_step_batch(
-        method, history.state_array()[None], history.deriv_array()[None], h
+    """f(t - i*h, blocks[:, i]) for every history block i, shape (N, r, d)."""
+    return np.stack(
+        [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(blocks.shape[1])], axis=1
     )
-    return out[0]
-
-
-def step_implicit(
-    method: MethodSpec,
-    system: OdeSystem,
-    history: HistoryBuffer,
-    h: float,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
-) -> np.ndarray:
-    """Implicit multistep step, solved to ``solve.tolerance`` in the max-norm."""
-    if method.family not in (Family.ADAMS_MOULTON, Family.BDF):
-        raise ValueError(f"step_implicit requires an AM or BDF method, got {method.label}")
-    _require_warm(method, history)
-    out = implicit_step_batch(
-        method,
-        system,
-        history.current_time,
-        history.state_array()[None],
-        history.deriv_array()[None],
-        h,
-        solve,
-    )
-    return out[0]
-
-
-def step_rk_embedded(
-    method: MethodSpec, system: OdeSystem, t: float, u: np.ndarray, h: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both embedded solutions (low order, high order) from shared stages."""
-    if method.family is not Family.RUNGE_KUTTA_EMBEDDED:
-        raise ValueError(f"step_rk_embedded requires an embedded RK method, got {method.label}")
-    low, high = rk_embedded_step_batch(method, system, t, np.asarray(u, dtype=float)[None], h)
-    return low[0], high[0]
 
 
 _STARTUP_RK = None
@@ -437,37 +374,6 @@ def startup_states_batch(
     return blocks
 
 
-def history_from_blocks(
-    system: OdeSystem, blocks: np.ndarray, newest_time: float, h: float
-) -> HistoryBuffer:
-    """Build a HistoryBuffer from newest-first blocks of shape (r, d)."""
-    r = blocks.shape[0]
-    states = [np.array(blocks[i]) for i in range(r)]
-    derivs = [system(newest_time - i * h, blocks[i]) for i in range(r)]
-    return HistoryBuffer(states=states, derivatives=derivs, current_time=newest_time)
-
-
-def bootstrap_history(
-    method: MethodSpec,
-    system: OdeSystem,
-    u0: np.ndarray,
-    t0: float,
-    h: float,
-    direction: str = "forward",
-) -> HistoryBuffer:
-    """Produce the r-1 startup values with order-5 RK steps and a warm buffer.
-
-    Forward direction (the default) returns a buffer whose newest state sits
-    at t0 + (r-1)h; backward fills history behind u0, leaving it newest at t0.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
-    backward = direction == "backward"
-    blocks = startup_states_batch(system, u0, t0, h, method.steps, backward=backward)[0]
-    newest_time = t0 if backward else t0 + (method.steps - 1) * h
-    return history_from_blocks(system, blocks, newest_time, h)
-
-
 def integrate_problem(
     method: MethodSpec,
     problem: TestProblem,
@@ -505,15 +411,14 @@ def integrate_problem(
     blocks = startup_states_batch(system, problem.initial_state, t0, h, r)
     for i in range(min(r, n_steps + 1)):
         out[i] = blocks[0, r - 1 - i]
-    needs_derivs = bool(np.any(method.beta)) or method.beta_new != 0.0
     for j in range(r - 1, n_steps):
         t = times[j]
-        if needs_derivs or method.family is Family.ADAMS_BASHFORTH:
-            derivs = np.stack(
-                [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(r)], axis=1
-            )
-        else:
+        if method.family is Family.BDF:
+            # BDF reads no f at the history blocks; AM1 has beta == [0] but
+            # its Adams-Bashforth predictor does
             derivs = np.zeros_like(blocks)
+        else:
+            derivs = history_derivatives(system, blocks, t, h)
         u_new = advance_batch(method, system, t, blocks, derivs, h, solve)
         blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
         out[j + 1] = u_new[0]

@@ -28,6 +28,9 @@ class RunDiagnostics:
 
 
 def _moments(ensemble: Ensemble):
+    # the copy pins the bits of trajectory.csv: for r >= 2 the einsum in
+    # weighted_mean_var on the strided newest-block view differs from the
+    # contiguous copy in the last bits
     values = np.ascontiguousarray(ensemble.newest)
     return weighted_mean_var(values, ensemble.weights)
 

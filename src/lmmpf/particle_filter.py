@@ -30,10 +30,10 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._kernels import inverse_cdf_indices, normalize_log_weights
-from .homec import MethodPair, history_derivatives, propagate_blocks
-from .integrators import startup_states_batch
+from .homec import MethodPair, propagate_blocks
+from .integrators import history_derivatives, startup_states_batch
 from .ode_models import ObservationRecord, OdeSystem
-from .state_space import AugmentedState, EvolutionObservationModel
+from .state_space import EvolutionObservationModel
 
 RESAMPLERS = ("multinomial", "systematic")
 
@@ -55,13 +55,6 @@ class LikelihoodUnderflowError(RuntimeError):
         self.time_index = time_index
         self.time = time
         self.max_log_value = max_log_value
-
-
-@dataclass(frozen=True)
-class Particle:
-    state: AugmentedState
-    weight: float
-    predictor: Optional[AugmentedState] = None
 
 
 @dataclass(frozen=True)
@@ -104,32 +97,6 @@ class Ensemble:
     def newest(self) -> np.ndarray:
         """Newest state block per particle, shape (N, d)."""
         return self.states[:, 0]
-
-    @property
-    def particles(self) -> List[Particle]:
-        out = []
-        for n in range(self.n_particles):
-            pred = None
-            if self.predictors is not None:
-                # in every ensemble run_filter returns, the stored predictors
-                # are the pre-innovation propagation of this same step
-                pred = AugmentedState(
-                    blocks=self.predictors[n].copy(),
-                    time_index=self.time_index,
-                    time=self.time,
-                )
-            out.append(
-                Particle(
-                    state=AugmentedState(
-                        blocks=self.states[n].copy(),
-                        time_index=self.time_index,
-                        time=self.time,
-                    ),
-                    weight=float(self.weights[n]),
-                    predictor=pred,
-                )
-            )
-        return out
 
 
 @dataclass(frozen=True)
@@ -239,7 +206,7 @@ def survival_of_the_fittest(
     m = np.max(log_fitness)
     if not np.isfinite(m):
         raise LikelihoodUnderflowError(ensemble.time_index + 1, observation.time, float(m))
-    fitness = normalize_log_weights(np.ascontiguousarray(log_fitness))
+    fitness = normalize_log_weights(log_fitness)
     idx = _resample_indices(fitness, rng, resampler)
     n = ensemble.n_particles
     return Ensemble(
@@ -314,7 +281,7 @@ def weight_update(
     m = np.max(log_ratio)
     if not np.isfinite(m):
         raise LikelihoodUnderflowError(ensemble.time_index, observation.time, float(m))
-    weights = normalize_log_weights(np.ascontiguousarray(log_ratio))
+    weights = normalize_log_weights(log_ratio)
     return replace(ensemble, weights=weights)
 
 

@@ -7,45 +7,14 @@ and the innovation acts on the newest block only.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ._kernels import gaussian_logpdf_diag
-from .homec import InnovationCovariance, MethodPair, propagate_blocks
-from .integrators import (
-    DEFAULT_SOLVE,
-    ColdHistoryError,
-    HistoryBuffer,
-    ImplicitSolveConfig,
-    history_from_blocks,
-)
+from .homec import MethodPair
+from .integrators import DEFAULT_SOLVE, ImplicitSolveConfig
 from .ode_models import OdeSystem
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Stacked history blocks [u_j, u_{j-1}, ..., u_{j-r+1}], newest first."""
-
-    blocks: np.ndarray  # (r, d)
-    time_index: int
-    time: float
-
-
-@dataclass(frozen=True)
-class GaussianDensity:
-    mean: np.ndarray
-    covariance_diagonal: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        diag = np.asarray(self.covariance_diagonal, dtype=float)
-        if mean.shape != diag.shape:
-            raise ValueError("mean and covariance diagonal must have equal length")
-        if np.any(diag <= 0.0):
-            raise ValueError("covariance diagonal entries must be positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance_diagonal", diag)
 
 
 @dataclass(frozen=True)
@@ -84,56 +53,5 @@ class EvolutionObservationModel:
 
     def log_likelihood_batch(self, y: np.ndarray, newest: np.ndarray) -> np.ndarray:
         """log pi(y | state) for a batch of newest blocks (N, d)."""
-        predicted = np.ascontiguousarray(self.observe_newest(newest))
+        predicted = self.observe_newest(newest)
         return gaussian_logpdf_diag(np.asarray(y, dtype=float), predicted, self.measurement_var)
-
-
-def augment(history: HistoryBuffer, time_index: int = 0) -> AugmentedState:
-    """Pack a warm history buffer into a block state, newest block first."""
-    if not history.states:
-        raise ColdHistoryError("cannot augment an empty history")
-    return AugmentedState(
-        blocks=history.state_array(), time_index=time_index, time=history.current_time
-    )
-
-
-def project_history(state: AugmentedState, system: OdeSystem, h: float) -> HistoryBuffer:
-    """Inverse of augment: rebuild the buffer, re-evaluating the derivatives."""
-    return history_from_blocks(system, state.blocks, state.time, h)
-
-
-def observe(model: EvolutionObservationModel, x: AugmentedState) -> np.ndarray:
-    """Noiseless observation G applied to the newest block."""
-    return model.observe_newest(x.blocks[0])
-
-
-def log_density(g: GaussianDensity, x: np.ndarray) -> float:
-    """Diagonal-Gaussian log density at x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != g.mean.shape:
-        raise ValueError("dimension mismatch between x and the density")
-    out = gaussian_logpdf_diag(x, g.mean[None, :], g.covariance_diagonal)
-    return float(out[0])
-
-
-def propagate(
-    model: EvolutionObservationModel,
-    x: AugmentedState,
-    h: float,
-    solve: Optional[ImplicitSolveConfig] = None,
-) -> Tuple[AugmentedState, InnovationCovariance]:
-    """One pair step: shifted predictor blocks plus the innovation covariance."""
-    if x.blocks.shape[0] != model.steps_required:
-        raise ValueError(
-            f"state has {x.blocks.shape[0]} blocks; pair needs {model.steps_required}"
-        )
-    pred, gamma = propagate_blocks(
-        model.pair,
-        model.system,
-        x.blocks[None],
-        x.time,
-        h,
-        solve if solve is not None else model.solve,
-    )
-    predictor = AugmentedState(blocks=pred[0], time_index=x.time_index + 1, time=x.time + h)
-    return predictor, InnovationCovariance(diagonal=gamma[0])

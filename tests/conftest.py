@@ -1,15 +1,6 @@
 import numpy as np
-import pytest
 
-from lmmpf._kernels import warmup
 from lmmpf.integrators import ImplicitSolveConfig, integrate_problem
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timing assertions measure the algorithms
-    warmup()
-
 
 TIGHT_SOLVE = ImplicitSolveConfig(max_iterations=100, tolerance=1e-12)
 

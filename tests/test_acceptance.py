@@ -13,8 +13,9 @@ import pytest
 
 from conftest import empirical_order
 from lmmpf.experiment import ExperimentConfig, run_experiment
-from lmmpf.homec import make_pair, propagate_pair
-from lmmpf.integrators import Family, HistoryBuffer, make_method
+from lmmpf._kernels import gaussian_logpdf_diag
+from lmmpf.homec import make_pair, propagate_blocks
+from lmmpf.integrators import Family, make_method
 from lmmpf.ode_models import ObservationRecord, OdeSystem, gaussian_decay_problem
 from lmmpf.particle_filter import (
     Ensemble,
@@ -26,7 +27,7 @@ from lmmpf.particle_filter import (
     survival_of_the_fittest,
     weight_update,
 )
-from lmmpf.state_space import EvolutionObservationModel, GaussianDensity, log_density
+from lmmpf.state_space import EvolutionObservationModel
 
 SEED = 20260810
 LMM_PAIRS = ("AB1-AB2", "AB3-AB4", "AM1-AM2", "AM3-AM4")
@@ -95,19 +96,10 @@ def test_criterion_2_homec_calibration():
     h = 0.1
     hits = 0
     for t in np.linspace(0.1, 4.85, 20):
-        hist_low = HistoryBuffer(
-            states=[problem.exact_solution(t)],
-            derivatives=[problem.system(t, problem.exact_solution(t))],
-            current_time=t,
-        )
-        states = [problem.exact_solution(t - i * h) for i in range(2)]
-        hist_high = HistoryBuffer(
-            states=states,
-            derivatives=[problem.system(t - i * h, s) for i, s in enumerate(states)],
-            current_time=t,
-        )
-        u_low, u_high = propagate_pair(pair, problem.system, hist_low, hist_high, h)
-        estimate = abs(u_low[0] - u_high[0])  # = sqrt(gamma)/tau
+        blocks = np.stack([problem.exact_solution(t - i * h) for i in range(2)])[None]
+        pred, gamma = propagate_blocks(pair, problem.system, blocks, t, h)
+        u_low = pred[0, 0]
+        estimate = np.sqrt(gamma[0, 0]) / pair.tau  # = |u_low - u_high|
         truth = abs(u_low[0] - problem.exact_solution(t + h)[0])
         if truth / 3.0 <= estimate <= 3.0 * truth:
             hits += 1
@@ -317,9 +309,9 @@ def test_criterion_7_property_suite():
 
     # Gaussian log-density quadrature
     sigma = 1.3
-    g = GaussianDensity(mean=np.array([0.5]), covariance_diagonal=np.array([sigma**2]))
+    mean, var = np.array([0.5]), np.array([sigma**2])
     xs = np.linspace(0.5 - 8 * sigma, 0.5 + 8 * sigma, 20001)
-    vals = np.exp([log_density(g, np.array([x])) for x in xs])
+    vals = np.exp([gaussian_logpdf_diag(np.array([x]), mean[None], var)[0] for x in xs])
     checks["log-density quadrature"] = abs(np.trapezoid(vals, xs) - 1.0) < 1e-6
 
     # byte-identical replay under the fixed seed

@@ -4,62 +4,53 @@ import pytest
 from lmmpf.homec import (
     PAIR_IDS,
     MethodPair,
-    history_derivatives,
     innovation_covariance,
     make_pair,
     propagate_blocks,
-    propagate_pair,
 )
 from lmmpf.integrators import (
+    ColdHistoryError,
     Family,
-    HistoryBuffer,
-    bootstrap_history,
+    history_derivatives,
     make_method,
-    step_rk_embedded,
+    rk_embedded_step_batch,
+    startup_states_batch,
 )
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
 
 
 def exact_history(problem, t, h, r):
-    states = [problem.exact_solution(t - i * h) for i in range(r)]
-    derivs = [problem.system(t - i * h, s) for i, s in enumerate(states)]
-    return HistoryBuffer(states=states, derivatives=derivs, current_time=t)
+    """Exact solution at t, t - h, ..., t - (r-1)h as one block state (1, r, d)."""
+    return np.stack([problem.exact_solution(t - i * h) for i in range(r)])[None]
 
 
 def test_innovation_zero_for_identical_solutions():
     gamma = innovation_covariance(np.array([1.0, 2.0]), np.array([1.0, 2.0]), tau=2.0)
-    assert np.array_equal(gamma.diagonal, [0.0, 0.0])
+    assert np.array_equal(gamma, [0.0, 0.0])
 
 
 def test_innovation_hand_value():
     gamma = innovation_covariance(np.array([0.01, -0.02]), np.array([0.0, 0.0]), tau=2.0)
-    assert gamma.diagonal[0] == pytest.approx(4e-4, rel=1e-12)
-    assert gamma.diagonal[1] == pytest.approx(1.6e-3, rel=1e-12)
+    assert gamma[0] == pytest.approx(4e-4, rel=1e-12)
+    assert gamma[1] == pytest.approx(1.6e-3, rel=1e-12)
 
 
 def test_innovation_quadratic_scaling():
     base = innovation_covariance(np.array([0.3]), np.array([0.1]), tau=1.5)
     scaled = innovation_covariance(np.array([0.5]), np.array([-0.1]), tau=1.5)
     # difference scaled by 3 -> gamma scaled by 9
-    assert scaled.diagonal[0] == pytest.approx(9.0 * base.diagonal[0], rel=1e-12)
+    assert scaled[0] == pytest.approx(9.0 * base[0], rel=1e-12)
 
 
 def test_innovation_monotone_in_tau():
     lo = innovation_covariance(np.array([0.2]), np.array([0.1]), tau=1.5)
     hi = innovation_covariance(np.array([0.2]), np.array([0.1]), tau=2.5)
-    assert np.all(hi.diagonal >= lo.diagonal)
+    assert np.all(hi >= lo)
 
 
 def test_innovation_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         innovation_covariance(np.zeros(2), np.zeros(3), tau=1.5)
-
-
-def test_innovation_rejects_negative_entries():
-    from lmmpf.homec import InnovationCovariance
-
-    with pytest.raises(ValueError, match="nonnegative"):
-        InnovationCovariance(diagonal=np.array([-1.0]))
 
 
 def test_pair_registry_ids():
@@ -90,33 +81,31 @@ def test_pair_steps_required():
 
 
 def test_propagate_pair_constant_solution():
+    # with no floor, gamma == 0 means the high-order step equals the low one
     zero = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
-    pair = make_pair("BDF1-BDF2")
-    h_low = bootstrap_history(pair.low, zero, np.array([3.0]), 0.0, 0.1)
-    h_high = bootstrap_history(pair.high, zero, np.array([3.0]), 0.0, 0.1)
-    h_high.current_time = h_low.current_time
-    u_low, u_high = propagate_pair(pair, zero, h_low, h_high, 0.1)
-    assert u_low[0] == 3.0 and u_high[0] == 3.0
+    pair = make_pair("BDF1-BDF2", eps_floor=0.0)
+    blocks = startup_states_batch(zero, np.array([3.0]), 0.0, 0.1, pair.steps_required)
+    pred, gamma = propagate_blocks(pair, zero, blocks, 0.1, 0.1)
+    assert pred[0, 0, 0] == 3.0 and gamma[0, 0] == 0.0
 
 
 def test_propagate_pair_local_difference_bound():
     p = gaussian_decay_problem()
-    pair = make_pair("AB1-AB2")
-    h_low = exact_history(p, 0.1, 0.1, 1)
-    h_high = exact_history(p, 0.1, 0.1, 2)
-    u_low, u_high = propagate_pair(pair, p.system, h_low, h_high, 0.1)
-    assert u_low[0] != u_high[0]
-    assert abs(u_low[0] - u_high[0]) < 0.02
+    pair = make_pair("AB1-AB2", eps_floor=0.0)
+    _, gamma = propagate_blocks(pair, p.system, exact_history(p, 0.1, 0.1, 2), 0.1, 0.1)
+    difference = np.sqrt(gamma[0, 0]) / pair.tau  # |u_low - u_high|
+    assert difference != 0.0
+    assert difference < 0.02
 
 
 def test_rk_pair_delegates_to_embedded_step():
     p = gaussian_decay_problem()
-    pair = make_pair("RK1-RK2")
-    hist = exact_history(p, 0.0, 0.1, 1)
-    u_low, u_high = propagate_pair(pair, p.system, hist, hist, 0.1)
-    ref_low, ref_high = step_rk_embedded(pair.low, p.system, 0.0, hist.states[0], 0.1)
-    assert np.array_equal(u_low, ref_low)
-    assert np.array_equal(u_high, ref_high)
+    pair = make_pair("RK1-RK2", eps_floor=0.0)
+    blocks = exact_history(p, 0.0, 0.1, 1)
+    pred, gamma = propagate_blocks(pair, p.system, blocks, 0.0, 0.1)
+    ref_low, ref_high = rk_embedded_step_batch(pair.low, p.system, 0.0, blocks[:, 0], 0.1)
+    assert np.array_equal(pred[:, 0], ref_low)
+    assert np.array_equal(gamma, innovation_covariance(ref_low, ref_high, pair.tau))
 
 
 def test_homec_calibration_tracks_local_error():
@@ -126,11 +115,10 @@ def test_homec_calibration_tracks_local_error():
     h = 0.1
     hits = 0
     for t in np.linspace(0.1, 4.85, 20):
-        hist_low = exact_history(p, t, h, 1)
-        hist_high = exact_history(p, t, h, 2)
-        u_low, u_high = propagate_pair(pair, p.system, hist_low, hist_high, h)
-        estimate = abs(u_low[0] - u_high[0])
-        truth = abs(u_low[0] - p.exact_solution(t + h)[0])
+        pred, gamma = propagate_blocks(pair, p.system, exact_history(p, t, h, 2), t, h)
+        u_low = pred[0, 0, 0]
+        estimate = np.sqrt(gamma[0, 0]) / pair.tau  # |u_low - u_high|
+        truth = abs(u_low - p.exact_solution(t + h)[0])
         if truth / 3.0 <= estimate <= truth * 3.0:
             hits += 1
     assert hits >= 16
@@ -157,7 +145,7 @@ def test_propagate_blocks_shift_structure():
 def test_propagate_blocks_rejects_wrong_block_count():
     p = gaussian_decay_problem()
     pair = make_pair("AB1-AB2")
-    with pytest.raises(ValueError, match="blocks"):
+    with pytest.raises(ColdHistoryError, match="blocks"):
         propagate_blocks(pair, p.system, np.zeros((2, 1, 1)), 0.0, 0.1)
 
 

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import TIGHT_SOLVE, empirical_order
+from lmmpf import integrators
+from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import (
     ColdHistoryError,
     Family,
-    HistoryBuffer,
     ImplicitSolveConfig,
     ImplicitSolveError,
     SolveStrategy,
-    bootstrap_history,
+    explicit_step_batch,
+    history_derivatives,
+    implicit_step_batch,
     integrate_problem,
     make_method,
-    step_explicit,
-    step_implicit,
-    step_rk_embedded,
+    rk_embedded_step_batch,
+    startup_states_batch,
 )
 from lmmpf.ode_models import OdeSystem, TestProblem, gaussian_decay_problem, smooth_problem
 
@@ -25,7 +27,16 @@ RK = Family.RUNGE_KUTTA_EMBEDDED
 
 
 def warm_history(problem, method, h=0.1):
-    return bootstrap_history(method, problem.system, problem.initial_state, problem.t_span[0], h)
+    """RK startup blocks (1, r, d) newest first, their f-values and the newest time."""
+    t0 = problem.t_span[0]
+    blocks = startup_states_batch(problem.system, problem.initial_state, t0, h, method.steps)
+    t = t0 + (method.steps - 1) * h
+    return blocks, history_derivatives(problem.system, blocks, t, h), t
+
+
+def single(u, f):
+    """One-block history (1, 1, d) of state u with f-value f."""
+    return np.array([[u]], dtype=float), np.array([[f]], dtype=float)
 
 
 # ------------------------------------------------------------- coefficients
@@ -78,52 +89,41 @@ def test_unsupported_methods_listed(family, order):
 def test_ab1_hand_value_gaussian_decay():
     p = gaussian_decay_problem()
     m = make_method(AB, 1)
-    hist = warm_history(p, m)
-    assert step_explicit(m, p.system, hist, 0.1)[0] == pytest.approx(1.2, abs=1e-15)
+    blocks, derivs, _ = warm_history(p, m)
+    assert explicit_step_batch(m, blocks, derivs, 0.1)[0, 0] == pytest.approx(1.2, abs=1e-15)
 
 
 def test_ab1_hand_value_smooth():
     p = smooth_problem()
     m = make_method(AB, 1)
-    hist = warm_history(p, m)
-    assert step_explicit(m, p.system, hist, 0.1)[0] == pytest.approx(0.1, abs=1e-15)
+    blocks, derivs, _ = warm_history(p, m)
+    assert explicit_step_batch(m, blocks, derivs, 0.1)[0, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_zero_step_returns_state(order):
     p = gaussian_decay_problem()
     m = make_method(AB, order)
-    hist = warm_history(p, m)
-    assert step_explicit(m, p.system, hist, 0.0)[0] == hist.states[0][0]
+    blocks, derivs, _ = warm_history(p, m)
+    assert explicit_step_batch(m, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
 
 
 def test_cold_history_rejected():
     p = gaussian_decay_problem()
-    m = make_method(AB, 2)
-    hist = HistoryBuffer(
-        states=[p.initial_state], derivatives=[p.system(0.0, p.initial_state)], current_time=0.0
-    )
+    pair = make_pair("AB1-AB2")  # AB2 needs two history blocks
     with pytest.raises(ColdHistoryError, match="insufficient startup values"):
-        step_explicit(m, p.system, hist, 0.1)
+        propagate_blocks(pair, p.system, p.initial_state[None, None], 0.0, 0.1)
 
 
 def test_step_explicit_pure():
     p = gaussian_decay_problem()
     m = make_method(AB, 2)
-    hist = warm_history(p, m)
-    before = [s.copy() for s in hist.states]
-    out1 = step_explicit(m, p.system, hist, 0.1)
-    out2 = step_explicit(m, p.system, hist, 0.1)
+    blocks, derivs, _ = warm_history(p, m)
+    before = (blocks.copy(), derivs.copy())
+    out1 = explicit_step_batch(m, blocks, derivs, 0.1)
+    out2 = explicit_step_batch(m, blocks, derivs, 0.1)
     assert np.array_equal(out1, out2)
-    assert all(np.array_equal(a, b) for a, b in zip(before, hist.states))
-
-
-def test_step_explicit_rejects_wrong_family():
-    p = gaussian_decay_problem()
-    m = make_method(BDF, 1)
-    hist = warm_history(p, m)
-    with pytest.raises(ValueError, match="Adams-Bashforth"):
-        step_explicit(m, p.system, hist, 0.1)
+    assert np.array_equal(before[0], blocks) and np.array_equal(before[1], derivs)
 
 
 # ------------------------------------------------------------ implicit steps
@@ -133,8 +133,8 @@ def test_am1_closed_form_value():
     # backward Euler on x' = -2(t-1)x from x=1: u = 1/(1 - 0.18)
     p = gaussian_decay_problem()
     m = make_method(AM, 1)
-    hist = warm_history(p, m)
-    u = step_implicit(m, p.system, hist, 0.1)
+    blocks, derivs, t = warm_history(p, m)
+    u = implicit_step_batch(m, p.system, t, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / 0.82, abs=1e-9)
 
 
@@ -142,59 +142,55 @@ def test_bdf1_equals_am1():
     p = gaussian_decay_problem()
     hist_am = warm_history(p, make_method(AM, 1))
     hist_bdf = warm_history(p, make_method(BDF, 1))
-    u_am = step_implicit(make_method(AM, 1), p.system, hist_am, 0.1)
-    u_bdf = step_implicit(make_method(BDF, 1), p.system, hist_bdf, 0.1)
-    assert abs(u_am[0] - u_bdf[0]) < 1e-9
+    u_am = implicit_step_batch(make_method(AM, 1), p.system, hist_am[2], *hist_am[:2], 0.1)
+    u_bdf = implicit_step_batch(make_method(BDF, 1), p.system, hist_bdf[2], *hist_bdf[:2], 0.1)
+    assert abs(u_am[0, 0] - u_bdf[0, 0]) < 1e-9
 
 
 @pytest.mark.parametrize("family,order", [(AM, 1), (AM, 3), (BDF, 2)])
 def test_implicit_zero_step(family, order):
     p = gaussian_decay_problem()
     m = make_method(family, order)
-    hist = warm_history(p, m)
-    assert step_implicit(m, p.system, hist, 0.0)[0] == hist.states[0][0]
+    blocks, derivs, t = warm_history(p, m)
+    assert implicit_step_batch(m, p.system, t, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
 
 
 def test_backward_euler_closed_form_linear_agreement():
     # u = u_j / (1 - h*lambda(t+h)) in closed form for the scalar linear rhs
     p = gaussian_decay_problem()
     for t0, u0 in ((0.3, 0.8), (2.0, 1.0)):
-        hist = HistoryBuffer(
-            states=[np.array([u0])],
-            derivatives=[p.system(t0, np.array([u0]))],
-            current_time=t0,
-        )
+        blocks, derivs = single([u0], p.system(t0, np.array([u0])))
         lam = -2.0 * (t0 + 0.1 - 1.0)
         expected = u0 / (1.0 - 0.1 * lam)
-        u_am = step_implicit(make_method(AM, 1), p.system, hist, 0.1)
-        u_bdf = step_implicit(make_method(BDF, 1), p.system, hist, 0.1)
-        assert u_am[0] == pytest.approx(expected, abs=1e-9)
-        assert u_bdf[0] == pytest.approx(expected, abs=1e-9)
+        u_am = implicit_step_batch(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
+        u_bdf = implicit_step_batch(make_method(BDF, 1), p.system, t0, blocks, derivs, 0.1)
+        assert u_am[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert u_bdf[0, 0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_implicit_nonconvergence_reports_residual():
     cubic = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u**3, vectorized=True)
-    hist = HistoryBuffer(states=[np.array([1.0])], derivatives=[np.array([-1e4])], current_time=0.0)
+    blocks, derivs = single([1.0], [-1e4])
     cfg = ImplicitSolveConfig(max_iterations=2, tolerance=1e-12, strategy=SolveStrategy.FIXED_POINT)
     with pytest.raises(ImplicitSolveError) as err:
-        step_implicit(make_method(AM, 1), cubic, hist, 0.1, cfg)
+        implicit_step_batch(make_method(AM, 1), cubic, 0.0, blocks, derivs, 0.1, cfg)
     assert err.value.residual_norm > 0
 
 
 def test_fixed_point_falls_back_to_newton_on_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
-    hist = HistoryBuffer(states=[np.array([1.0])], derivatives=[np.array([-1e4])], current_time=0.0)
-    u = step_implicit(make_method(AM, 1), stiff, hist, 0.1)
+    blocks, derivs = single([1.0], [-1e4])
+    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / 1001.0, rel=1e-6)
 
 
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
-    hist = HistoryBuffer(states=[np.array([1.0])], derivatives=[np.array([-1e4])], current_time=0.0)
+    blocks, derivs = single([1.0], [-1e4])
     cfg = ImplicitSolveConfig(
         max_iterations=50, tolerance=1e-12, strategy=SolveStrategy.NEWTON_NUMERIC_JACOBIAN
     )
-    u = step_implicit(make_method(AM, 1), stiff, hist, 0.1, cfg)
+    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1, cfg)[0]
     assert u[0] == pytest.approx(1.0 / (1.0 + 1e3), rel=1e-8)
 
 
@@ -204,24 +200,24 @@ def test_newton_strategy_handles_stiff_step():
 def test_rk12_hand_values():
     p = gaussian_decay_problem()
     m = make_method(RK, 1)
-    low, high = step_rk_embedded(m, p.system, 0.0, np.array([1.0]), 0.1)
-    assert low[0] == pytest.approx(1.2, abs=1e-12)
-    assert high[0] == pytest.approx(1.208, abs=1e-12)
+    low, high = rk_embedded_step_batch(m, p.system, 0.0, np.array([[1.0]]), 0.1)
+    assert low[0, 0] == pytest.approx(1.2, abs=1e-12)
+    assert high[0, 0] == pytest.approx(1.208, abs=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 4])
 def test_rk_zero_step(order):
     p = gaussian_decay_problem()
     m = make_method(RK, order)
-    low, high = step_rk_embedded(m, p.system, 0.3, np.array([0.7]), 0.0)
-    assert low[0] == 0.7 and high[0] == 0.7
+    low, high = rk_embedded_step_batch(m, p.system, 0.3, np.array([[0.7]]), 0.0)
+    assert low[0, 0] == 0.7 and high[0, 0] == 0.7
 
 
 def test_rk45_constant_solution():
     zero = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
     m = make_method(RK, 4)
-    low, high = step_rk_embedded(m, zero, 0.0, np.array([2.5]), 0.1)
-    assert low[0] == 2.5 and high[0] == 2.5
+    low, high = rk_embedded_step_batch(m, zero, 0.0, np.array([[2.5]]), 0.1)
+    assert low[0, 0] == 2.5 and high[0, 0] == 2.5
 
 
 # -------------------------------------------------------------------- startup
@@ -229,20 +225,18 @@ def test_rk45_constant_solution():
 
 def test_bootstrap_single_step_method():
     p = gaussian_decay_problem()
-    hist = warm_history(p, make_method(AB, 1))
-    assert len(hist.states) == 1
-    assert hist.states[0][0] == 1.0
-    assert hist.current_time == 0.0
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 1)[0]
+    assert len(blocks) == 1
+    assert blocks[0][0] == 1.0
 
 
 def test_bootstrap_accuracy_ab2():
     p = gaussian_decay_problem()
-    hist = warm_history(p, make_method(AB, 2))
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 2)[0]
     exact = p.exact_solution(0.1)[0]
-    assert len(hist.states) == 2
-    assert hist.states[1][0] == 1.0
-    assert abs(hist.states[0][0] - exact) < 1e-3
-    assert hist.current_time == pytest.approx(0.1)
+    assert len(blocks) == 2
+    assert blocks[1][0] == 1.0
+    assert abs(blocks[0][0] - exact) < 1e-3
 
 
 def test_bootstrap_deterministic():
@@ -250,18 +244,16 @@ def test_bootstrap_deterministic():
     m = make_method(AB, 4)
     h1 = warm_history(p, m)
     h2 = warm_history(p, m)
-    assert all(np.array_equal(a, b) for a, b in zip(h1.states, h2.states))
-    assert all(np.array_equal(a, b) for a, b in zip(h1.derivatives, h2.derivatives))
+    assert np.array_equal(h1[0], h2[0])
+    assert np.array_equal(h1[1], h2[1])
 
 
 def test_bootstrap_backward_keeps_newest():
     p = gaussian_decay_problem()
-    m = make_method(AB, 3)
-    hist = bootstrap_history(m, p.system, p.initial_state, 0.0, 0.1, direction="backward")
-    assert hist.current_time == 0.0
-    assert hist.states[0][0] == 1.0
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 3, backward=True)[0]
+    assert blocks[0][0] == 1.0
     # older blocks should follow the flow backwards
-    assert abs(hist.states[1][0] - p.exact_solution(-0.1)[0]) < 1e-6
+    assert abs(blocks[1][0] - p.exact_solution(-0.1)[0]) < 1e-6
 
 
 # --------------------------------------------------------- order / exactness
@@ -340,3 +332,31 @@ def test_polynomial_exactness_rk(order, output):
     times, states = integrate_problem(m, problem, 0.1, rk_output=output)
     exact = np.stack([q(t) for t in times])
     assert np.max(np.abs(states - exact)) < 1e-10 + 1e-10 * np.max(np.abs(exact))
+
+
+def test_bdf_integration_skips_history_derivatives(monkeypatch):
+    # BDF reads no f at the history blocks: integrate_problem must not
+    # evaluate them, and the result equals a run that does
+    p = gaussian_decay_problem()
+    h, n_steps = 0.05, 20
+    times = p.t_span[0] + h * np.arange(n_steps + 1)
+    expected = {}
+    for order in (1, 2, 3, 4):
+        m = make_method(BDF, order)
+        r = m.steps
+        blocks = startup_states_batch(p.system, p.initial_state, times[0], h, r)
+        out = [blocks[0, r - 1 - i] for i in range(r)]
+        for j in range(r - 1, n_steps):
+            derivs = history_derivatives(p.system, blocks, times[j], h)
+            u_new = implicit_step_batch(m, p.system, times[j], blocks, derivs, h)
+            blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
+            out.append(u_new[0])
+        expected[order] = np.stack(out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BDF integration evaluated history derivatives")
+
+    monkeypatch.setattr(integrators, "history_derivatives", refuse)
+    for order in (1, 2, 3, 4):
+        _, states = integrate_problem(make_method(BDF, order), p, h, t_end=1.0)
+        assert np.array_equal(states, expected[order]), order

@@ -600,15 +600,6 @@ def test_carried_derivatives_evaluate_one_row_per_particle_per_step():
     assert per_step == [cfg.n_particles] * 10
 
 
-def test_particles_view():
-    ens = flat_ensemble([1.0, 2.0], r=2)
-    parts = ens.particles
-    assert len(parts) == 2
-    assert parts[1].state.blocks[0, 0] == 2.0
-    assert parts[0].weight == 0.5
-    assert parts[0].predictor is None
-
-
 @pytest.mark.xfail(
     strict=False,
     reason="the late-time pair-feedback variance floor is independent of V0, "

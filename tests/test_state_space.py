@@ -3,19 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lmmpf.homec import make_pair
-from lmmpf.integrators import ColdHistoryError, HistoryBuffer, bootstrap_history, make_method, Family
+from lmmpf._kernels import gaussian_logpdf_diag
+from lmmpf.homec import make_pair, propagate_blocks
+from lmmpf.integrators import ColdHistoryError, history_derivatives, startup_states_batch
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
-from lmmpf.state_space import (
-    AugmentedState,
-    EvolutionObservationModel,
-    GaussianDensity,
-    augment,
-    log_density,
-    observe,
-    project_history,
-    propagate,
-)
+from lmmpf.state_space import EvolutionObservationModel
 
 
 def make_model(pair_id="BDF1-BDF2", system=None, var=0.01, indices=None, **pair_kw):
@@ -29,66 +21,65 @@ def make_model(pair_id="BDF1-BDF2", system=None, var=0.01, indices=None, **pair_
     )
 
 
+def propagate(model, blocks, t, h):
+    """One pair step of a single block state (r, d); returns its (r, d) and (d,) parts."""
+    pred, gamma = propagate_blocks(model.pair, model.system, blocks[None], t, h, model.solve)
+    return pred[0], gamma[0]
+
+
+def log_density(x, mean, var):
+    """Diagonal-Gaussian log density at one point x."""
+    return gaussian_logpdf_diag(np.asarray(x), np.asarray(mean)[None], np.asarray(var))[0]
+
+
 def test_augment_single_block():
-    hist = HistoryBuffer(states=[np.array([1.2])], derivatives=[np.array([0.0])], current_time=0.5)
-    x = augment(hist, time_index=3)
-    assert x.blocks.shape == (1, 1)
-    assert x.blocks[0, 0] == 1.2
-    assert x.time_index == 3
+    p = gaussian_decay_problem()
+    blocks = startup_states_batch(p.system, np.array([1.2]), 0.5, 0.1, 1)
+    assert blocks.shape == (1, 1, 1)
+    assert blocks[0, 0, 0] == 1.2
 
 
 def test_augment_orders_newest_first():
-    hist = HistoryBuffer(
-        states=[np.array([2.0]), np.array([1.0])],
-        derivatives=[np.array([0.0]), np.array([0.0])],
-        current_time=0.2,
-    )
-    x = augment(hist)
-    assert np.array_equal(x.blocks, [[2.0], [1.0]])
+    ramp = OdeSystem(dimension=1, rhs=lambda t, u, p: np.ones_like(u), vectorized=True)
+    blocks = startup_states_batch(ramp, np.array([1.0]), 0.0, 1.0, 2)
+    assert blocks[0, 1, 0] == 1.0
+    assert blocks[0, 0, 0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_augment_rejects_empty():
-    hist = HistoryBuffer(states=[], derivatives=[], current_time=0.0)
+    model = make_model("AB1-AB2")
     with pytest.raises(ColdHistoryError):
-        augment(hist)
+        propagate(model, np.zeros((0, 1)), 0.0, 0.1)
 
 
 def test_augment_project_round_trip():
     p = gaussian_decay_problem()
-    m = make_method(Family.ADAMS_BASHFORTH, 3)
-    hist = bootstrap_history(m, p.system, p.initial_state, 0.0, 0.1)
-    x = augment(hist)
-    back = project_history(x, p.system, 0.1)
-    assert back.current_time == hist.current_time
-    assert all(np.array_equal(a, b) for a, b in zip(back.states, hist.states))
-    assert all(np.array_equal(a, b) for a, b in zip(back.derivatives, hist.derivatives))
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 3)
+    derivs = history_derivatives(p.system, blocks, 0.2, 0.1)
+    for i in range(3):
+        assert np.array_equal(derivs[0, i], p.system(0.2 - i * 0.1, blocks[0, i]))
 
 
 def test_propagate_constant_solution_floor():
     zero = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
     model = make_model(system=zero, eps_floor=1e-18)
-    x = AugmentedState(blocks=np.array([[4.0], [4.0]]), time_index=0, time=0.0)
-    pred, gamma = propagate(model, x, 0.1)
-    assert pred.blocks[0, 0] == 4.0
-    assert np.all(gamma.diagonal == 1e-18)
-    assert pred.time_index == 1
-    assert pred.time == pytest.approx(0.1)
+    pred, gamma = propagate(model, np.array([[4.0], [4.0]]), 0.0, 0.1)
+    assert pred[0, 0] == 4.0
+    assert np.all(gamma == 1e-18)
 
 
 def test_propagate_backward_euler_value():
     model = make_model("BDF1-BDF2")
-    x = AugmentedState(blocks=np.array([[1.0], [1.0]]), time_index=0, time=0.0)
-    pred, _ = propagate(model, x, 0.1)
-    assert pred.blocks[0, 0] == pytest.approx(1.0 / 0.82, abs=1e-6)
+    pred, _ = propagate(model, np.array([[1.0], [1.0]]), 0.0, 0.1)
+    assert pred[0, 0] == pytest.approx(1.0 / 0.82, abs=1e-6)
 
 
 def test_propagate_shift_structure():
     model = make_model("AB1-AB2")
     a, b = 1.3, 0.9
-    x = AugmentedState(blocks=np.array([[a], [b]]), time_index=2, time=0.2)
-    pred, _ = propagate(model, x, 0.1)
-    assert pred.blocks[1, 0] == a
-    assert pred.blocks.shape == (2, 1)
+    pred, _ = propagate(model, np.array([[a], [b]]), 0.2, 0.1)
+    assert pred[1, 0] == a
+    assert pred.shape == (2, 1)
 
 
 def test_propagate_markov_shift_random_states():
@@ -96,27 +87,23 @@ def test_propagate_markov_shift_random_states():
     model = make_model("AB3-AB4", system=system, var=0.01)
     rng = np.random.default_rng(5)
     blocks = rng.normal(size=(4, 2))
-    x = AugmentedState(blocks=blocks, time_index=0, time=0.0)
-    pred, _ = propagate(model, x, 0.05)
-    assert np.array_equal(pred.blocks[1:], blocks[:-1])
+    pred, _ = propagate(model, blocks, 0.0, 0.05)
+    assert np.array_equal(pred[1:], blocks[:-1])
 
 
 def test_propagate_validates_block_count():
     model = make_model("AB3-AB4")
-    x = AugmentedState(blocks=np.array([[1.0]]), time_index=0, time=0.0)
     with pytest.raises(ValueError, match="blocks"):
-        propagate(model, x, 0.1)
+        propagate(model, np.array([[1.0]]), 0.0, 0.1)
 
 
 def test_log_density_at_mode():
-    g = GaussianDensity(mean=np.array([0.7]), covariance_diagonal=np.array([1.0]))
-    assert log_density(g, np.array([0.7])) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+    assert log_density([0.7], [0.7], [1.0]) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_log_density_one_sigma():
-    g = GaussianDensity(mean=np.array([0.0]), covariance_diagonal=np.array([4.0]))
-    mode = log_density(g, np.array([0.0]))
-    assert log_density(g, np.array([2.0])) == pytest.approx(mode - 0.5, abs=1e-12)
+    mode = log_density([0.0], [0.0], [4.0])
+    assert log_density([2.0], [0.0], [4.0]) == pytest.approx(mode - 0.5, abs=1e-12)
 
 
 def test_log_density_translation_invariance():
@@ -124,47 +111,37 @@ def test_log_density_translation_invariance():
     x = np.array([0.4, -1.0])
     mean = np.array([0.1, 0.2])
     shift = np.array([5.0, -3.0])
-    a = log_density(GaussianDensity(mean, var), x)
-    b = log_density(GaussianDensity(mean + shift, var), x + shift)
+    a = log_density(x, mean, var)
+    b = log_density(x + shift, mean + shift, var)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_log_density_integrates_to_one():
     sigma = 0.7
-    g = GaussianDensity(mean=np.array([1.0]), covariance_diagonal=np.array([sigma**2]))
     xs = np.linspace(1.0 - 8 * sigma, 1.0 + 8 * sigma, 20001)
-    vals = np.array([math.exp(log_density(g, np.array([x]))) for x in xs])
+    vals = np.array([math.exp(log_density([x], [1.0], [sigma**2])) for x in xs])
     integral = np.trapezoid(vals, xs)
     assert integral == pytest.approx(1.0, abs=1e-6)
 
 
-def test_log_density_rejects_bad_variance():
-    with pytest.raises(ValueError, match="positive"):
-        GaussianDensity(mean=np.zeros(1), covariance_diagonal=np.array([0.0]))
-    g = GaussianDensity(mean=np.zeros(2), covariance_diagonal=np.ones(2))
-    with pytest.raises(ValueError, match="mismatch"):
-        log_density(g, np.zeros(3))
-
-
 def test_observe_identity():
     model = make_model("AB1-AB2")
-    x = AugmentedState(blocks=np.array([[1.2], [1.0]]), time_index=0, time=0.0)
-    assert np.array_equal(observe(model, x), [1.2])
+    blocks = np.array([[1.2], [1.0]])
+    assert np.array_equal(model.observe_newest(blocks[0]), [1.2])
 
 
 def test_observe_component_selection():
     system = OdeSystem(dimension=3, rhs=lambda t, u, p: -u, vectorized=True)
     model = make_model("AM1-AM2", system=system, indices=np.array([0, 2]))
-    x = AugmentedState(blocks=np.array([[1.0, 2.0, 3.0]]), time_index=0, time=0.0)
-    assert np.array_equal(observe(model, x), [1.0, 3.0])
+    blocks = np.array([[1.0, 2.0, 3.0]])
+    assert np.array_equal(model.observe_newest(blocks[0]), [1.0, 3.0])
 
 
 def test_observe_matches_history_newest():
     p = gaussian_decay_problem()
     model = make_model("AB1-AB2")
-    m = make_method(Family.ADAMS_BASHFORTH, 2)
-    hist = bootstrap_history(m, p.system, p.initial_state, 0.0, 0.1)
-    assert np.array_equal(observe(model, augment(hist)), hist.states[0])
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 2)
+    assert np.array_equal(model.observe_newest(blocks[:, 0]), blocks[:, 0])
 
 
 def test_model_rejects_nonpositive_measurement_var():
