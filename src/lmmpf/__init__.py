@@ -12,7 +12,6 @@ from .integrators import (
     ImplicitSolveConfig,
     ImplicitSolveError,
     MethodSpec,
-    SolveStrategy,
     integrate_problem,
     make_method,
 )

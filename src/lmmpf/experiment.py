@@ -126,7 +126,11 @@ def _resolve(config: ExperimentConfig):
 
 def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
     """One seeded end-to-end run: synthesize data, filter, diagnose."""
-    problem, model, t_start, t_end, obs_steps = _resolve(config)
+    return _run_resolved(config, _resolve(config), replicate)
+
+
+def _run_resolved(config: ExperimentConfig, resolved, replicate: int) -> RunDiagnostics:
+    problem, model, t_start, _, obs_steps = resolved
     times = [t_start + k * config.step for k in obs_steps]
     obs_rng = np.random.default_rng(_sub_seed(config.seed, replicate, 0))
     records = synthesize_observations(
@@ -146,8 +150,8 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
 
 def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], TableRow]:
     """Run all replicates of one experiment and reduce them to a table row."""
-    _, _, _, t_end, _ = _resolve(config)
-    diags = [run_replicate(config, rep) for rep in range(config.replicates)]
+    resolved = _resolve(config)
+    diags = [_run_resolved(config, resolved, rep) for rep in range(config.replicates)]
     errs = np.array([d.error_inf_norm for d in diags])
     variances = np.array([d.variance_2norm for d in diags])
     row = TableRow(
@@ -157,7 +161,7 @@ def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], Tabl
         variance_2norm=float(np.mean(variances)),
         error_band=(float(np.min(errs)), float(np.max(errs))),
         variance_band=(float(np.min(variances)), float(np.max(variances))),
-        t_end=t_end,
+        t_end=resolved[3],
         replicates=config.replicates,
     )
     return diags, row

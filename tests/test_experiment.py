@@ -94,6 +94,26 @@ def test_streamed_replicate_matches_stored_run(monkeypatch):
             assert other == value, name
 
 
+def test_run_experiment_resolves_once(monkeypatch):
+    from lmmpf import experiment
+
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AM1-AM2", **{**FAST, "replicates": 3})
+    separate = [run_replicate(cfg, rep) for rep in range(3)]
+    calls = []
+    inner = experiment._resolve
+
+    def counted(config):
+        calls.append(config)
+        return inner(config)
+
+    monkeypatch.setattr(experiment, "_resolve", counted)
+    diags, _ = run_experiment(cfg)
+    assert len(calls) == 1
+    for one, other in zip(separate, diags):
+        for name, value in vars(one).items():
+            assert np.array_equal(getattr(other, name), value), name
+
+
 def test_diagnostics_include_initial_ensemble():
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)
     d = run_replicate(cfg, 0)

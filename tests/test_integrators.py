@@ -4,12 +4,14 @@ import pytest
 from conftest import TIGHT_SOLVE, empirical_order
 from lmmpf import integrators
 from lmmpf.homec import make_pair, propagate_blocks
+from lmmpf._kernels import multistep_combine
 from lmmpf.integrators import (
+    DEFAULT_SOLVE,
     ColdHistoryError,
     Family,
     ImplicitSolveConfig,
     ImplicitSolveError,
-    SolveStrategy,
+    advance_batch,
     explicit_step_batch,
     history_derivatives,
     implicit_step_batch,
@@ -168,16 +170,36 @@ def test_backward_euler_closed_form_linear_agreement():
         assert u_bdf[0, 0] == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Records the time of every OdeSystem.rhs_batch call."""
+    calls = []
+    inner = OdeSystem.rhs_batch
+
+    def counted(self, t, states):
+        calls.append(t)
+        return inner(self, t, states)
+
+    monkeypatch.setattr(OdeSystem, "rhs_batch", counted)
+    return calls
+
+
+def stiff_cubic():
+    return OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u**3, vectorized=True)
+
+
 def test_implicit_nonconvergence_reports_residual():
-    cubic = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u**3, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
-    cfg = ImplicitSolveConfig(max_iterations=2, tolerance=1e-12, strategy=SolveStrategy.FIXED_POINT)
+    cfg = ImplicitSolveConfig(max_iterations=2, tolerance=1e-12)
     with pytest.raises(ImplicitSolveError) as err:
-        implicit_step_batch(make_method(AM, 1), cubic, 0.0, blocks, derivs, 0.1, cfg)
+        implicit_step_batch(make_method(AM, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1, cfg)
     assert err.value.residual_norm > 0
+    assert err.value.time == pytest.approx(0.1)
+    assert err.value.rows_above_tolerance == 1
+    assert "at t=0.1: 1 of 1 rows above tolerance; last residual max-norm" in str(err.value)
 
 
-def test_fixed_point_falls_back_to_newton_on_stiff_step():
+def test_stiff_linear_step_converges():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
     u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
@@ -187,11 +209,55 @@ def test_fixed_point_falls_back_to_newton_on_stiff_step():
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
-    cfg = ImplicitSolveConfig(
-        max_iterations=50, tolerance=1e-12, strategy=SolveStrategy.NEWTON_NUMERIC_JACOBIAN
-    )
+    cfg = ImplicitSolveConfig(tolerance=1e-12)
     u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1, cfg)[0]
     assert u[0] == pytest.approx(1.0 / (1.0 + 1e3), rel=1e-8)
+
+
+@pytest.mark.parametrize("family", [AM, BDF])
+def test_stiff_cubic_step_converges_to_root(family):
+    # u = 1 - 1000 u^3: the AM1 predictor starts at -999, far outside where a
+    # fixed-point sweep contracts; Newton with a refreshed Jacobian walks in
+    blocks, derivs = single([1.0], [-1e4])
+    u = implicit_step_batch(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
+    assert abs(u + 1000.0 * u**3 - 1.0) <= 1e-10
+    assert u == pytest.approx(0.0966679, abs=1e-7)
+
+
+def test_coupled_linear_step_matches_direct_solve():
+    a = np.array([[-1.0, 5.0], [-5.0, -1.0]])
+    system = OdeSystem(dimension=2, rhs=lambda t, u, p: u @ a.T, vectorized=True)
+    rng = np.random.default_rng(11)
+    u_j = rng.normal(size=(7, 2))
+    blocks, derivs = u_j[:, None, :], system.rhs_batch(0.0, u_j)[:, None, :]
+    h = 0.1
+    u = implicit_step_batch(make_method(AM, 1), system, 0.0, blocks, derivs, h)
+    expected = np.linalg.solve(np.eye(2) - h * a, u_j.T).T
+    assert np.max(np.abs(u - expected)) <= 1e-12
+
+
+def test_smooth_step_needs_few_rhs_calls(rhs_calls):
+    p = gaussian_decay_problem()
+    t, u_j = 4.9, p.exact_solution(4.9)
+    blocks, derivs = single(u_j, p.system(t, u_j))
+    implicit_step_batch(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
+    assert len(rhs_calls) <= 4
+
+
+@pytest.mark.parametrize(
+    "problem", [gaussian_decay_problem(), smooth_problem()], ids=["gaussian_decay", "smooth"]
+)
+@pytest.mark.parametrize("family,order", [(f, o) for f in (AM, BDF) for o in (1, 2, 3, 4)])
+def test_implicit_step_meets_tolerance(problem, family, order):
+    m = make_method(family, order)
+    rng = np.random.default_rng(order)
+    blocks, derivs, t = warm_history(problem, m)
+    blocks = blocks + rng.normal(scale=0.1, size=(50,) + blocks.shape[1:])
+    derivs = history_derivatives(problem.system, blocks, t, 0.1)
+    u = implicit_step_batch(m, problem.system, t, blocks, derivs, 0.1)
+    const = multistep_combine(blocks, derivs, m.alpha, m.beta, 0.1)
+    res = const + 0.1 * m.beta_new * problem.system.rhs_batch(t + 0.1, u) - u
+    assert np.max(np.abs(res)) <= DEFAULT_SOLVE.tolerance
 
 
 # ---------------------------------------------------------------- embedded RK
@@ -360,3 +426,40 @@ def test_bdf_integration_skips_history_derivatives(monkeypatch):
     for order in (1, 2, 3, 4):
         _, states = integrate_problem(make_method(BDF, order), p, h, t_end=1.0)
         assert np.array_equal(states, expected[order]), order
+
+
+def reevaluating_integration(m, p, h, t_end):
+    """Reference loop: f evaluated afresh at every history block each step."""
+    r = m.steps
+    n_steps = int(round((t_end - p.t_span[0]) / h))
+    times = p.t_span[0] + h * np.arange(n_steps + 1)
+    blocks = startup_states_batch(p.system, p.initial_state, times[0], h, r)
+    out = [blocks[0, r - 1 - i] for i in range(min(r, n_steps + 1))]
+    for j in range(r - 1, n_steps):
+        derivs = history_derivatives(p.system, blocks, times[j], h)
+        u_new = advance_batch(m, p.system, times[j], blocks, derivs, h)
+        blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
+        out.append(u_new[0])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("family,order", [(f, o) for f in (AB, AM) for o in (1, 2, 3, 4)])
+def test_integration_carries_history_derivatives(family, order):
+    m = make_method(family, order)
+    # t_end = 0.1 is two steps, fewer than AB4's startup blocks
+    for p, tol, t_end in (
+        (smooth_problem(), 0.0, 1.0),
+        (gaussian_decay_problem(), 1e-13, 1.0),
+        (gaussian_decay_problem(), 1e-13, 0.1),
+    ):
+        _, states = integrate_problem(m, p, 0.05, t_end=t_end)
+        expected = reevaluating_integration(m, p, 0.05, t_end)
+        # autonomous smooth sees the same f-values; gaussian_decay evaluates
+        # f at t0 + j*h rather than t - i*h, which rounds differently
+        assert np.max(np.abs(states - expected)) <= tol, p.name
+
+
+def test_ab4_integration_evaluates_each_block_once(rhs_calls):
+    # 3 RK45 startup steps (18 calls), 4 startup blocks, then one per step
+    integrate_problem(make_method(AB, 4), gaussian_decay_problem(), 0.05, t_end=1.0)
+    assert len(rhs_calls) <= 39
