@@ -8,6 +8,7 @@ import sys
 from typing import List, Optional
 
 from .experiment import (
+    CONFIG_FIELDS,
     ConfigError,
     DEFAULT_TAU,
     ExperimentConfig,
@@ -19,23 +20,7 @@ from .experiment import (
 )
 from .homec import PAIR_IDS
 from .ode_models import PROBLEMS
-
-_FLAG_TO_FIELD = {
-    "problem": ("problem", str),
-    "pair": ("pair", str),
-    "nsample": ("n_particles", int),
-    "v0": ("initial_variance", float),
-    "dt": ("step", float),
-    "tend": ("t_end", float),
-    "stride": ("stride", int),
-    "noise": ("noise_stddev", float),
-    "tau": ("tau", float),
-    "eps_floor": ("eps_floor", float),
-    "resampler": ("resampler", str),
-    "seed": ("seed", int),
-    "reps": ("replicates", int),
-    "outdir": ("outdir", str),
-}
+from .particle_filter import RESAMPLERS
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -54,9 +39,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--eps-floor", type=float, default=None, help="innovation covariance floor"
     )
-    parser.add_argument(
-        "--resampler", choices=("multinomial", "systematic"), default=None
-    )
+    parser.add_argument("--resampler", choices=RESAMPLERS, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,12 +70,12 @@ def _collect_settings(args) -> dict:
     if getattr(args, "config", None):
         file_values = parse_config_file(args.config)
         for key, raw in file_values.items():
-            field, cast = _FLAG_TO_FIELD[key]
+            field, cast = CONFIG_FIELDS[key]
             try:
                 settings[field] = cast(raw)
             except ValueError:
                 raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-    for flag, (field, cast) in _FLAG_TO_FIELD.items():
+    for flag, (field, _) in CONFIG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
             settings[field] = value
@@ -126,7 +109,8 @@ def _cmd_sweep(args) -> int:
     problem = settings.pop("problem", None)
     if problem is None:
         raise ConfigError("sweep needs --problem")
-    pair_value = settings.pop("pair", None) or getattr(args, "pairs", None)
+    file_pairs = settings.pop("pair", None)
+    pair_value = getattr(args, "pairs", None) or file_pairs
     if not pair_value:
         raise ConfigError("sweep needs --pairs")
     pair_ids = [p.strip() for p in pair_value.split(",") if p.strip()]

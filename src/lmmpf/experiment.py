@@ -98,6 +98,8 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("dt must be positive")
     if config.tau <= 1.0:
         raise ConfigError("tau must be > 1")
+    if config.eps_floor < 0:
+        raise ConfigError("eps_floor must be nonnegative")
     if config.resampler not in RESAMPLERS:
         raise ConfigError(
             f"unknown resampler {config.resampler!r}; valid resamplers: {', '.join(RESAMPLERS)}"
@@ -265,22 +267,24 @@ def _trajectory_svg(diag: RunDiagnostics, title: str) -> str:
     )
 
 
-CONFIG_KEYS = (
-    "problem",
-    "pair",
-    "nsample",
-    "v0",
-    "dt",
-    "tend",
-    "stride",
-    "noise",
-    "tau",
-    "eps_floor",
-    "resampler",
-    "seed",
-    "reps",
-    "outdir",
-)
+# Setting name, as a config-file key and a CLI flag -> (ExperimentConfig
+# field, parser of the file's text value).
+CONFIG_FIELDS = {
+    "problem": ("problem", str),
+    "pair": ("pair", str),
+    "nsample": ("n_particles", int),
+    "v0": ("initial_variance", float),
+    "dt": ("step", float),
+    "tend": ("t_end", float),
+    "stride": ("stride", int),
+    "noise": ("noise_stddev", float),
+    "tau": ("tau", float),
+    "eps_floor": ("eps_floor", float),
+    "resampler": ("resampler", str),
+    "seed": ("seed", int),
+    "reps": ("replicates", int),
+    "outdir": ("outdir", str),
+}
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -295,10 +299,10 @@ def parse_config_file(path: str) -> Dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in CONFIG_KEYS:
+                if key not in CONFIG_FIELDS:
                     raise ConfigError(
                         f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                        + ", ".join(CONFIG_KEYS)
+                        + ", ".join(CONFIG_FIELDS)
                     )
                 out[key] = value
     except OSError as exc:

@@ -124,8 +124,8 @@ def propagate_blocks(
     blocks: (N, r, d) newest-first with r = pair.steps_required, aligned at
     time t. ``derivs``, when given, holds f of every block (N, r, d) and
     spares the r rhs evaluations; otherwise they are evaluated at t - i*h.
-    Returns the shifted predictor blocks (N, r, d) whose newest block is the
-    low-order step, and the floored innovation diagonal (N, d).
+    Returns the low-order step (N, d), the predictor of the next newest
+    block, and the floored innovation diagonal (N, d).
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
@@ -153,5 +153,4 @@ def propagate_blocks(
             solve,
         )
     gamma = np.maximum(innovation_covariance(u_low, u_high, pair.tau), pair.eps_floor)
-    pred = np.concatenate([u_low[:, None, :], blocks[:, : r - 1]], axis=1)
-    return pred, gamma
+    return u_low, gamma

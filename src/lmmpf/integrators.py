@@ -330,14 +330,7 @@ def history_derivatives(
     )
 
 
-_STARTUP_RK = None
-
-
-def _startup_rk() -> MethodSpec:
-    global _STARTUP_RK
-    if _STARTUP_RK is None:
-        _STARTUP_RK = make_method(Family.RUNGE_KUTTA_EMBEDDED, 4)
-    return _STARTUP_RK
+_STARTUP_RK = make_method(Family.RUNGE_KUTTA_EMBEDDED, 4)
 
 
 def startup_states_batch(
@@ -348,27 +341,13 @@ def startup_states_batch(
     Forward startup integrates ahead of t0, so the newest block sits at
     t0 + (r-1)h. Backward startup fills blocks behind t0, keeping u0 newest.
     """
-    u0 = np.atleast_2d(np.asarray(u0, dtype=float))
-    n, d = u0.shape
-    blocks = np.empty((n, r, d))
-    rk = _startup_rk()
-    if backward:
-        blocks[:, 0] = u0
-        u, t = u0, t0
-        for i in range(1, r):
-            u = rk_embedded_step_batch(rk, system, t, u, -h)[1]
-            t = t0 - i * h
-            blocks[:, i] = u
-    else:
-        seq = [u0]
-        u, t = u0, t0
-        for i in range(1, r):
-            u = rk_embedded_step_batch(rk, system, t, u, h)[1]
-            t = t0 + i * h
-            seq.append(u)
-        for i in range(r):
-            blocks[:, i] = seq[r - 1 - i]
-    return blocks
+    step = -h if backward else h
+    seq = [np.atleast_2d(np.asarray(u0, dtype=float))]
+    for i in range(r - 1):
+        seq.append(rk_embedded_step_batch(_STARTUP_RK, system, t0 + i * step, seq[-1], step)[1])
+    if not backward:
+        seq.reverse()
+    return np.stack(seq, axis=1)
 
 
 def integrate_problem(

@@ -37,6 +37,8 @@ class OdeSystem:
 class TestProblem:
     """An initial-value problem, optionally with a known exact solution."""
 
+    __test__ = False  # a library class, not a pytest test class
+
     system: OdeSystem
     initial_state: np.ndarray
     t_span: tuple

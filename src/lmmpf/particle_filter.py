@@ -3,7 +3,8 @@
 Each filter step propagates every particle one integrator step (the
 predictor), estimates a per-particle innovation covariance from the pair
 discrepancy, resamples by predictor fitness at observation times, perturbs
-the newest block, and reweights by the observation-likelihood ratio.
+the predictor and shifts it in as the newest block, and reweights by the
+observation-likelihood ratio.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
@@ -61,9 +62,12 @@ class LikelihoodUnderflowError(RuntimeError):
 class Ensemble:
     """Weighted particle sample at one time index, stored as stacked arrays.
 
-    ``states`` holds each particle's history blocks (N, r, d) newest first;
-    ``predictors`` and ``innovation_vars``, when present, are the pair
-    propagation outputs aligned row-by-row with the particles.
+    ``states`` holds each particle's history blocks (N, r, d) newest first.
+    ``predictors`` (N, d) and ``innovation_vars`` (N, d), when present, are
+    the pair propagation outputs aligned row-by-row with the particles. A
+    predictor is the low-order step: the newest block before innovation
+    perturbs it. It holds no older blocks; `innovation_step` takes those from
+    the states it shifts.
 
     ``derivatives`` (N, r, d) is set only for a non-vectorized system and a
     pair that uses history derivatives: ``derivatives[n, i]`` is f of
@@ -137,13 +141,9 @@ def initialize(
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     n, d = config.n_particles, prior_mean.shape[0]
     draws = prior_mean[None, :] + np.sqrt(config.initial_variance) * rng.standard_normal((n, d))
-    r = model.steps_required
-    if r == 1:
-        blocks = draws[:, None, :].copy()
-    else:
-        blocks = startup_states_batch(
-            model.system, draws, t_start, config.step, r, backward=True
-        )
+    blocks = startup_states_batch(
+        model.system, draws, t_start, config.step, model.steps_required, backward=True
+    )
     t_start = float(t_start)
     derivatives = None
     if model.pair.uses_derivatives and not model.system.vectorized:
@@ -157,7 +157,7 @@ def initialize(
 def propagate_ensemble(
     ensemble: Ensemble, model: EvolutionObservationModel, h: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pair-propagate every particle; returns (predictors, innovation diag)."""
+    """Pair-propagate every particle; returns (predictors, innovation diag), both (N, d)."""
     return propagate_blocks(
         model.pair,
         model.system,
@@ -190,7 +190,7 @@ def survival_of_the_fittest(
     model: EvolutionObservationModel,
     rng: np.random.Generator,
     *,
-    gammas: Optional[np.ndarray] = None,
+    gammas: np.ndarray,
     resampler: str = "multinomial",
 ) -> Ensemble:
     """Resample particles with replacement by normalized predictor fitness.
@@ -200,7 +200,7 @@ def survival_of_the_fittest(
     predictor log-likelihoods are reshuffled together; the returned ensemble
     carries the reshuffled arrays and uniform weights.
     """
-    loglik = model.log_likelihood_batch(observation.value, predictors[:, 0])
+    loglik = model.log_likelihood_batch(observation.value, predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
     m = np.max(log_fitness)
@@ -215,7 +215,7 @@ def survival_of_the_fittest(
         time_index=ensemble.time_index,
         time=ensemble.time,
         predictors=np.take(predictors, idx, axis=0),
-        innovation_vars=None if gammas is None else np.take(gammas, idx, axis=0),
+        innovation_vars=np.take(gammas, idx, axis=0),
         derivatives=(
             None if ensemble.derivatives is None else np.take(ensemble.derivatives, idx, axis=0)
         ),
@@ -230,24 +230,23 @@ def innovation_step(
     rng: np.random.Generator,
     *,
     h: float,
-    system: Optional[OdeSystem] = None,
+    system: OdeSystem,
 ) -> Ensemble:
-    """Proliferate: perturb each predictor's newest block by N(0, Gamma_n).
+    """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
-    Older blocks pass through untouched; weights are carried over. The
-    returned ensemble holds ``predictors``, ``gammas`` and the input weights
-    themselves, not copies. When ``ensemble`` carries derivatives, f of the
-    new newest block is evaluated with ``system`` and the older ones shift
-    along; without ``system`` the cache is dropped and the next propagation
-    evaluates every block.
+    The perturbed predictor becomes the newest block and the ensemble's
+    blocks shift back by one, the oldest dropping out; this is the one place
+    the block vector shifts. Weights are carried over. The returned ensemble
+    holds ``predictors``, ``gammas`` and the input weights themselves, not
+    copies. When ``ensemble`` carries derivatives, f of the new newest block
+    is evaluated with ``system`` and the older ones shift along.
     """
-    n, _, d = predictors.shape
-    noise = np.sqrt(gammas) * rng.standard_normal((n, d))
-    newest = predictors[:, 0] + noise
-    states = np.concatenate([newest[:, None, :], predictors[:, 1:]], axis=1)
+    noise = np.sqrt(gammas) * rng.standard_normal(predictors.shape)
+    newest = predictors + noise
+    states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
     time = ensemble.time + h
     derivatives = None
-    if ensemble.derivatives is not None and system is not None:
+    if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
         derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
     return Ensemble(
@@ -263,20 +262,16 @@ def innovation_step(
 
 def weight_update(
     ensemble: Ensemble,
-    predictors: np.ndarray,
+    predictor_loglik: np.ndarray,
     observation: ObservationRecord,
     model: EvolutionObservationModel,
-    *,
-    predictor_loglik: Optional[np.ndarray] = None,
 ) -> Ensemble:
     """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized.
 
-    ``predictor_loglik``, when given, is log pi(y | predictors[:, 0]) as
-    resampling computed it; otherwise it is evaluated here.
+    ``predictor_loglik`` is log pi(y | predictor) of each particle, as
+    resampling computed it (`Ensemble.predictor_loglik`).
     """
     ll_state = model.log_likelihood_batch(observation.value, ensemble.states[:, 0])
-    if predictor_loglik is None:
-        predictor_loglik = model.log_likelihood_batch(observation.value, predictors[:, 0])
     log_ratio = ll_state - predictor_loglik
     m = np.max(log_ratio)
     if not np.isfinite(m):
@@ -346,19 +341,11 @@ def iter_filter(
                 gammas=gammas,
                 resampler=config.resampler,
             )
-            predictors = ensemble.predictors
-            gammas = ensemble.innovation_vars
-            loglik = ensemble.predictor_loglik
-            ensemble = innovation_step(
-                ensemble, predictors, gammas, rng, h=h, system=model.system
-            )
-            ensemble = weight_update(
-                ensemble, predictors, record, model, predictor_loglik=loglik
-            )
-        else:
-            ensemble = innovation_step(
-                ensemble, predictors, gammas, rng, h=h, system=model.system
-            )
+            predictors, gammas = ensemble.predictors, ensemble.innovation_vars
+        loglik = ensemble.predictor_loglik
+        ensemble = innovation_step(ensemble, predictors, gammas, rng, h=h, system=model.system)
+        if record is not None:
+            ensemble = weight_update(ensemble, loglik, record, model)
         yield ensemble
 
 

@@ -1,9 +1,11 @@
 """Discrete-time evolution-observation model built on the integrator pair.
 
 The r most recent states of a multistep scheme are stacked into one block
-vector, turning the r-step recursion into a first-order Markov transition:
-the propagated block vector shifts, its newest block is the low-order step,
-and the innovation acts on the newest block only.
+vector, turning the r-step recursion into a first-order Markov transition.
+Each step adds one entry, the newest block: the low-order step of the pair
+(`homec.propagate_blocks`) plus the innovation. The older blocks shift back
+by one and the oldest drops out; that shift lives in one place,
+`particle_filter.innovation_step`.
 """
 
 from dataclasses import dataclass

@@ -98,7 +98,7 @@ def test_criterion_2_homec_calibration():
     for t in np.linspace(0.1, 4.85, 20):
         blocks = np.stack([problem.exact_solution(t - i * h) for i in range(2)])[None]
         pred, gamma = propagate_blocks(pair, problem.system, blocks, t, h)
-        u_low = pred[0, 0]
+        u_low = pred[0]
         estimate = np.sqrt(gamma[0, 0]) / pair.tau  # = |u_low - u_high|
         truth = abs(u_low[0] - problem.exact_solution(t + h)[0])
         if truth / 3.0 <= estimate <= 3.0 * truth:
@@ -214,8 +214,10 @@ def test_criterion_6_one_step_bayes_oracle():
     rng = np.random.default_rng(SEED)
     predictors, gammas = propagate_ensemble(ens, model, 0.1)
     resampled = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1)
-    final = weight_update(moved, resampled.predictors, obs, model)
+    moved = innovation_step(
+        resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1, system=system
+    )
+    final = weight_update(moved, resampled.predictor_loglik, obs, model)
 
     replay = np.random.default_rng(SEED)
     us = replay.random(2)
@@ -260,23 +262,23 @@ def test_criterion_7_property_suite():
 
     # innovation support: older blocks pass through bit-identically
     rng = np.random.default_rng(SEED)
-    predictors = rng.normal(size=(30, 3, 1))
+    predictors = rng.normal(size=(30, 1))
     ens = Ensemble(
         states=rng.normal(size=(30, 3, 1)),
         weights=np.full(30, 1.0 / 30.0),
         time_index=0,
         time=0.0,
     )
-    out = innovation_step(ens, predictors, np.full((30, 1), 0.05), rng, h=0.1)
-    checks["innovation support"] = np.array_equal(out.states[:, 1:], predictors[:, 1:])
-
-    # Markov shift structure
-    base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
-    shifted, _ = propagate_ensemble(
-        Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0),
-        model,
-        0.1,
+    out = innovation_step(
+        ens, predictors, np.full((30, 1), 0.05), rng, h=0.1, system=problem.system
     )
+    checks["innovation support"] = np.array_equal(out.states[:, 1:], ens.states[:, :-1])
+
+    # Markov shift structure: pair step, then the innovation that shifts
+    base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
+    base = Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0)
+    pred, gamma = propagate_ensemble(base, model, 0.1)
+    shifted = innovation_step(base, pred, gamma, rng, h=0.1, system=problem.system).states
     checks["Markov shift"] = np.array_equal(shifted[:, 1:], base_states[:, :-1])
 
     # multinomial resampling unbiasedness at N=1e5, 3 standard errors
@@ -296,8 +298,9 @@ def test_criterion_7_property_suite():
         time=0.0,
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
+    zeros = np.zeros((n, 1))
     resampled = survival_of_the_fittest(
-        big, np.zeros((n, 1, 1)), obs, flat_model, np.random.default_rng(SEED)
+        big, zeros, obs, flat_model, np.random.default_rng(SEED), gammas=zeros
     )
     unbiased = True
     for k, gw in enumerate(group_w):

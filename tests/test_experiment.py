@@ -47,6 +47,7 @@ def test_run_experiment_rejects_fractional_span():
         (dict(tau=1.0), "tau"),
         (dict(replicates=0), "replicates"),
         (dict(noise_stddev=-1.0), "noise"),
+        (dict(eps_floor=-1.0), "eps_floor"),
     ],
 )
 def test_run_experiment_validates_settings(kw, msg):
@@ -296,8 +297,12 @@ def test_config_file_parsing(tmp_path):
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("bananas=4\n")
-    with pytest.raises(ConfigError, match="unknown key"):
+    with pytest.raises(ConfigError, match="unknown key") as info:
         parse_config_file(str(cfg_file))
+    assert str(info.value).endswith(
+        "valid keys: problem, pair, nsample, v0, dt, tend, stride, noise, tau, eps_floor, "
+        "resampler, seed, reps, outdir"
+    )
 
 
 def test_config_file_missing(tmp_path):
@@ -355,6 +360,22 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert code == 0
     table = (tmp_path / "out" / "table.csv").read_text()
     assert "AM1-AM2" in table and "AB1-AB2" not in table
+
+
+def test_cli_sweep_pairs_flag_overrides_config_file(tmp_path, capsys):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(
+        "problem=gaussian_decay\npair=AB1-AB2\nnsample=10\nreps=1\ntend=1.0\n"
+        f"outdir={tmp_path / 'out'}\n"
+    )
+    code = main(["sweep", "--config", str(cfg_file), "--pairs", "AM1-AM2", "--v", "0.1"])
+    assert code == 0
+    table = (tmp_path / "out" / "table.csv").read_text()
+    assert "AM1-AM2" in table and "AB1-AB2" not in table
+    # without the flag, the file's pair runs
+    assert main(["sweep", "--config", str(cfg_file), "--v", "0.1"]) == 0
+    table = (tmp_path / "out" / "table.csv").read_text()
+    assert "AB1-AB2" in table and "AM1-AM2" not in table
 
 
 def test_config_file_sets_resampler_and_eps_floor(tmp_path):

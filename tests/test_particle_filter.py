@@ -99,9 +99,11 @@ def test_initialize_validation():
 def test_survival_degenerate_fitness_copies_winner():
     model = make_model(system=constant_system(), var=1e-6)
     ens = flat_ensemble([0.0, 50.0, -50.0])
-    predictors = ens.states.copy()
+    predictors = ens.newest.copy()
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, predictors, obs, model, np.random.default_rng(0))
+    out = survival_of_the_fittest(
+        ens, predictors, obs, model, np.random.default_rng(0), gammas=np.zeros((3, 1))
+    )
     assert np.all(out.states[:, 0, 0] == 0.0)
     assert np.all(out.weights == 1.0 / 3.0)
 
@@ -116,9 +118,11 @@ def test_survival_multinomial_frequencies_uniform_fitness():
         time_index=0,
         time=0.0,
     )
-    predictors = np.zeros((n, 1, 1))
+    predictors = np.zeros((n, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, predictors, obs, model, np.random.default_rng(123))
+    out = survival_of_the_fittest(
+        ens, predictors, obs, model, np.random.default_rng(123), gammas=np.zeros((n, 1))
+    )
     markers = np.round(out.states[:, 0, 0] / 1e-12).astype(int)
     p = 1.0 / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -143,24 +147,26 @@ def test_systematic_resampling_exact_counts():
 def test_survival_reshuffles_predictors_and_gammas_together():
     model = make_model(system=constant_system(), var=1e-8)
     ens = flat_ensemble([0.0, 7.0])
-    predictors = np.array([[[0.0]], [[7.0]]])
+    predictors = np.array([[0.0], [7.0]])
     gammas = np.array([[1e-4], [9e-4]])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([7.0]))
     out = survival_of_the_fittest(
         ens, predictors, obs, model, np.random.default_rng(0), gammas=gammas
     )
     assert np.all(out.states[:, 0, 0] == 7.0)
-    assert np.all(out.predictors[:, 0, 0] == 7.0)
+    assert np.all(out.predictors[:, 0] == 7.0)
     assert np.all(out.innovation_vars == 9e-4)
 
 
 def test_survival_underflow_raises():
     model = make_model(system=constant_system(), var=1e-300)
     ens = flat_ensemble([0.0, 1.0])
-    predictors = ens.states.copy()
+    predictors = ens.newest.copy()
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError, match="underflow"):
-        survival_of_the_fittest(ens, predictors, obs, model, np.random.default_rng(0))
+        survival_of_the_fittest(
+            ens, predictors, obs, model, np.random.default_rng(0), gammas=np.zeros((2, 1))
+        )
 
 
 def test_survival_underflow_names_step_time_and_log_fitness():
@@ -168,7 +174,9 @@ def test_survival_underflow_names_step_time_and_log_fitness():
     ens = flat_ensemble([0.0, 1.0])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError) as info:
-        survival_of_the_fittest(ens, ens.states.copy(), obs, model, np.random.default_rng(0))
+        survival_of_the_fittest(
+            ens, ens.newest.copy(), obs, model, np.random.default_rng(0), gammas=np.zeros((2, 1))
+        )
     err = info.value
     assert (err.time_index, err.time) == (1, 0.1)
     assert not np.isfinite(err.max_log_value)
@@ -179,12 +187,12 @@ def test_survival_underflow_names_step_time_and_log_fitness():
 def test_weight_update_underflow_names_step_time_and_log_ratio():
     model = make_model(system=constant_system(), var=1e-300)
     ens = replace(flat_ensemble([0.0, 1.0]), time_index=3, time=0.3)
-    predictors = np.ones((2, 1, 1))
+    predictors = np.ones((2, 1))
     obs = ObservationRecord(time_index=3, time=0.3, value=np.array([1e200]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         LikelihoodUnderflowError
     ) as info:
-        weight_update(ens, predictors, obs, model)
+        weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
     err = info.value
     assert (err.time_index, err.time) == (3, 0.3)
     assert not np.isfinite(err.max_log_value)
@@ -202,9 +210,11 @@ def test_resampling_unbiasedness_multinomial():
         values.extend([float(k)] * sz)
         weights.extend([gw / sz] * sz)
     ens = flat_ensemble(values, weights=np.array(weights))
-    predictors = np.zeros((n, 1, 1))
+    predictors = np.zeros((n, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, predictors, obs, model, np.random.default_rng(2024))
+    out = survival_of_the_fittest(
+        ens, predictors, obs, model, np.random.default_rng(2024), gammas=np.zeros((n, 1))
+    )
     for k, gw in enumerate(group_w):
         count = np.count_nonzero(out.states[:, 0, 0] == float(k))
         se = math.sqrt(n * gw * (1.0 - gw))
@@ -216,10 +226,12 @@ def test_resampling_unbiasedness_multinomial():
 
 def test_innovation_zero_gamma_copies_predictor():
     ens = flat_ensemble([1.0, 2.0], r=2)
-    predictors = np.array([[[1.5], [1.0]], [[2.5], [2.0]]])
+    predictors = np.array([[1.5], [2.5]])
     gammas = np.zeros((2, 1))
-    out = innovation_step(ens, predictors, gammas, np.random.default_rng(0), h=0.1)
-    assert np.array_equal(out.states[:, 0], predictors[:, 0])
+    out = innovation_step(
+        ens, predictors, gammas, np.random.default_rng(0), h=0.1, system=constant_system()
+    )
+    assert np.array_equal(out.states[:, 0], predictors)
     assert out.time_index == 1
     assert out.time == pytest.approx(0.1)
 
@@ -227,16 +239,18 @@ def test_innovation_zero_gamma_copies_predictor():
 def test_innovation_stddev_matches_gamma():
     n = 10_000
     ens = flat_ensemble(np.zeros(n))
-    predictors = np.zeros((n, 1, 1))
+    predictors = np.zeros((n, 1))
     gammas = np.full((n, 1), 0.01)
-    out = innovation_step(ens, predictors, gammas, np.random.default_rng(99), h=0.1)
-    sd = np.std(out.states[:, 0, 0] - predictors[:, 0, 0])
+    out = innovation_step(
+        ens, predictors, gammas, np.random.default_rng(99), h=0.1, system=constant_system()
+    )
+    sd = np.std(out.states[:, 0, 0] - predictors[:, 0])
     assert 0.097 <= sd <= 0.103
 
 
 def test_innovation_leaves_older_blocks_untouched():
     rng = np.random.default_rng(4)
-    predictors = rng.normal(size=(6, 3, 2))
+    predictors = rng.normal(size=(6, 2))
     ens = Ensemble(
         states=rng.normal(size=(6, 3, 2)),
         weights=np.full(6, 1.0 / 6.0),
@@ -244,9 +258,10 @@ def test_innovation_leaves_older_blocks_untouched():
         time=0.0,
     )
     gammas = np.abs(rng.normal(size=(6, 2)))
-    out = innovation_step(ens, predictors, gammas, rng, h=0.1)
-    assert np.array_equal(out.states[:, 1:], predictors[:, 1:])
-    assert not np.array_equal(out.states[:, 0], predictors[:, 0])
+    system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=True)
+    out = innovation_step(ens, predictors, gammas, rng, h=0.1, system=system)
+    assert np.array_equal(out.states[:, 1:], ens.states[:, :-1])
+    assert not np.array_equal(out.states[:, 0], predictors)
 
 
 # ------------------------------------------------------------ weight update
@@ -256,7 +271,7 @@ def test_weight_update_unit_ratios():
     model = make_model(system=constant_system(), var=0.04)
     ens = flat_ensemble([0.3, -0.2, 1.0])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
-    out = weight_update(ens, ens.states.copy(), obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, ens.newest), obs, model)
     assert np.allclose(out.weights, 1.0 / 3.0, atol=1e-15)
 
 
@@ -265,9 +280,9 @@ def test_weight_update_log_gap():
     model = make_model(system=constant_system(), var=1.0)
     x2 = math.sqrt(2.0 * math.log(3.0))
     ens = flat_ensemble([0.0, x2])
-    predictors = np.zeros((2, 1, 1))
+    predictors = np.zeros((2, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = weight_update(ens, predictors, obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
     assert out.weights[0] == pytest.approx(0.75, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -276,9 +291,9 @@ def test_weight_update_normalized():
     model = make_model(var=0.01)
     rng = np.random.default_rng(11)
     ens = flat_ensemble(rng.normal(size=40), r=2)
-    predictors = rng.normal(size=(40, 2, 1))
+    predictors = rng.normal(size=(40, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    out = weight_update(ens, predictors, obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
     assert abs(np.sum(out.weights) - 1.0) < 1e-12
 
 
@@ -287,18 +302,22 @@ def test_weight_update_reuses_resampled_predictor_loglik():
     model = make_model(var=0.05)
     rng = np.random.default_rng(5)
     ens = flat_ensemble(rng.normal(size=30), r=2)
-    predictors = rng.normal(size=(30, 2, 1))
+    predictors = rng.normal(size=(30, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    res = survival_of_the_fittest(ens, predictors, obs, model, rng)
+    res = survival_of_the_fittest(
+        ens, predictors, obs, model, rng, gammas=np.full((30, 1), 0.01)
+    )
     assert np.array_equal(
-        res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors[:, 0])
+        res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors)
     )
-    moved = innovation_step(res, res.predictors, np.full((30, 1), 0.01), rng, h=0.1)
+    moved = innovation_step(
+        res, res.predictors, res.innovation_vars, rng, h=0.1, system=model.system
+    )
     assert moved.predictor_loglik is None
-    reused = weight_update(
-        moved, res.predictors, obs, model, predictor_loglik=res.predictor_loglik
+    reused = weight_update(moved, res.predictor_loglik, obs, model)
+    recomputed = weight_update(
+        moved, model.log_likelihood_batch(obs.value, res.predictors), obs, model
     )
-    recomputed = weight_update(moved, res.predictors, obs, model)
     assert np.array_equal(reused.weights, recomputed.weights)
 
 
@@ -341,8 +360,8 @@ def test_propagation_and_weighting_permutation_equivariant():
     assert np.array_equal(pred_a[perm], pred_b)
     assert np.array_equal(gam_a[perm], gam_b)
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0]))
-    wa = weight_update(base, pred_a, obs, model).weights
-    wb = weight_update(permuted, pred_b, obs, model).weights
+    wa = weight_update(base, model.log_likelihood_batch(obs.value, pred_a), obs, model).weights
+    wb = weight_update(permuted, model.log_likelihood_batch(obs.value, pred_b), obs, model).weights
     assert np.allclose(wa[perm], wb, atol=1e-15)
 
 
@@ -511,6 +530,21 @@ def test_later_steps_leave_yielded_ensembles_unchanged(pair_id, resampler):
     )
 
 
+@pytest.mark.parametrize("pair_id", ["AB1-AB2", "AB3-AB4", "AM3-AM4", "BDF3-BDF4"])
+def test_unobserved_steps_shift_the_block_vector(pair_id):
+    # stride 2: between observations a step is propagation and innovation
+    # only, so every older block of S_{j+1} is the block of S_j one newer
+    cfg, model, records, prior = streamed_inputs(pair_id, "multinomial")
+    assert model.steps_required >= 2
+    observed = {rec.time_index for rec in records}
+    run = list(iter_filter(cfg, model, records, prior, t_start=0.0))
+    unobserved = [j for j in range(len(run) - 1) if j + 1 not in observed]
+    assert unobserved == [0, 2, 4, 6, 8]
+    for j in unobserved:
+        assert np.array_equal(run[j + 1].states[:, 1:], run[j].states[:, :-1]), j
+        assert np.array_equal(run[j + 1].predictors, propagate_ensemble(run[j], model, 0.1)[0]), j
+
+
 # ------------------------------------------------- carried f-evaluations
 
 CARRIED_CASES = [
@@ -644,8 +678,8 @@ def test_full_step_matches_scratch_reference():
     rng = np.random.default_rng(seed)
     predictors, gammas = propagate_ensemble(ens, model, h)
     res = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(res, res.predictors, res.innovation_vars, rng, h=h)
-    final = weight_update(moved, res.predictors, obs, model)
+    moved = innovation_step(res, res.predictors, res.innovation_vars, rng, h=h, system=p.system)
+    final = weight_update(moved, res.predictor_loglik, obs, model)
 
     # scratch reference with plain floats
     def f(tt, uu):
@@ -674,8 +708,8 @@ def test_full_step_matches_scratch_reference():
     rsum = sum(ratio)
     expected_w = [x / rsum for x in ratio]
 
-    assert np.allclose(predictors[:, 0, 0], ab1, rtol=1e-14)
-    assert np.allclose(predictors[:, 1, 0], u0, rtol=1e-14)
+    assert np.allclose(predictors[:, 0], ab1, rtol=1e-14)
+    assert np.allclose(res.states[:, 0, 0], [u0[k] for k in anc], rtol=1e-14)
     assert np.allclose(gammas[:, 0], gam, rtol=1e-13)
     assert np.allclose(final.states[:, 0, 0], x_new, rtol=1e-12)
     assert np.allclose(final.states[:, 1, 0], [u0[k] for k in anc], rtol=1e-14)
@@ -720,8 +754,10 @@ def test_one_step_bayes_oracle_two_particles():
     predictors, gammas = propagate_ensemble(ens, model, 0.1)
     assert np.all(gammas == gamma0)
     resampled = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1)
-    final = weight_update(moved, resampled.predictors, obs, model)
+    moved = innovation_step(
+        resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1, system=system
+    )
+    final = weight_update(moved, resampled.predictor_loglik, obs, model)
 
     # replay the same draws by hand
     replay = np.random.default_rng(314)
