@@ -1,10 +1,13 @@
 """Auxiliary particle filter driven by a multistep-integrator pair.
 
-Each filter step propagates every particle one integrator step (the
-predictor), estimates a per-particle innovation covariance from the pair
-discrepancy, resamples by predictor fitness at observation times, perturbs
-the predictor and shifts it in as the newest block, and reweights by the
-observation-likelihood ratio.
+A filter step runs four stages, each a function from `Ensemble` to
+`Ensemble`: `propagate_ensemble` steps every particle with the pair (the
+predictor) and sets a per-particle innovation covariance from the pair
+discrepancy; at observation times `survival_of_the_fittest` resamples by
+predictor fitness; `innovation_step` perturbs the predictor and shifts it in
+as the newest block; at observation times `weight_update` reweights by the
+observation-likelihood ratio. The per-particle arrays one stage hands to the
+next travel in the ensemble only.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
@@ -80,8 +83,9 @@ class Ensemble:
     can drift from the recompute path at rounding level; replay under one
     seed stays byte-identical.
 
-    ``predictor_loglik`` (N,) is set on resampled ensembles only: log
-    pi(y | predictor) of each survivor, which `weight_update` reuses.
+    ``predictor_loglik`` (N,) is log pi(y | predictor) of each particle.
+    Resampling sets it, innovation and reweighting carry it, and propagation
+    clears it, because new predictors make it stale. `weight_update` reads it.
     """
 
     states: np.ndarray
@@ -156,17 +160,16 @@ def initialize(
 
 def propagate_ensemble(
     ensemble: Ensemble, model: EvolutionObservationModel, h: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pair-propagate every particle; returns (predictors, innovation diag), both (N, d)."""
-    return propagate_blocks(
-        model.pair,
-        model.system,
-        ensemble.states,
-        ensemble.time,
-        h,
-        model.solve,
+) -> Ensemble:
+    """Pair-propagate every particle; sets ``predictors`` and ``innovation_vars``.
+
+    ``predictor_loglik`` is cleared, since it belonged to the old predictors.
+    """
+    predictors, gammas = propagate_blocks(
+        model.pair, model.system, ensemble.states, ensemble.time, h, model.solve,
         derivs=ensemble.derivatives,
     )
+    return replace(ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None)
 
 
 def _resample_indices(
@@ -185,22 +188,20 @@ def _resample_indices(
 
 def survival_of_the_fittest(
     ensemble: Ensemble,
-    predictors: np.ndarray,
     observation: ObservationRecord,
     model: EvolutionObservationModel,
     rng: np.random.Generator,
     *,
-    gammas: np.ndarray,
     resampler: str = "multinomial",
 ) -> Ensemble:
     """Resample particles with replacement by normalized predictor fitness.
 
-    Fitness of particle n is w_n * pi(y | predictor_n). States, predictors,
-    the per-particle innovation covariances, the carried derivatives and the
-    predictor log-likelihoods are reshuffled together; the returned ensemble
-    carries the reshuffled arrays and uniform weights.
+    Fitness of particle n is w_n * pi(y | predictor_n). One ancestor index
+    gathers every row-aligned array: states, predictors, innovation
+    covariances, carried derivatives and the new predictor log-likelihoods.
+    The returned ensemble has uniform weights.
     """
-    loglik = model.log_likelihood_batch(observation.value, predictors)
+    loglik = model.log_likelihood_batch(observation.value, ensemble.predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
     m = np.max(log_fitness)
@@ -208,71 +209,61 @@ def survival_of_the_fittest(
         raise LikelihoodUnderflowError(ensemble.time_index + 1, observation.time, float(m))
     fitness = normalize_log_weights(log_fitness)
     idx = _resample_indices(fitness, rng, resampler)
+
+    def gather(rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return None if rows is None else np.take(rows, idx, axis=0)
+
     n = ensemble.n_particles
-    return Ensemble(
-        states=np.take(ensemble.states, idx, axis=0),
+    return replace(
+        ensemble,
+        states=gather(ensemble.states),
         weights=np.full(n, 1.0 / n),
-        time_index=ensemble.time_index,
-        time=ensemble.time,
-        predictors=np.take(predictors, idx, axis=0),
-        innovation_vars=np.take(gammas, idx, axis=0),
-        derivatives=(
-            None if ensemble.derivatives is None else np.take(ensemble.derivatives, idx, axis=0)
-        ),
-        predictor_loglik=np.take(loglik, idx),
+        predictors=gather(ensemble.predictors),
+        innovation_vars=gather(ensemble.innovation_vars),
+        derivatives=gather(ensemble.derivatives),
+        predictor_loglik=gather(loglik),
     )
 
 
 def innovation_step(
-    ensemble: Ensemble,
-    predictors: np.ndarray,
-    gammas: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    h: float,
-    system: OdeSystem,
+    ensemble: Ensemble, rng: np.random.Generator, *, h: float, system: OdeSystem
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
     The perturbed predictor becomes the newest block and the ensemble's
     blocks shift back by one, the oldest dropping out; this is the one place
-    the block vector shifts. Weights are carried over. The returned ensemble
-    holds ``predictors``, ``gammas`` and the input weights themselves, not
-    copies. When ``ensemble`` carries derivatives, f of the new newest block
-    is evaluated with ``system`` and the older ones shift along.
+    the block vector shifts. Weights, predictors, innovation covariances and
+    predictor log-likelihoods are carried over as they are (the same
+    arrays, not copies). When ``ensemble`` carries derivatives, f of the new
+    newest block is evaluated with ``system`` and the older ones shift along.
     """
-    noise = np.sqrt(gammas) * rng.standard_normal(predictors.shape)
-    newest = predictors + noise
+    noise = np.sqrt(ensemble.innovation_vars) * rng.standard_normal(ensemble.predictors.shape)
+    newest = ensemble.predictors + noise
     states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
     time = ensemble.time + h
     derivatives = None
     if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
         derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
-    return Ensemble(
+    return replace(
+        ensemble,
         states=states,
-        weights=ensemble.weights,
         time_index=ensemble.time_index + 1,
         time=time,
-        predictors=predictors,
-        innovation_vars=gammas,
         derivatives=derivatives,
     )
 
 
 def weight_update(
-    ensemble: Ensemble,
-    predictor_loglik: np.ndarray,
-    observation: ObservationRecord,
-    model: EvolutionObservationModel,
+    ensemble: Ensemble, observation: ObservationRecord, model: EvolutionObservationModel
 ) -> Ensemble:
     """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized.
 
-    ``predictor_loglik`` is log pi(y | predictor) of each particle, as
-    resampling computed it (`Ensemble.predictor_loglik`).
+    log pi(y | predictor) is ``ensemble.predictor_loglik``, as resampling
+    computed it.
     """
-    ll_state = model.log_likelihood_batch(observation.value, ensemble.states[:, 0])
-    log_ratio = ll_state - predictor_loglik
+    ll_state = model.log_likelihood_batch(observation.value, ensemble.newest)
+    log_ratio = ll_state - ensemble.predictor_loglik
     m = np.max(log_ratio)
     if not np.isfinite(m):
         raise LikelihoodUnderflowError(ensemble.time_index, observation.time, float(m))
@@ -329,23 +320,15 @@ def iter_filter(
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)
     yield ensemble
     for j in range(1, last_step + 1):
-        predictors, gammas = propagate_ensemble(ensemble, model, h)
+        ensemble = propagate_ensemble(ensemble, model, h)
         record = schedule.get(j)
         if record is not None:
             ensemble = survival_of_the_fittest(
-                ensemble,
-                predictors,
-                record,
-                model,
-                rng,
-                gammas=gammas,
-                resampler=config.resampler,
+                ensemble, record, model, rng, resampler=config.resampler
             )
-            predictors, gammas = ensemble.predictors, ensemble.innovation_vars
-        loglik = ensemble.predictor_loglik
-        ensemble = innovation_step(ensemble, predictors, gammas, rng, h=h, system=model.system)
+        ensemble = innovation_step(ensemble, rng, h=h, system=model.system)
         if record is not None:
-            ensemble = weight_update(ensemble, loglik, record, model)
+            ensemble = weight_update(ensemble, record, model)
         yield ensemble
 
 

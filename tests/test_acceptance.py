@@ -212,12 +212,9 @@ def test_criterion_6_one_step_bayes_oracle():
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
     rng = np.random.default_rng(SEED)
-    predictors, gammas = propagate_ensemble(ens, model, 0.1)
-    resampled = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(
-        resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1, system=system
-    )
-    final = weight_update(moved, resampled.predictor_loglik, obs, model)
+    resampled = survival_of_the_fittest(propagate_ensemble(ens, model, 0.1), obs, model, rng)
+    moved = innovation_step(resampled, rng, h=0.1, system=system)
+    final = weight_update(moved, obs, model)
 
     replay = np.random.default_rng(SEED)
     us = replay.random(2)
@@ -268,17 +265,17 @@ def test_criterion_7_property_suite():
         weights=np.full(30, 1.0 / 30.0),
         time_index=0,
         time=0.0,
+        predictors=predictors,
+        innovation_vars=np.full((30, 1), 0.05),
     )
-    out = innovation_step(
-        ens, predictors, np.full((30, 1), 0.05), rng, h=0.1, system=problem.system
-    )
+    out = innovation_step(ens, rng, h=0.1, system=problem.system)
     checks["innovation support"] = np.array_equal(out.states[:, 1:], ens.states[:, :-1])
 
     # Markov shift structure: pair step, then the innovation that shifts
     base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
     base = Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0)
-    pred, gamma = propagate_ensemble(base, model, 0.1)
-    shifted = innovation_step(base, pred, gamma, rng, h=0.1, system=problem.system).states
+    propagated = propagate_ensemble(base, model, 0.1)
+    shifted = innovation_step(propagated, rng, h=0.1, system=problem.system).states
     checks["Markov shift"] = np.array_equal(shifted[:, 1:], base_states[:, :-1])
 
     # multinomial resampling unbiasedness at N=1e5, 3 standard errors
@@ -291,17 +288,17 @@ def test_criterion_7_property_suite():
     flat_model = EvolutionObservationModel(
         system=const, pair=make_pair("AB1-AB2"), measurement_var=np.array([1.0])
     )
+    zeros = np.zeros((n, 1))
     big = Ensemble(
         states=values[:, None, None].copy(),
         weights=weights,
         time_index=0,
         time=0.0,
+        predictors=zeros,
+        innovation_vars=zeros,
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    zeros = np.zeros((n, 1))
-    resampled = survival_of_the_fittest(
-        big, zeros, obs, flat_model, np.random.default_rng(SEED), gammas=zeros
-    )
+    resampled = survival_of_the_fittest(big, obs, flat_model, np.random.default_rng(SEED))
     unbiased = True
     for k, gw in enumerate(group_w):
         count = int(np.count_nonzero(resampled.states[:, 0, 0] == float(k)))

@@ -99,11 +99,9 @@ def test_initialize_validation():
 def test_survival_degenerate_fitness_copies_winner():
     model = make_model(system=constant_system(), var=1e-6)
     ens = flat_ensemble([0.0, 50.0, -50.0])
-    predictors = ens.newest.copy()
+    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((3, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(
-        ens, predictors, obs, model, np.random.default_rng(0), gammas=np.zeros((3, 1))
-    )
+    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
     assert np.all(out.states[:, 0, 0] == 0.0)
     assert np.all(out.weights == 1.0 / 3.0)
 
@@ -117,12 +115,11 @@ def test_survival_multinomial_frequencies_uniform_fitness():
         weights=np.full(n, 1.0 / n),
         time_index=0,
         time=0.0,
+        predictors=np.zeros((n, 1)),
+        innovation_vars=np.zeros((n, 1)),
     )
-    predictors = np.zeros((n, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(
-        ens, predictors, obs, model, np.random.default_rng(123), gammas=np.zeros((n, 1))
-    )
+    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(123))
     markers = np.round(out.states[:, 0, 0] / 1e-12).astype(int)
     p = 1.0 / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -149,10 +146,9 @@ def test_survival_reshuffles_predictors_and_gammas_together():
     ens = flat_ensemble([0.0, 7.0])
     predictors = np.array([[0.0], [7.0]])
     gammas = np.array([[1e-4], [9e-4]])
+    ens = replace(ens, predictors=predictors, innovation_vars=gammas)
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([7.0]))
-    out = survival_of_the_fittest(
-        ens, predictors, obs, model, np.random.default_rng(0), gammas=gammas
-    )
+    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
     assert np.all(out.states[:, 0, 0] == 7.0)
     assert np.all(out.predictors[:, 0] == 7.0)
     assert np.all(out.innovation_vars == 9e-4)
@@ -161,22 +157,19 @@ def test_survival_reshuffles_predictors_and_gammas_together():
 def test_survival_underflow_raises():
     model = make_model(system=constant_system(), var=1e-300)
     ens = flat_ensemble([0.0, 1.0])
-    predictors = ens.newest.copy()
+    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError, match="underflow"):
-        survival_of_the_fittest(
-            ens, predictors, obs, model, np.random.default_rng(0), gammas=np.zeros((2, 1))
-        )
+        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
 
 
 def test_survival_underflow_names_step_time_and_log_fitness():
     model = make_model(system=constant_system(), var=1e-300)
     ens = flat_ensemble([0.0, 1.0])
+    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError) as info:
-        survival_of_the_fittest(
-            ens, ens.newest.copy(), obs, model, np.random.default_rng(0), gammas=np.zeros((2, 1))
-        )
+        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
     err = info.value
     assert (err.time_index, err.time) == (1, 0.1)
     assert not np.isfinite(err.max_log_value)
@@ -192,7 +185,8 @@ def test_weight_update_underflow_names_step_time_and_log_ratio():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         LikelihoodUnderflowError
     ) as info:
-        weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
+        loglik = model.log_likelihood_batch(obs.value, predictors)
+        weight_update(replace(ens, predictor_loglik=loglik), obs, model)
     err = info.value
     assert (err.time_index, err.time) == (3, 0.3)
     assert not np.isfinite(err.max_log_value)
@@ -210,11 +204,9 @@ def test_resampling_unbiasedness_multinomial():
         values.extend([float(k)] * sz)
         weights.extend([gw / sz] * sz)
     ens = flat_ensemble(values, weights=np.array(weights))
-    predictors = np.zeros((n, 1))
+    ens = replace(ens, predictors=np.zeros((n, 1)), innovation_vars=np.zeros((n, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(
-        ens, predictors, obs, model, np.random.default_rng(2024), gammas=np.zeros((n, 1))
-    )
+    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(2024))
     for k, gw in enumerate(group_w):
         count = np.count_nonzero(out.states[:, 0, 0] == float(k))
         se = math.sqrt(n * gw * (1.0 - gw))
@@ -225,12 +217,11 @@ def test_resampling_unbiasedness_multinomial():
 
 
 def test_innovation_zero_gamma_copies_predictor():
-    ens = flat_ensemble([1.0, 2.0], r=2)
     predictors = np.array([[1.5], [2.5]])
-    gammas = np.zeros((2, 1))
-    out = innovation_step(
-        ens, predictors, gammas, np.random.default_rng(0), h=0.1, system=constant_system()
+    ens = replace(
+        flat_ensemble([1.0, 2.0], r=2), predictors=predictors, innovation_vars=np.zeros((2, 1))
     )
+    out = innovation_step(ens, np.random.default_rng(0), h=0.1, system=constant_system())
     assert np.array_equal(out.states[:, 0], predictors)
     assert out.time_index == 1
     assert out.time == pytest.approx(0.1)
@@ -238,12 +229,11 @@ def test_innovation_zero_gamma_copies_predictor():
 
 def test_innovation_stddev_matches_gamma():
     n = 10_000
-    ens = flat_ensemble(np.zeros(n))
     predictors = np.zeros((n, 1))
-    gammas = np.full((n, 1), 0.01)
-    out = innovation_step(
-        ens, predictors, gammas, np.random.default_rng(99), h=0.1, system=constant_system()
+    ens = replace(
+        flat_ensemble(np.zeros(n)), predictors=predictors, innovation_vars=np.full((n, 1), 0.01)
     )
+    out = innovation_step(ens, np.random.default_rng(99), h=0.1, system=constant_system())
     sd = np.std(out.states[:, 0, 0] - predictors[:, 0])
     assert 0.097 <= sd <= 0.103
 
@@ -257,9 +247,9 @@ def test_innovation_leaves_older_blocks_untouched():
         time_index=0,
         time=0.0,
     )
-    gammas = np.abs(rng.normal(size=(6, 2)))
+    ens = replace(ens, predictors=predictors, innovation_vars=np.abs(rng.normal(size=(6, 2))))
     system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=True)
-    out = innovation_step(ens, predictors, gammas, rng, h=0.1, system=system)
+    out = innovation_step(ens, rng, h=0.1, system=system)
     assert np.array_equal(out.states[:, 1:], ens.states[:, :-1])
     assert not np.array_equal(out.states[:, 0], predictors)
 
@@ -271,7 +261,8 @@ def test_weight_update_unit_ratios():
     model = make_model(system=constant_system(), var=0.04)
     ens = flat_ensemble([0.3, -0.2, 1.0])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
-    out = weight_update(ens, model.log_likelihood_batch(obs.value, ens.newest), obs, model)
+    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, ens.newest))
+    out = weight_update(ens, obs, model)
     assert np.allclose(out.weights, 1.0 / 3.0, atol=1e-15)
 
 
@@ -282,7 +273,8 @@ def test_weight_update_log_gap():
     ens = flat_ensemble([0.0, x2])
     predictors = np.zeros((2, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
+    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, predictors))
+    out = weight_update(ens, obs, model)
     assert out.weights[0] == pytest.approx(0.75, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -293,7 +285,8 @@ def test_weight_update_normalized():
     ens = flat_ensemble(rng.normal(size=40), r=2)
     predictors = rng.normal(size=(40, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
+    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, predictors))
+    out = weight_update(ens, obs, model)
     assert abs(np.sum(out.weights) - 1.0) < 1e-12
 
 
@@ -301,22 +294,25 @@ def test_weight_update_reuses_resampled_predictor_loglik():
     # the log-likelihoods resampling gathers equal a recompute bit for bit
     model = make_model(var=0.05)
     rng = np.random.default_rng(5)
-    ens = flat_ensemble(rng.normal(size=30), r=2)
-    predictors = rng.normal(size=(30, 1))
-    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    res = survival_of_the_fittest(
-        ens, predictors, obs, model, rng, gammas=np.full((30, 1), 0.01)
+    ens = replace(
+        flat_ensemble(rng.normal(size=30), r=2),
+        predictors=rng.normal(size=(30, 1)),
+        innovation_vars=np.full((30, 1), 0.01),
     )
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
+    res = survival_of_the_fittest(ens, obs, model, rng)
     assert np.array_equal(
         res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors)
     )
-    moved = innovation_step(
-        res, res.predictors, res.innovation_vars, rng, h=0.1, system=model.system
-    )
-    assert moved.predictor_loglik is None
-    reused = weight_update(moved, res.predictor_loglik, obs, model)
+    moved = innovation_step(res, rng, h=0.1, system=model.system)
+    assert moved.predictor_loglik is res.predictor_loglik
+    reused = weight_update(moved, obs, model)
     recomputed = weight_update(
-        moved, model.log_likelihood_batch(obs.value, res.predictors), obs, model
+        replace(
+            moved, predictor_loglik=model.log_likelihood_batch(obs.value, res.predictors)
+        ),
+        obs,
+        model,
     )
     assert np.array_equal(reused.weights, recomputed.weights)
 
@@ -355,13 +351,18 @@ def test_propagation_and_weighting_permutation_equivariant():
         time_index=0,
         time=0.0,
     )
-    pred_a, gam_a = propagate_ensemble(base, model, 0.1)
-    pred_b, gam_b = propagate_ensemble(permuted, model, 0.1)
-    assert np.array_equal(pred_a[perm], pred_b)
-    assert np.array_equal(gam_a[perm], gam_b)
+    prop_a = propagate_ensemble(base, model, 0.1)
+    prop_b = propagate_ensemble(permuted, model, 0.1)
+    assert np.array_equal(prop_a.predictors[perm], prop_b.predictors)
+    assert np.array_equal(prop_a.innovation_vars[perm], prop_b.innovation_vars)
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0]))
-    wa = weight_update(base, model.log_likelihood_batch(obs.value, pred_a), obs, model).weights
-    wb = weight_update(permuted, model.log_likelihood_batch(obs.value, pred_b), obs, model).weights
+
+    def reweighted(ens, prop):
+        loglik = model.log_likelihood_batch(obs.value, prop.predictors)
+        return weight_update(replace(ens, predictor_loglik=loglik), obs, model).weights
+
+    wa = reweighted(base, prop_a)
+    wb = reweighted(permuted, prop_b)
     assert np.allclose(wa[perm], wb, atol=1e-15)
 
 
@@ -542,7 +543,43 @@ def test_unobserved_steps_shift_the_block_vector(pair_id):
     assert unobserved == [0, 2, 4, 6, 8]
     for j in unobserved:
         assert np.array_equal(run[j + 1].states[:, 1:], run[j].states[:, :-1]), j
-        assert np.array_equal(run[j + 1].predictors, propagate_ensemble(run[j], model, 0.1)[0]), j
+        assert np.array_equal(
+            run[j + 1].predictors, propagate_ensemble(run[j], model, 0.1).predictors
+        ), j
+
+
+def test_by_hand_step_matches_iter_filter():
+    # the by-hand step of the README's "Library use" section gives S_1
+    # (unobserved at stride 2) and S_2 (observed) bit for bit
+    config, model, records, prior = streamed_inputs(
+        "AB3-AB4", "systematic", smooth_problem, vectorized=False
+    )
+    h = config.step
+    observed = {rec.time_index: rec for rec in records}
+    rng = np.random.default_rng(config.seed)
+    ensemble = initialize(config, prior, rng, model=model, t_start=0.0)
+    by_hand = []
+    for j in range(1, 3):
+        record = observed.get(j)
+        ensemble = propagate_ensemble(ensemble, model, h)
+        if record is not None:
+            ensemble = survival_of_the_fittest(
+                ensemble, record, model, rng, resampler=config.resampler
+            )
+        ensemble = innovation_step(ensemble, rng, h=h, system=model.system)
+        if record is not None:
+            ensemble = weight_update(ensemble, record, model)
+        by_hand.append(ensemble)
+    assert [j in observed for j in (1, 2)] == [False, True]
+    streamed = iter_filter(config, model, records, prior, t_start=0.0)
+    next(streamed)
+    for a in by_hand:
+        b = next(streamed)
+        assert (a.time_index, a.time) == (b.time_index, b.time)
+        for name in SNAPSHOT_ARRAYS + ("predictor_loglik",):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), (a.time_index, name)
+            assert x is None or np.array_equal(x, y), (a.time_index, name)
 
 
 # ------------------------------------------------- carried f-evaluations
@@ -676,10 +713,10 @@ def test_full_step_matches_scratch_reference():
     )
     obs = ObservationRecord(time_index=4, time=t + h, value=np.array([y]))
     rng = np.random.default_rng(seed)
-    predictors, gammas = propagate_ensemble(ens, model, h)
-    res = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(res, res.predictors, res.innovation_vars, rng, h=h, system=p.system)
-    final = weight_update(moved, res.predictor_loglik, obs, model)
+    prop = propagate_ensemble(ens, model, h)
+    res = survival_of_the_fittest(prop, obs, model, rng)
+    moved = innovation_step(res, rng, h=h, system=p.system)
+    final = weight_update(moved, obs, model)
 
     # scratch reference with plain floats
     def f(tt, uu):
@@ -708,9 +745,9 @@ def test_full_step_matches_scratch_reference():
     rsum = sum(ratio)
     expected_w = [x / rsum for x in ratio]
 
-    assert np.allclose(predictors[:, 0], ab1, rtol=1e-14)
+    assert np.allclose(prop.predictors[:, 0], ab1, rtol=1e-14)
     assert np.allclose(res.states[:, 0, 0], [u0[k] for k in anc], rtol=1e-14)
-    assert np.allclose(gammas[:, 0], gam, rtol=1e-13)
+    assert np.allclose(prop.innovation_vars[:, 0], gam, rtol=1e-13)
     assert np.allclose(final.states[:, 0, 0], x_new, rtol=1e-12)
     assert np.allclose(final.states[:, 1, 0], [u0[k] for k in anc], rtol=1e-14)
     assert np.allclose(final.weights, expected_w, rtol=1e-11)
@@ -751,13 +788,11 @@ def test_one_step_bayes_oracle_two_particles():
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
 
     rng = np.random.default_rng(314)
-    predictors, gammas = propagate_ensemble(ens, model, 0.1)
-    assert np.all(gammas == gamma0)
-    resampled = survival_of_the_fittest(ens, predictors, obs, model, rng, gammas=gammas)
-    moved = innovation_step(
-        resampled, resampled.predictors, resampled.innovation_vars, rng, h=0.1, system=system
-    )
-    final = weight_update(moved, resampled.predictor_loglik, obs, model)
+    prop = propagate_ensemble(ens, model, 0.1)
+    assert np.all(prop.innovation_vars == gamma0)
+    resampled = survival_of_the_fittest(prop, obs, model, rng)
+    moved = innovation_step(resampled, rng, h=0.1, system=system)
+    final = weight_update(moved, obs, model)
 
     # replay the same draws by hand
     replay = np.random.default_rng(314)

@@ -30,10 +30,13 @@ def propagate(model, blocks, t, h):
 
 def shift(model, blocks, t, h):
     """A single block state (r, d) after one pair step and its innovation."""
-    ens = Ensemble(states=blocks[None], weights=np.ones(1), time_index=0, time=t)
-    pred, gamma = propagate_blocks(model.pair, model.system, ens.states, t, h, model.solve)
+    pred, gamma = propagate_blocks(model.pair, model.system, blocks[None], t, h, model.solve)
+    ens = Ensemble(
+        states=blocks[None], weights=np.ones(1), time_index=0, time=t,
+        predictors=pred, innovation_vars=gamma,
+    )
     rng = np.random.default_rng(0)
-    return innovation_step(ens, pred, gamma, rng, h=h, system=model.system).states[0]
+    return innovation_step(ens, rng, h=h, system=model.system).states[0]
 
 
 def log_density(x, mean, var):
