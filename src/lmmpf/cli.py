@@ -121,11 +121,9 @@ def _cmd_sweep(args) -> int:
         v_values = [float(v) for v in v_raw.split(",") if v.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse variances {v_raw!r}") from None
-    replicates = settings.pop("replicates", 10)
-    seed = settings.pop("seed", 1234)
-    outdir = settings.pop("outdir", "results")
+    outdir = settings.get("outdir", ExperimentConfig.outdir)
     settings.pop("initial_variance", None)
-    table = run_sweep(problem, pair_ids, v_values, replicates=replicates, seed=seed, **settings)
+    table = run_sweep(problem, pair_ids, v_values, **settings)
     manifest = emit_outputs(table, [], outdir)
     _print_table(table)
     print(f"wrote {len(manifest)} files to {outdir}")

@@ -170,26 +170,20 @@ def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], Tabl
 
 
 def run_sweep(
-    problem: str,
-    pair_ids: Sequence[str],
-    v_values: Sequence[float],
-    replicates: int = 10,
-    seed: int = 1234,
-    **overrides,
+    problem: str, pair_ids: Sequence[str], v_values: Sequence[float], **settings
 ) -> ResultsTable:
-    """Cross pairs with initial variances; rows sorted (pair, V descending)."""
+    """Cross pairs with initial variances; rows sorted (pair, V descending).
+
+    ``settings`` are further `ExperimentConfig` fields, such as ``replicates``
+    and ``seed``, shared by every cell.
+    """
     if not pair_ids or not len(v_values):
         raise ConfigError("sweep needs at least one pair and one variance value")
     table = ResultsTable()
     for pair_id in pair_ids:
         for v in sorted(v_values, reverse=True):
             config = ExperimentConfig(
-                problem=problem,
-                pair=pair_id,
-                initial_variance=float(v),
-                seed=seed,
-                replicates=replicates,
-                **overrides,
+                problem=problem, pair=pair_id, initial_variance=float(v), **settings
             )
             _, row = run_experiment(config)
             table.rows.append(row)

@@ -259,9 +259,14 @@ def weight_update(
 ) -> Ensemble:
     """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized.
 
-    log pi(y | predictor) is ``ensemble.predictor_loglik``, as resampling
-    computed it.
+    log pi(y | predictor) is ``ensemble.predictor_loglik``, which only
+    resampling sets, so an ensemble must be resampled before it is reweighted.
     """
+    if ensemble.predictor_loglik is None:
+        raise ValueError(
+            "ensemble has no predictor_loglik: resample it with "
+            "survival_of_the_fittest before weight_update"
+        )
     ll_state = model.log_likelihood_batch(observation.value, ensemble.newest)
     log_ratio = ll_state - ensemble.predictor_loglik
     m = np.max(log_ratio)
@@ -311,8 +316,14 @@ def iter_filter(
     when t_start is omitted it is inferred from the first record. Each step
     is computed when the next ensemble is requested, so a consumer that drops
     S_j before asking for S_{j+1} keeps about one ensemble alive; invalid
-    observations raise on the first request.
+    observations, or a ``config.pair`` that differs from ``model.pair``
+    (which the filter runs), raise on the first request.
     """
+    config_pair, model_pair = ((p.label, p.tau, p.eps_floor) for p in (config.pair, model.pair))
+    if config_pair != model_pair:
+        raise ValueError(
+            f"FilterConfig.pair {config_pair} differs from the model's pair {model_pair}"
+        )
     h = config.step
     t_start, schedule = _observation_schedule(observations, h, t_start)
     last_step = max(schedule)

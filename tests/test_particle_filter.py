@@ -290,6 +290,14 @@ def test_weight_update_normalized():
     assert abs(np.sum(out.weights) - 1.0) < 1e-12
 
 
+def test_weight_update_requires_a_resampled_ensemble():
+    model = make_model(system=constant_system(), var=0.04)
+    ens = flat_ensemble([0.3, -0.2, 1.0], r=2)
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
+    with pytest.raises(ValueError, match="survival_of_the_fittest before weight_update"):
+        weight_update(propagate_ensemble(ens, model, 0.1), obs, model)
+
+
 def test_weight_update_reuses_resampled_predictor_loglik():
     # the log-likelihoods resampling gathers equal a recompute bit for bit
     model = make_model(var=0.05)
@@ -410,6 +418,18 @@ def test_run_filter_stride_mismatch_rejected():
         run_filter(cfg, model, records, p.initial_state, t_start=0.0)
     with pytest.raises(ValueError, match="nonempty"):
         run_filter(cfg, model, [], p.initial_state, t_start=0.0)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [("RK1-RK2", {}), ("AB3-AB4", {"tau": 2.0}), ("AB3-AB4", {"eps_floor": 1e-8})],
+    ids=["label", "tau", "eps_floor"],
+)
+def test_run_filter_rejects_config_pair_other_than_model_pair(other):
+    cfg, model, records, prior = streamed_inputs("AB3-AB4", "multinomial")
+    cfg = replace(cfg, pair=make_pair(other[0], **other[1]))
+    with pytest.raises(ValueError, match=f"pair .*{other[0]}.* model's pair .*AB3-AB4"):
+        run_filter(cfg, model, records, prior, t_start=0.0)
 
 
 def test_run_filter_systematic_resampler():
