@@ -78,10 +78,10 @@ class Ensemble:
     (``t_start - i*h`` for the initial ensemble). For an autonomous rhs, and
     for every vectorized system (which recompute f at ``time - i*h``), runs
     are bit-identical to evaluating all blocks each step. For a
-    time-dependent non-vectorized rhs the accumulated filter time of an
-    older block can differ from ``time - i*h`` in the last ulp, so states
-    can drift from the recompute path at rounding level; replay under one
-    seed stays byte-identical.
+    time-dependent non-vectorized rhs the grid time ``t_start + (j - i)*h``
+    of block i at step j can differ from ``time - i*h`` in the last ulp, so
+    states can drift from the recompute path at rounding level; replay
+    under one seed stays byte-identical.
 
     ``predictor_loglik`` (N,) is log pi(y | predictor) of each particle.
     Resampling sets it, innovation and reweighting carry it, and propagation
@@ -226,7 +226,7 @@ def survival_of_the_fittest(
 
 
 def innovation_step(
-    ensemble: Ensemble, rng: np.random.Generator, *, h: float, system: OdeSystem
+    ensemble: Ensemble, rng: np.random.Generator, *, time: float, system: OdeSystem
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
@@ -234,13 +234,14 @@ def innovation_step(
     blocks shift back by one, the oldest dropping out; this is the one place
     the block vector shifts. Weights, predictors, innovation covariances and
     predictor log-likelihoods are carried over as they are (the same
-    arrays, not copies). When ``ensemble`` carries derivatives, f of the new
-    newest block is evaluated with ``system`` and the older ones shift along.
+    arrays, not copies). ``time`` is the time of the new newest block, the
+    step's point on the filter grid t_start + j*h. When ``ensemble`` carries
+    derivatives, f of the new newest block is evaluated there with ``system``
+    and the older ones shift along.
     """
     noise = np.sqrt(ensemble.innovation_vars) * rng.standard_normal(ensemble.predictors.shape)
     newest = ensemble.predictors + noise
     states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
-    time = ensemble.time + h
     derivatives = None
     if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
@@ -337,7 +338,7 @@ def iter_filter(
             ensemble = survival_of_the_fittest(
                 ensemble, record, model, rng, resampler=config.resampler
             )
-        ensemble = innovation_step(ensemble, rng, h=h, system=model.system)
+        ensemble = innovation_step(ensemble, rng, time=t_start + j * h, system=model.system)
         if record is not None:
             ensemble = weight_update(ensemble, record, model)
         yield ensemble

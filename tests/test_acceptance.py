@@ -213,7 +213,7 @@ def test_criterion_6_one_step_bayes_oracle():
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
     rng = np.random.default_rng(SEED)
     resampled = survival_of_the_fittest(propagate_ensemble(ens, model, 0.1), obs, model, rng)
-    moved = innovation_step(resampled, rng, h=0.1, system=system)
+    moved = innovation_step(resampled, rng, time=0.1, system=system)
     final = weight_update(moved, obs, model)
 
     replay = np.random.default_rng(SEED)
@@ -268,14 +268,14 @@ def test_criterion_7_property_suite():
         predictors=predictors,
         innovation_vars=np.full((30, 1), 0.05),
     )
-    out = innovation_step(ens, rng, h=0.1, system=problem.system)
+    out = innovation_step(ens, rng, time=0.1, system=problem.system)
     checks["innovation support"] = np.array_equal(out.states[:, 1:], ens.states[:, :-1])
 
     # Markov shift structure: pair step, then the innovation that shifts
     base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
     base = Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0)
     propagated = propagate_ensemble(base, model, 0.1)
-    shifted = innovation_step(propagated, rng, h=0.1, system=problem.system).states
+    shifted = innovation_step(propagated, rng, time=0.1, system=problem.system).states
     checks["Markov shift"] = np.array_equal(shifted[:, 1:], base_states[:, :-1])
 
     # multinomial resampling unbiasedness at N=1e5, 3 standard errors

@@ -33,7 +33,7 @@ def shifted_blocks(pair, system, blocks, t, h):
         states=blocks, weights=np.full(n, 1.0 / n), time_index=0, time=t,
         predictors=pred, innovation_vars=gamma,
     )
-    return innovation_step(ens, np.random.default_rng(0), h=h, system=system).states
+    return innovation_step(ens, np.random.default_rng(0), time=t + h, system=system).states
 
 
 def test_innovation_zero_for_identical_solutions():

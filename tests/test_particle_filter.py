@@ -221,7 +221,7 @@ def test_innovation_zero_gamma_copies_predictor():
     ens = replace(
         flat_ensemble([1.0, 2.0], r=2), predictors=predictors, innovation_vars=np.zeros((2, 1))
     )
-    out = innovation_step(ens, np.random.default_rng(0), h=0.1, system=constant_system())
+    out = innovation_step(ens, np.random.default_rng(0), time=0.1, system=constant_system())
     assert np.array_equal(out.states[:, 0], predictors)
     assert out.time_index == 1
     assert out.time == pytest.approx(0.1)
@@ -233,7 +233,7 @@ def test_innovation_stddev_matches_gamma():
     ens = replace(
         flat_ensemble(np.zeros(n)), predictors=predictors, innovation_vars=np.full((n, 1), 0.01)
     )
-    out = innovation_step(ens, np.random.default_rng(99), h=0.1, system=constant_system())
+    out = innovation_step(ens, np.random.default_rng(99), time=0.1, system=constant_system())
     sd = np.std(out.states[:, 0, 0] - predictors[:, 0])
     assert 0.097 <= sd <= 0.103
 
@@ -249,7 +249,7 @@ def test_innovation_leaves_older_blocks_untouched():
     )
     ens = replace(ens, predictors=predictors, innovation_vars=np.abs(rng.normal(size=(6, 2))))
     system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=True)
-    out = innovation_step(ens, rng, h=0.1, system=system)
+    out = innovation_step(ens, rng, time=0.1, system=system)
     assert np.array_equal(out.states[:, 1:], ens.states[:, :-1])
     assert not np.array_equal(out.states[:, 0], predictors)
 
@@ -312,7 +312,7 @@ def test_weight_update_reuses_resampled_predictor_loglik():
     assert np.array_equal(
         res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors)
     )
-    moved = innovation_step(res, rng, h=0.1, system=model.system)
+    moved = innovation_step(res, rng, time=0.1, system=model.system)
     assert moved.predictor_loglik is res.predictor_loglik
     reused = weight_update(moved, obs, model)
     recomputed = weight_update(
@@ -586,7 +586,7 @@ def test_by_hand_step_matches_iter_filter():
             ensemble = survival_of_the_fittest(
                 ensemble, record, model, rng, resampler=config.resampler
             )
-        ensemble = innovation_step(ensemble, rng, h=h, system=model.system)
+        ensemble = innovation_step(ensemble, rng, time=j * h, system=model.system)
         if record is not None:
             ensemble = weight_update(ensemble, record, model)
         by_hand.append(ensemble)
@@ -735,7 +735,7 @@ def test_full_step_matches_scratch_reference():
     rng = np.random.default_rng(seed)
     prop = propagate_ensemble(ens, model, h)
     res = survival_of_the_fittest(prop, obs, model, rng)
-    moved = innovation_step(res, rng, h=h, system=p.system)
+    moved = innovation_step(res, rng, time=t + h, system=p.system)
     final = weight_update(moved, obs, model)
 
     # scratch reference with plain floats
@@ -811,7 +811,7 @@ def test_one_step_bayes_oracle_two_particles():
     prop = propagate_ensemble(ens, model, 0.1)
     assert np.all(prop.innovation_vars == gamma0)
     resampled = survival_of_the_fittest(prop, obs, model, rng)
-    moved = innovation_step(resampled, rng, h=0.1, system=system)
+    moved = innovation_step(resampled, rng, time=0.1, system=system)
     final = weight_update(moved, obs, model)
 
     # replay the same draws by hand

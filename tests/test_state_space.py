@@ -36,7 +36,7 @@ def shift(model, blocks, t, h):
         predictors=pred, innovation_vars=gamma,
     )
     rng = np.random.default_rng(0)
-    return innovation_step(ens, rng, h=h, system=model.system).states[0]
+    return innovation_step(ens, rng, time=t + h, system=model.system).states[0]
 
 
 def log_density(x, mean, var):
