@@ -7,7 +7,7 @@ from lmmpf._kernels import gaussian_logpdf_diag
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import ColdHistoryError, history_derivatives, startup_states_batch
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
-from lmmpf.particle_filter import Ensemble, innovation_step
+from lmmpf.particle_filter import Ensemble, innovation_step, propagate_ensemble
 from lmmpf.state_space import EvolutionObservationModel
 
 
@@ -30,13 +30,10 @@ def propagate(model, blocks, t, h):
 
 def shift(model, blocks, t, h):
     """A single block state (r, d) after one pair step and its innovation."""
-    pred, gamma = propagate_blocks(model.pair, model.system, blocks[None], t, h, model.solve)
-    ens = Ensemble(
-        states=blocks[None], weights=np.ones(1), time_index=0, time=t,
-        predictors=pred, innovation_vars=gamma,
-    )
+    ens = Ensemble(states=blocks[None], weights=np.ones(1), time_index=0, time=t)
     rng = np.random.default_rng(0)
-    return innovation_step(ens, rng, time=t + h, system=model.system).states[0]
+    moved = innovation_step(propagate_ensemble(ens, model, h), rng, time=t + h, system=model.system)
+    return moved.states[0]
 
 
 def log_density(x, mean, var):
