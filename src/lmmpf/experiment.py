@@ -13,10 +13,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .homec import PAIR_IDS, make_pair
+from .homec import make_pair
 from .integrators import DEFAULT_SOLVE
 from .metrics import RunDiagnostics, diagnostics
-from .ode_models import PROBLEMS, get_problem, synthesize_observations
+from .ode_models import get_problem, synthesize_observations
 from .particle_filter import RESAMPLERS, FilterConfig, iter_filter
 from .state_space import EvolutionObservationModel
 from .svg_plot import render_line_plot
@@ -76,14 +76,11 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 
 def _resolve(config: ExperimentConfig):
-    if config.problem not in PROBLEMS:
-        raise ConfigError(
-            f"unknown problem {config.problem!r}; valid problems: {', '.join(sorted(PROBLEMS))}"
-        )
-    if config.pair not in PAIR_IDS:
-        raise ConfigError(
-            f"unknown method pair {config.pair!r}; valid pairs: {', '.join(PAIR_IDS)}"
-        )
+    try:
+        problem = get_problem(config.problem)
+        pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.stride < 1:
         raise ConfigError("stride must be >= 1")
     if config.replicates < 1:
@@ -96,16 +93,10 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("v0 must be positive")
     if config.step <= 0:
         raise ConfigError("dt must be positive")
-    if config.tau <= 1.0:
-        raise ConfigError("tau must be > 1")
-    if config.eps_floor < 0:
-        raise ConfigError("eps_floor must be nonnegative")
     if config.resampler not in RESAMPLERS:
         raise ConfigError(
             f"unknown resampler {config.resampler!r}; valid resamplers: {', '.join(RESAMPLERS)}"
         )
-    problem = get_problem(config.problem)
-    pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
     t_start = problem.t_span[0]
     t_end = float(config.t_end if config.t_end is not None else problem.t_span[1])
     n_steps = int(round((t_end - t_start) / config.step))

@@ -60,8 +60,8 @@ class MethodPair:
 
     @property
     def uses_derivatives(self) -> bool:
-        """Whether a step reads f at the history blocks (AB and AM, not BDF or RK)."""
-        return bool(np.any(self.low.beta) or np.any(self.high.beta))
+        """Whether a step reads f at the history blocks; see `MethodSpec.reads_derivatives`."""
+        return self.low.reads_derivatives
 
     @property
     def label(self) -> str:
@@ -123,7 +123,8 @@ def propagate_blocks(
 
     blocks: (N, r, d) newest-first with r = pair.steps_required, aligned at
     time t. ``derivs``, when given, holds f of every block (N, r, d) and
-    spares the r rhs evaluations; otherwise they are evaluated at t - i*h.
+    spares the r rhs evaluations; otherwise a pair that reads them
+    (`MethodPair.uses_derivatives`) evaluates them at t - i*h.
     Returns the low-order step (N, d), the predictor of the next newest
     block, and the floored innovation diagonal (N, d).
     """
@@ -135,22 +136,12 @@ def propagate_blocks(
     if pair.low.family is Family.RUNGE_KUTTA_EMBEDDED:
         u_low, u_high = rk_embedded_step_batch(pair.low, system, t, blocks[:, 0], h)
     else:
-        if derivs is None:
-            if pair.uses_derivatives:
-                derivs = history_derivatives(system, blocks, t, h)
-            else:
-                derivs = np.zeros_like(blocks)
-        u_low = advance_batch(
-            pair.low, system, t, blocks[:, : pair.low.steps], derivs[:, : pair.low.steps], h, solve
-        )
-        u_high = advance_batch(
-            pair.high,
-            system,
-            t,
-            blocks[:, : pair.high.steps],
-            derivs[:, : pair.high.steps],
-            h,
-            solve,
-        )
+        if derivs is None and pair.uses_derivatives:
+            derivs = history_derivatives(system, blocks, t, h)
+        outputs = []
+        for m in (pair.low, pair.high):
+            m_derivs = None if derivs is None else derivs[:, : m.steps]
+            outputs.append(advance_batch(m, system, t, blocks[:, : m.steps], m_derivs, h, solve))
+        u_low, u_high = outputs
     gamma = np.maximum(innovation_covariance(u_low, u_high, pair.tau), pair.eps_floor)
     return u_low, gamma

@@ -84,8 +84,10 @@ class MethodSpec:
     embedded_order: Optional[int] = None
 
     @property
-    def is_implicit(self) -> bool:
-        return self.beta_new != 0.0
+    def reads_derivatives(self) -> bool:
+        """Whether a step reads f at the history blocks: AB and AM (AM1 through
+        its AB1 predictor), not BDF or RK."""
+        return self.family in (Family.ADAMS_BASHFORTH, Family.ADAMS_MOULTON)
 
     @property
     def label(self) -> str:
@@ -207,7 +209,7 @@ def make_method(family: Family, order: int) -> MethodSpec:
 
 
 def explicit_step_batch(
-    spec: MethodSpec, states: np.ndarray, derivs: np.ndarray, h: float
+    spec: MethodSpec, states: np.ndarray, derivs: Optional[np.ndarray], h: float
 ) -> np.ndarray:
     """Adams-Bashforth update for a batch, states/derivs of shape (N, r, d)."""
     return multistep_combine(states, derivs, spec.alpha, spec.beta, h)
@@ -266,7 +268,7 @@ def implicit_step_batch(
     system: OdeSystem,
     t: float,
     states: np.ndarray,
-    derivs: np.ndarray,
+    derivs: Optional[np.ndarray],
     h: float,
     solve: ImplicitSolveConfig = DEFAULT_SOLVE,
 ) -> np.ndarray:
@@ -309,11 +311,15 @@ def advance_batch(
     system: OdeSystem,
     t: float,
     states: np.ndarray,
-    derivs: np.ndarray,
+    derivs: Optional[np.ndarray],
     h: float,
     solve: ImplicitSolveConfig = DEFAULT_SOLVE,
 ) -> np.ndarray:
-    """One step of the propagating solution for any family (batched)."""
+    """One step of the propagating solution for any family (batched).
+
+    ``derivs`` is f of every block (N, r, d), or None for a method whose
+    ``reads_derivatives`` is false. An embedded RK method steps its lower order.
+    """
     if spec.family is Family.ADAMS_BASHFORTH:
         return explicit_step_batch(spec, states, derivs, h)
     if spec.family in (Family.ADAMS_MOULTON, Family.BDF):
@@ -356,45 +362,30 @@ def integrate_problem(
     h: float,
     t_end: Optional[float] = None,
     solve: ImplicitSolveConfig = DEFAULT_SOLVE,
-    rk_output: str = "low",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step integration of a test problem; returns (times, states).
 
-    The first r-1 values come from the RK startup. For embedded RK methods
-    ``rk_output`` selects which of the two orders is propagated.
+    The first r-1 values come from the RK startup. An embedded RK method
+    propagates its lower order.
     """
-    if rk_output not in ("low", "high"):
-        raise ValueError("rk_output must be 'low' or 'high'")
     t0, tf = problem.t_span[0], float(t_end if t_end is not None else problem.t_span[1])
     n_steps = int(round((tf - t0) / h))
     if abs(t0 + n_steps * h - tf) > 1e-9 * max(1.0, abs(tf)):
         raise ValueError("integration span is not an integral number of steps")
     system = problem.system
     r = method.steps
-    d = system.dimension
     times = t0 + h * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, d))
-    out[0] = problem.initial_state
-
-    if method.family is Family.RUNGE_KUTTA_EMBEDDED:
-        pick = 0 if rk_output == "low" else 1
-        u = np.asarray(problem.initial_state, dtype=float)[None]
-        for j in range(n_steps):
-            u = rk_embedded_step_batch(method, system, times[j], u, h)[pick]
-            out[j + 1] = u[0]
-        return times, out
-
+    out = np.empty((n_steps + 1, system.dimension))
     blocks = startup_states_batch(system, problem.initial_state, t0, h, r)
     for i in range(min(r, n_steps + 1)):
         out[i] = blocks[0, r - 1 - i]
-    # BDF reads no f at the history blocks; AM1 has beta == [0] but its
-    # Adams-Bashforth predictor does
-    carry = method.family is not Family.BDF
-    derivs = history_derivatives(system, blocks, t0 + (r - 1) * h, h) if carry else np.zeros_like(blocks)
+    derivs = None
+    if method.reads_derivatives:
+        derivs = history_derivatives(system, blocks, t0 + (r - 1) * h, h)
     for j in range(r - 1, n_steps):
         u_new = advance_batch(method, system, times[j], blocks, derivs, h, solve)
         blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
-        if carry:
+        if derivs is not None:
             f_new = system.rhs_batch(times[j + 1], u_new)
             derivs = np.concatenate([f_new[:, None, :], derivs[:, : r - 1]], axis=1)
         out[j + 1] = u_new[0]

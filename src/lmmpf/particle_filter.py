@@ -29,7 +29,7 @@ see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 """
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -172,6 +172,14 @@ def propagate_ensemble(
     return replace(ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None)
 
 
+def _require_propagated(ensemble: Ensemble, stage: str):
+    if ensemble.predictors is None or ensemble.innovation_vars is None:
+        raise ValueError(
+            "ensemble has no predictors or innovation_vars: propagate it with "
+            f"propagate_ensemble before {stage}"
+        )
+
+
 def _resample_indices(
     fitness: np.ndarray, rng: np.random.Generator, resampler: str
 ) -> np.ndarray:
@@ -201,6 +209,7 @@ def survival_of_the_fittest(
     covariances, carried derivatives and the new predictor log-likelihoods.
     The returned ensemble has uniform weights.
     """
+    _require_propagated(ensemble, "survival_of_the_fittest")
     loglik = model.log_likelihood_batch(observation.value, ensemble.predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
@@ -239,6 +248,7 @@ def innovation_step(
     derivatives, f of the new newest block is evaluated there with ``system``
     and the older ones shift along.
     """
+    _require_propagated(ensemble, "innovation_step")
     noise = np.sqrt(ensemble.innovation_vars) * rng.standard_normal(ensemble.predictors.shape)
     newest = ensemble.predictors + noise
     states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
@@ -278,13 +288,10 @@ def weight_update(
 
 
 def _observation_schedule(
-    observations: Sequence[ObservationRecord], h: float, t_start: Optional[float]
-) -> Tuple[float, dict]:
+    observations: Sequence[ObservationRecord], h: float, t_start: float
+) -> dict:
     if not observations:
         raise ValueError("observations must be nonempty")
-    if t_start is None:
-        first = observations[0]
-        t_start = first.time - first.time_index * h
     schedule = {}
     prev_k = 0
     for rec in observations:
@@ -298,7 +305,7 @@ def _observation_schedule(
             raise ValueError("observation times must be strictly increasing")
         schedule[k] = rec
         prev_k = k
-    return float(t_start), schedule
+    return schedule
 
 
 def iter_filter(
@@ -307,14 +314,13 @@ def iter_filter(
     observations: Sequence[ObservationRecord],
     prior_mean: np.ndarray,
     *,
-    t_start: Optional[float] = None,
+    t_start: float,
 ) -> Iterator[Ensemble]:
     """Run the filter over all observations, yielding S_0, S_1, ..., S_T.
 
     The first ensemble is the initial one. Steps without an observation
     execute propagation and innovation only. Identical seeds give identical
-    output. Observation time indices count integrator steps from t_start;
-    when t_start is omitted it is inferred from the first record. Each step
+    output. Observation time indices count integrator steps from t_start. Each step
     is computed when the next ensemble is requested, so a consumer that drops
     S_j before asking for S_{j+1} keeps about one ensemble alive; invalid
     observations, or a ``config.pair`` that differs from ``model.pair``
@@ -326,7 +332,8 @@ def iter_filter(
             f"FilterConfig.pair {config_pair} differs from the model's pair {model_pair}"
         )
     h = config.step
-    t_start, schedule = _observation_schedule(observations, h, t_start)
+    t_start = float(t_start)
+    schedule = _observation_schedule(observations, h, t_start)
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)
@@ -350,7 +357,7 @@ def run_filter(
     observations: Sequence[ObservationRecord],
     prior_mean: np.ndarray,
     *,
-    t_start: Optional[float] = None,
+    t_start: float,
 ) -> List[Ensemble]:
     """Run the filter over all observations; returns [S_0, S_1, ..., S_T].
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TIGHT_SOLVE, empirical_order
+from conftest import TIGHT_SOLVE, empirical_order, rk_propagating
 from lmmpf import integrators
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf._kernels import multistep_combine
@@ -341,7 +341,7 @@ def test_order_of_convergence_multistep(family, order):
 def test_order_of_convergence_rk(order, output, nominal):
     p = gaussian_decay_problem()
     m = make_method(RK, order)
-    ratio = 2.0 ** empirical_order(m, p, rk_output=output)
+    ratio = 2.0 ** empirical_order(m, p, output=output)
     assert 2.0**nominal * 0.7 <= ratio <= 2.0**nominal * 1.4
 
 
@@ -394,38 +394,39 @@ def test_polynomial_exactness_rk(order, output):
     problem = TestProblem(
         system=system, initial_state=q(0.0), t_span=(0.0, 1.0), exact_solution=q
     )
-    m = make_method(RK, order)
-    times, states = integrate_problem(m, problem, 0.1, rk_output=output)
+    m = rk_propagating(make_method(RK, order), output)
+    times, states = integrate_problem(m, problem, 0.1)
     exact = np.stack([q(t) for t in times])
     assert np.max(np.abs(states - exact)) < 1e-10 + 1e-10 * np.max(np.abs(exact))
 
 
 def test_bdf_integration_skips_history_derivatives(monkeypatch):
-    # BDF reads no f at the history blocks: integrate_problem must not
-    # evaluate them, and the result equals a run that does
+    # BDF and embedded RK read no f at the history blocks: integrate_problem
+    # must not evaluate them, and the result equals a run that does
     p = gaussian_decay_problem()
     h, n_steps = 0.05, 20
     times = p.t_span[0] + h * np.arange(n_steps + 1)
+    methods = [make_method(BDF, order) for order in (1, 2, 3, 4)]
+    methods += [make_method(RK, 1), make_method(RK, 4)]
     expected = {}
-    for order in (1, 2, 3, 4):
-        m = make_method(BDF, order)
+    for m in methods:
         r = m.steps
         blocks = startup_states_batch(p.system, p.initial_state, times[0], h, r)
         out = [blocks[0, r - 1 - i] for i in range(r)]
         for j in range(r - 1, n_steps):
             derivs = history_derivatives(p.system, blocks, times[j], h)
-            u_new = implicit_step_batch(m, p.system, times[j], blocks, derivs, h)
+            u_new = advance_batch(m, p.system, times[j], blocks, derivs, h)
             blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
             out.append(u_new[0])
-        expected[order] = np.stack(out)
+        expected[m.label] = np.stack(out)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("BDF integration evaluated history derivatives")
+        raise AssertionError("integration evaluated history derivatives")
 
     monkeypatch.setattr(integrators, "history_derivatives", refuse)
-    for order in (1, 2, 3, 4):
-        _, states = integrate_problem(make_method(BDF, order), p, h, t_end=1.0)
-        assert np.array_equal(states, expected[order]), order
+    for m in methods:
+        _, states = integrate_problem(m, p, h, t_end=1.0)
+        assert np.array_equal(states, expected[m.label]), m.label
 
 
 def reevaluating_integration(m, p, h, t_end):

@@ -298,6 +298,20 @@ def test_weight_update_requires_a_resampled_ensemble():
         weight_update(propagate_ensemble(ens, model, 0.1), obs, model)
 
 
+@pytest.mark.parametrize("stage", ["survival_of_the_fittest", "innovation_step"])
+def test_stages_require_a_propagated_ensemble(stage):
+    model = make_model(system=constant_system(), var=0.04)
+    ens = flat_ensemble([0.3, -0.2, 1.0], r=2)
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
+    rng = np.random.default_rng(0)
+    run = {
+        "survival_of_the_fittest": lambda: survival_of_the_fittest(ens, obs, model, rng),
+        "innovation_step": lambda: innovation_step(ens, rng, time=0.1, system=model.system),
+    }[stage]
+    with pytest.raises(ValueError, match=f"propagate_ensemble before {stage}"):
+        run()
+
+
 def test_weight_update_reuses_resampled_predictor_loglik():
     # the log-likelihoods resampling gathers equal a recompute bit for bit
     model = make_model(var=0.05)
