@@ -9,7 +9,6 @@ from .homec import (
 from .integrators import (
     ColdHistoryError,
     Family,
-    ImplicitSolveConfig,
     ImplicitSolveError,
     MethodSpec,
     integrate_problem,

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .homec import make_pair
-from .integrators import DEFAULT_SOLVE
+from .integrators import step_count
 from .metrics import RunDiagnostics, diagnostics
 from .ode_models import get_problem, synthesize_observations
 from .particle_filter import RESAMPLERS, FilterConfig, iter_filter
@@ -85,22 +85,22 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("stride must be >= 1")
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    if config.noise_stddev < 0:
-        raise ConfigError("noise_stddev must be nonnegative")
+    if not 0 <= config.noise_stddev < np.inf:
+        raise ConfigError("noise_stddev must be nonnegative and finite")
     if config.n_particles < 2:
         raise ConfigError("nsample must be >= 2")
-    if config.initial_variance <= 0:
-        raise ConfigError("v0 must be positive")
-    if config.step <= 0:
-        raise ConfigError("dt must be positive")
+    if not 0 < config.initial_variance < np.inf:
+        raise ConfigError("v0 must be positive and finite")
+    if not 0 < config.step < np.inf:
+        raise ConfigError("dt must be positive and finite")
     if config.resampler not in RESAMPLERS:
         raise ConfigError(
             f"unknown resampler {config.resampler!r}; valid resamplers: {', '.join(RESAMPLERS)}"
         )
     t_start = problem.t_span[0]
     t_end = float(config.t_end if config.t_end is not None else problem.t_span[1])
-    n_steps = int(round((t_end - t_start) / config.step))
-    if n_steps < 1 or abs(t_start + n_steps * config.step - t_end) > 1e-9 * max(1.0, abs(t_end)):
+    n_steps = step_count(t_start, t_end, config.step)
+    if n_steps < 1:
         raise ConfigError(
             f"t_end={t_end} is not an integral number of steps of h={config.step} from {t_start}"
         )
@@ -108,12 +108,7 @@ def _resolve(config: ExperimentConfig):
     if not obs_steps:
         raise ConfigError("no observation falls inside the time span; reduce the stride")
     meas_var = np.array([max(config.noise_stddev**2, MIN_MEASUREMENT_VAR)])
-    model = EvolutionObservationModel(
-        system=problem.system,
-        pair=pair,
-        measurement_var=meas_var,
-        solve=DEFAULT_SOLVE,
-    )
+    model = EvolutionObservationModel(system=problem.system, pair=pair, measurement_var=meas_var)
     return problem, model, t_start, t_end, obs_steps
 
 

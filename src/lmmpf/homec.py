@@ -14,15 +14,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .integrators import (
-    DEFAULT_SOLVE,
     ColdHistoryError,
     Family,
-    ImplicitSolveConfig,
     MethodSpec,
     advance_batch,
     history_derivatives,
     make_method,
-    rk_embedded_step_batch,
+    rk_combine_batch,
+    rk_stages_batch,
 )
 from .ode_models import OdeSystem
 
@@ -31,9 +30,9 @@ from .ode_models import OdeSystem
 class MethodPair:
     """An order-p propagator and an order >= p+1 companion from one family.
 
-    Embedded RK pairs are a single MethodSpec exposing both orders, stored in
-    both slots. ``eps_floor`` keeps the innovation covariance away from an
-    exactly degenerate zero (set 0 to disable).
+    The members of an embedded RK pair share one tableau. ``eps_floor`` keeps
+    the innovation covariance away from an exactly degenerate zero (set 0 to
+    disable).
     """
 
     low: MethodSpec
@@ -42,17 +41,16 @@ class MethodPair:
     eps_floor: float = 1e-20
 
     def __post_init__(self):
-        if self.tau <= 1.0:
-            raise ValueError("tau must be > 1")
-        if self.eps_floor < 0.0:
-            raise ValueError("eps_floor must be nonnegative")
+        if not 1.0 < self.tau < np.inf:
+            raise ValueError("tau must be > 1 and finite")
+        if not 0.0 <= self.eps_floor < np.inf:
+            raise ValueError("eps_floor must be nonnegative and finite")
         if self.low.family is not self.high.family:
             raise ValueError("pair methods must share a family")
-        if self.low.family is Family.RUNGE_KUTTA_EMBEDDED:
-            if self.high is not self.low or self.low.embedded_order < self.low.order + 1:
-                raise ValueError("embedded RK pair must be one spec exposing adjacent orders")
-        elif self.high.order < self.low.order + 1:
+        if self.high.order < self.low.order + 1:
             raise ValueError("high method order must exceed the low order")
+        if self.low.rk_a != self.high.rk_a:
+            raise ValueError("embedded RK pair methods must share a tableau")
 
     @property
     def steps_required(self) -> int:
@@ -65,8 +63,6 @@ class MethodPair:
 
     @property
     def label(self) -> str:
-        if self.low.family is Family.RUNGE_KUTTA_EMBEDDED:
-            return f"RK{self.low.order}-RK{self.low.embedded_order}"
         return f"{self.low.label}-{self.high.label}"
 
 
@@ -92,9 +88,6 @@ def make_pair(pair_id: str, tau: float = 1.5, eps_floor: float = 1e-20) -> Metho
         raise ValueError(
             f"unknown method pair {pair_id!r}; valid pairs: {', '.join(PAIR_IDS)}"
         ) from None
-    if family is Family.RUNGE_KUTTA_EMBEDDED:
-        spec = make_method(family, lo)
-        return MethodPair(low=spec, high=spec, tau=tau, eps_floor=eps_floor)
     return MethodPair(
         low=make_method(family, lo), high=make_method(family, hi), tau=tau, eps_floor=eps_floor
     )
@@ -116,7 +109,6 @@ def propagate_blocks(
     blocks: np.ndarray,
     t: float,
     h: float,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
     derivs: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched pair step over stacked histories.
@@ -126,7 +118,8 @@ def propagate_blocks(
     spares the r rhs evaluations; otherwise a pair that reads them
     (`MethodPair.uses_derivatives`) evaluates them at t - i*h.
     Returns the low-order step (N, d), the predictor of the next newest
-    block, and the floored innovation diagonal (N, d).
+    block, and the floored innovation diagonal (N, d). An embedded RK pair
+    evaluates its shared stages once and applies each member's weights.
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
@@ -134,14 +127,15 @@ def propagate_blocks(
             f"insufficient startup values: blocks have {blocks.shape[1]} entries; pair needs {r}"
         )
     if pair.low.family is Family.RUNGE_KUTTA_EMBEDDED:
-        u_low, u_high = rk_embedded_step_batch(pair.low, system, t, blocks[:, 0], h)
+        ks = rk_stages_batch(pair.low, system, t, blocks[:, 0], h)
+        u_low, u_high = (rk_combine_batch(m, blocks[:, 0], ks, h) for m in (pair.low, pair.high))
     else:
         if derivs is None and pair.uses_derivatives:
             derivs = history_derivatives(system, blocks, t, h)
         outputs = []
         for m in (pair.low, pair.high):
             m_derivs = None if derivs is None else derivs[:, : m.steps]
-            outputs.append(advance_batch(m, system, t, blocks[:, : m.steps], m_derivs, h, solve))
+            outputs.append(advance_batch(m, system, t, blocks[:, : m.steps], m_derivs, h))
         u_low, u_high = outputs
     gamma = np.maximum(innovation_covariance(u_low, u_high, pair.tau), pair.eps_floor)
     return u_low, gamma

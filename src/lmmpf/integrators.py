@@ -11,7 +11,7 @@ a forward-difference Jacobian: about three rhs calls for a smooth step.
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,19 +43,9 @@ class ImplicitSolveError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-@dataclass(frozen=True)
-class ImplicitSolveConfig:
-    max_iterations: int = 50
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-DEFAULT_SOLVE = ImplicitSolveConfig()
+# Newton iteration cap and residual max-norm of every implicit stage solve
+SOLVE_MAX_ITERATIONS = 50
+SOLVE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,8 @@ class MethodSpec:
         u_{j+1} = sum_i alpha[i] u_{j-i}
                   + h * (beta_new f(t_{j+1}, u_{j+1}) + sum_i beta[i] f(t_{j-i}, u_{j-i}))
 
-    Embedded RK pairs use the Butcher tableau fields instead and expose the
-    propagating order in ``order`` and the companion order in ``embedded_order``.
+    An embedded RK method uses its Butcher tableau (``rk_c``, ``rk_a``), which
+    it shares with the partner of its pair, and its own weights ``rk_b``.
     """
 
     family: Family
@@ -79,9 +69,7 @@ class MethodSpec:
     beta_new: float = 0.0
     rk_c: Optional[np.ndarray] = None
     rk_a: Optional[Tuple[Tuple[float, ...], ...]] = None
-    rk_b_low: Optional[np.ndarray] = None
-    rk_b_high: Optional[np.ndarray] = None
-    embedded_order: Optional[int] = None
+    rk_b: Optional[np.ndarray] = None
 
     @property
     def reads_derivatives(self) -> bool:
@@ -123,18 +111,13 @@ _BDF_COEFFS = {
     4: (12.0 / 25.0, [48.0 / 25.0, -36.0 / 25.0, 16.0 / 25.0, -3.0 / 25.0]),
 }
 
-# Heun-Euler 1(2) pair
-_RK12 = dict(
-    c=[0.0, 1.0],
-    a=((), (1.0,)),
-    b_low=[1.0, 0.0],
-    b_high=[0.5, 0.5],
-)
+# Heun-Euler 1(2) tableau (c, a)
+_RK12 = ([0.0, 1.0], ((), (1.0,)))
 
-# Fehlberg 4(5) pair
-_RK45 = dict(
-    c=[0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0],
-    a=(
+# Fehlberg 4(5) tableau (c, a)
+_RK45 = (
+    [0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0],
+    (
         (),
         (1.0 / 4.0,),
         (3.0 / 32.0, 9.0 / 32.0),
@@ -142,18 +125,20 @@ _RK45 = dict(
         (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
         (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
     ),
-    b_low=[25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0],
-    b_high=[
-        16.0 / 135.0,
-        0.0,
-        6656.0 / 12825.0,
-        28561.0 / 56430.0,
-        -9.0 / 50.0,
-        2.0 / 55.0,
-    ],
 )
 
-_SUPPORTED = "AB orders 1-4, AM orders 1-4, BDF orders 1-4, RK embedded orders 1 (pair 1(2)) and 4 (pair 4(5))"
+# order -> (tableau, weights): each embedded pair is two orders over one tableau
+_RK_WEIGHTS = {
+    1: (_RK12, [1.0, 0.0]),
+    2: (_RK12, [0.5, 0.5]),
+    4: (_RK45, [25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0]),
+    5: (
+        _RK45,
+        [16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0],
+    ),
+}
+
+_SUPPORTED = "AB, AM and BDF orders 1-4; RK orders 1, 2 (Heun-Euler) and 4, 5 (Fehlberg)"
 
 
 def make_method(family: Family, order: int) -> MethodSpec:
@@ -188,19 +173,17 @@ def make_method(family: Family, order: int) -> MethodSpec:
             beta=np.zeros(r),
             beta_new=beta_new,
         )
-    if family is Family.RUNGE_KUTTA_EMBEDDED and order in (1, 4):
-        tab = _RK12 if order == 1 else _RK45
+    if family is Family.RUNGE_KUTTA_EMBEDDED and order in _RK_WEIGHTS:
+        (c, a), b = _RK_WEIGHTS[order]
         return MethodSpec(
             family=family,
             order=order,
             steps=1,
             alpha=np.array([1.0]),
             beta=np.zeros(1),
-            rk_c=np.array(tab["c"]),
-            rk_a=tab["a"],
-            rk_b_low=np.array(tab["b_low"]),
-            rk_b_high=np.array(tab["b_high"]),
-            embedded_order=order + 1,
+            rk_c=np.array(c),
+            rk_a=a,
+            rk_b=np.array(b),
         )
     raise ValueError(f"unsupported method ({family.value}, order {order}); supported: {_SUPPORTED}")
 
@@ -231,12 +214,7 @@ def _iteration_inverse(
 
 
 def _solve_stage_batch(
-    system: OdeSystem,
-    t_new: float,
-    const: np.ndarray,
-    hb: float,
-    u0: np.ndarray,
-    solve: ImplicitSolveConfig,
+    system: OdeSystem, t_new: float, const: np.ndarray, hb: float, u0: np.ndarray
 ) -> np.ndarray:
     """Solve u = const + hb*f(t_new, u) by simplified Newton in the batch max-norm.
 
@@ -248,18 +226,18 @@ def _solve_stage_batch(
     res = const + hb * f_val - u
     m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
     norm = float(np.max(np.abs(res)))
-    for _ in range(solve.max_iterations):
-        if norm <= solve.tolerance:
+    for _ in range(SOLVE_MAX_ITERATIONS):
+        if norm <= SOLVE_TOLERANCE:
             break
         u = u + np.einsum("nij,nj->ni", m_inv, res)
         f_val = system.rhs_batch(t_new, u)
         res = const + hb * f_val - u
         norm, prev_norm = float(np.max(np.abs(res))), norm
-        if norm > solve.tolerance and norm > 0.5 * prev_norm:
+        if norm > SOLVE_TOLERANCE and norm > 0.5 * prev_norm:
             m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
-    if norm <= solve.tolerance:
+    if norm <= SOLVE_TOLERANCE:
         return u + np.einsum("nij,nj->ni", m_inv, res)
-    above = np.count_nonzero(~(np.max(np.abs(res), axis=1) <= solve.tolerance))
+    above = np.count_nonzero(~(np.max(np.abs(res), axis=1) <= SOLVE_TOLERANCE))
     raise ImplicitSolveError(t_new, len(res), int(above), norm)
 
 
@@ -270,7 +248,6 @@ def implicit_step_batch(
     states: np.ndarray,
     derivs: Optional[np.ndarray],
     h: float,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
 ) -> np.ndarray:
     """Adams-Moulton / BDF update for a batch; t is the current time t_j."""
     if h == 0.0:
@@ -282,13 +259,16 @@ def implicit_step_batch(
         predictor = multistep_combine(states, derivs, spec.alpha, ab_beta, h)
     else:
         predictor = states[:, 0].copy()
-    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor, solve)
+    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor)
 
 
-def rk_embedded_step_batch(
+def rk_stages_batch(
     spec: MethodSpec, system: OdeSystem, t: float, states: np.ndarray, h: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Both embedded solutions from shared stages; states of shape (N, d)."""
+) -> List[np.ndarray]:
+    """Stage derivatives k_i of the spec's tableau; states of shape (N, d).
+
+    Both members of an embedded pair share them (see `rk_combine_batch`).
+    """
     ks = []
     for i in range(len(spec.rk_c)):
         ui = states
@@ -296,14 +276,18 @@ def rk_embedded_step_batch(
             if a != 0.0:
                 ui = ui + (h * a) * ks[j]
         ks.append(system.rhs_batch(t + spec.rk_c[i] * h, ui))
-    low = states.copy()
-    high = states.copy()
-    for i, k in enumerate(ks):
-        if spec.rk_b_low[i] != 0.0:
-            low = low + (h * spec.rk_b_low[i]) * k
-        if spec.rk_b_high[i] != 0.0:
-            high = high + (h * spec.rk_b_high[i]) * k
-    return low, high
+    return ks
+
+
+def rk_combine_batch(
+    spec: MethodSpec, states: np.ndarray, ks: List[np.ndarray], h: float
+) -> np.ndarray:
+    """The spec's RK solution: states plus its weights applied to the stages."""
+    out = states.copy()
+    for b, k in zip(spec.rk_b, ks):
+        if b != 0.0:
+            out = out + (h * b) * k
+    return out
 
 
 def advance_batch(
@@ -313,18 +297,18 @@ def advance_batch(
     states: np.ndarray,
     derivs: Optional[np.ndarray],
     h: float,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
 ) -> np.ndarray:
-    """One step of the propagating solution for any family (batched).
+    """One step of any family (batched).
 
     ``derivs`` is f of every block (N, r, d), or None for a method whose
-    ``reads_derivatives`` is false. An embedded RK method steps its lower order.
+    ``reads_derivatives`` is false.
     """
     if spec.family is Family.ADAMS_BASHFORTH:
         return explicit_step_batch(spec, states, derivs, h)
     if spec.family in (Family.ADAMS_MOULTON, Family.BDF):
-        return implicit_step_batch(spec, system, t, states, derivs, h, solve)
-    return rk_embedded_step_batch(spec, system, t, states[:, 0], h)[0]
+        return implicit_step_batch(spec, system, t, states, derivs, h)
+    u = states[:, 0]
+    return rk_combine_batch(spec, u, rk_stages_batch(spec, system, t, u, h), h)
 
 
 def history_derivatives(
@@ -336,7 +320,7 @@ def history_derivatives(
     )
 
 
-_STARTUP_RK = make_method(Family.RUNGE_KUTTA_EMBEDDED, 4)
+_STARTUP_RK = make_method(Family.RUNGE_KUTTA_EMBEDDED, 5)
 
 
 def startup_states_batch(
@@ -350,10 +334,20 @@ def startup_states_batch(
     step = -h if backward else h
     seq = [np.atleast_2d(np.asarray(u0, dtype=float))]
     for i in range(r - 1):
-        seq.append(rk_embedded_step_batch(_STARTUP_RK, system, t0 + i * step, seq[-1], step)[1])
+        seq.append(advance_batch(_STARTUP_RK, system, t0 + i * step, seq[-1][:, None], None, step))
     if not backward:
         seq.reverse()
     return np.stack(seq, axis=1)
+
+
+def step_count(t0: float, t_end: float, h: float) -> int:
+    """Steps of size h from t0 to t_end, or -1 unless h is positive and finite
+    and t_end lies a whole, nonnegative number of steps from t0."""
+    n_steps = (t_end - t0) / h if 0.0 < h < np.inf else np.nan
+    if not 0.0 <= n_steps < np.inf:
+        return -1
+    n_steps = int(round(n_steps))
+    return n_steps if abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end)) else -1
 
 
 def integrate_problem(
@@ -361,16 +355,14 @@ def integrate_problem(
     problem: TestProblem,
     h: float,
     t_end: Optional[float] = None,
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step integration of a test problem; returns (times, states).
 
-    The first r-1 values come from the RK startup. An embedded RK method
-    propagates its lower order.
+    The first r-1 values come from the RK startup.
     """
     t0, tf = problem.t_span[0], float(t_end if t_end is not None else problem.t_span[1])
-    n_steps = int(round((tf - t0) / h))
-    if abs(t0 + n_steps * h - tf) > 1e-9 * max(1.0, abs(tf)):
+    n_steps = step_count(t0, tf, h)
+    if n_steps < 0:
         raise ValueError("integration span is not an integral number of steps")
     system = problem.system
     r = method.steps
@@ -383,7 +375,7 @@ def integrate_problem(
     if method.reads_derivatives:
         derivs = history_derivatives(system, blocks, t0 + (r - 1) * h, h)
     for j in range(r - 1, n_steps):
-        u_new = advance_batch(method, system, times[j], blocks, derivs, h, solve)
+        u_new = advance_batch(method, system, times[j], blocks, derivs, h)
         blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
         if derivs is not None:
             f_new = system.rhs_batch(times[j + 1], u_new)

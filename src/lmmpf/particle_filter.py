@@ -119,10 +119,10 @@ class FilterConfig:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
-        if self.initial_variance <= 0.0:
-            raise ValueError("initial_variance must be positive")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.initial_variance < np.inf:
+            raise ValueError("initial_variance must be positive and finite")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
         if self.resampler not in RESAMPLERS:
             raise ValueError(f"resampler must be one of {RESAMPLERS}")
 
@@ -166,8 +166,7 @@ def propagate_ensemble(
     ``predictor_loglik`` is cleared, since it belonged to the old predictors.
     """
     predictors, gammas = propagate_blocks(
-        model.pair, model.system, ensemble.states, ensemble.time, h, model.solve,
-        derivs=ensemble.derivatives,
+        model.pair, model.system, ensemble.states, ensemble.time, h, derivs=ensemble.derivatives
     )
     return replace(ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from ._kernels import gaussian_logpdf_diag
 from .homec import MethodPair
-from .integrators import DEFAULT_SOLVE, ImplicitSolveConfig
 from .ode_models import OdeSystem
 
 
@@ -31,12 +30,11 @@ class EvolutionObservationModel:
     pair: MethodPair
     measurement_var: np.ndarray
     observed_indices: Optional[np.ndarray] = None
-    solve: ImplicitSolveConfig = DEFAULT_SOLVE
 
     def __post_init__(self):
         var = np.atleast_1d(np.asarray(self.measurement_var, dtype=float))
-        if np.any(var <= 0.0):
-            raise ValueError("measurement covariance diagonal must be positive")
+        if not np.all((0.0 < var) & (var < np.inf)):
+            raise ValueError("measurement covariance diagonal must be positive and finite")
         object.__setattr__(self, "measurement_var", var)
         if self.observed_indices is not None:
             object.__setattr__(

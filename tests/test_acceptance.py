@@ -67,8 +67,8 @@ def test_criterion_1_integrator_orders():
     problem = gaussian_decay_problem()
     families = (Family.ADAMS_BASHFORTH, Family.ADAMS_MOULTON, Family.BDF)
     methods = [make_method(family, order) for family in families for order in (1, 2, 3, 4)]
-    # both embedded RK methods at their propagating orders; the companion
-    # orders are covered by the looser ratio-band invariant in the unit tests
+    # the propagators of both embedded RK pairs; their partners RK2 and RK5
+    # are covered by the looser ratio-band invariant in the unit tests
     methods += [make_method(Family.RUNGE_KUTTA_EMBEDDED, order) for order in (1, 4)]
     worst = 0.0
     failures = []

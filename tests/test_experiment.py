@@ -48,6 +48,18 @@ def test_run_experiment_rejects_fractional_span():
         (dict(replicates=0), "replicates"),
         (dict(noise_stddev=-1.0), "noise"),
         (dict(eps_floor=-1.0), "eps_floor"),
+        (dict(initial_variance=np.nan), "v0"),
+        (dict(initial_variance=np.inf), "v0"),
+        (dict(step=np.nan), "dt"),
+        (dict(step=np.inf), "dt"),
+        (dict(t_end=np.nan), "t_end"),
+        (dict(t_end=np.inf), "t_end"),
+        (dict(tau=np.nan), "tau"),
+        (dict(tau=np.inf), "tau"),
+        (dict(noise_stddev=np.nan), "noise"),
+        (dict(noise_stddev=np.inf), "noise"),
+        (dict(eps_floor=np.nan), "eps_floor"),
+        (dict(eps_floor=np.inf), "eps_floor"),
     ],
 )
 def test_run_experiment_validates_settings(kw, msg):
@@ -325,6 +337,15 @@ def test_cli_run_bad_problem(capsys):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_non_finite_setting_is_config_error(tmp_path, capsys):
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--tau", "inf",
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "config error: tau must be > 1 and finite" in capsys.readouterr().err
 
 
 def test_cli_run_missing_required(capsys):

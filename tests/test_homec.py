@@ -11,9 +11,9 @@ from lmmpf.homec import (
 from lmmpf.integrators import (
     ColdHistoryError,
     Family,
+    advance_batch,
     history_derivatives,
     make_method,
-    rk_embedded_step_batch,
     startup_states_batch,
 )
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
@@ -83,6 +83,16 @@ def test_pair_validation():
         MethodPair(low=ab1, high=am2)
     with pytest.raises(ValueError, match="order"):
         MethodPair(low=ab1, high=ab1)
+    rk = Family.RUNGE_KUTTA_EMBEDDED
+    with pytest.raises(ValueError, match="tableau"):
+        MethodPair(low=make_method(rk, 1), high=make_method(rk, 5))
+
+
+def test_rk_pair_labels_follow_the_shared_rule():
+    for pair_id, orders in (("RK1-RK2", (1, 2)), ("RK4-RK5", (4, 5))):
+        pair = make_pair(pair_id)
+        assert pair.label == pair_id
+        assert (pair.low.order, pair.high.order) == orders
 
 
 def test_pair_steps_required():
@@ -111,11 +121,14 @@ def test_propagate_pair_local_difference_bound():
 
 
 def test_rk_pair_delegates_to_embedded_step():
+    # the shared stages give each member exactly its own step
     p = gaussian_decay_problem()
     pair = make_pair("RK1-RK2", eps_floor=0.0)
     blocks = exact_history(p, 0.0, 0.1, 1)
     pred, gamma = propagate_blocks(pair, p.system, blocks, 0.0, 0.1)
-    ref_low, ref_high = rk_embedded_step_batch(pair.low, p.system, 0.0, blocks[:, 0], 0.1)
+    ref_low, ref_high = (
+        advance_batch(m, p.system, 0.0, blocks, None, 0.1) for m in (pair.low, pair.high)
+    )
     assert np.array_equal(pred, ref_low)
     assert np.array_equal(gamma, innovation_covariance(ref_low, ref_high, pair.tau))
 

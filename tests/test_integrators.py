@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import TIGHT_SOLVE, empirical_order, rk_propagating
+from conftest import empirical_order
 from lmmpf import integrators
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf._kernels import multistep_combine
 from lmmpf.integrators import (
-    DEFAULT_SOLVE,
+    SOLVE_TOLERANCE,
     ColdHistoryError,
     Family,
-    ImplicitSolveConfig,
     ImplicitSolveError,
     advance_batch,
     explicit_step_batch,
@@ -17,7 +16,6 @@ from lmmpf.integrators import (
     implicit_step_batch,
     integrate_problem,
     make_method,
-    rk_embedded_step_batch,
     startup_states_batch,
 )
 from lmmpf.ode_models import OdeSystem, TestProblem, gaussian_decay_problem, smooth_problem
@@ -189,14 +187,16 @@ def stiff_cubic():
 
 
 def test_implicit_nonconvergence_reports_residual():
-    blocks, derivs = single([1.0], [-1e4])
-    cfg = ImplicitSolveConfig(max_iterations=2, tolerance=1e-12)
-    with pytest.raises(ImplicitSolveError) as err:
-        implicit_step_batch(make_method(AM, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1, cfg)
-    assert err.value.residual_norm > 0
-    assert err.value.time == pytest.approx(0.1)
-    assert err.value.rows_above_tolerance == 1
-    assert "at t=0.1: 1 of 1 rows above tolerance; last residual max-norm" in str(err.value)
+    # u = 3 + 0.1 (1 + u^2) has no real root, so no iteration count converges
+    system = OdeSystem(dimension=1, rhs=lambda t, u, p: 1.0 + u**2, vectorized=True)
+    blocks, derivs = single([3.0], [10.0])
+    for family in (AM, BDF):
+        with pytest.raises(ImplicitSolveError) as err:
+            implicit_step_batch(make_method(family, 1), system, 0.0, blocks, derivs, 0.1)
+        assert err.value.residual_norm > 0
+        assert err.value.time == pytest.approx(0.1)
+        assert err.value.rows_above_tolerance == 1
+        assert "at t=0.1: 1 of 1 rows above tolerance; last residual max-norm" in str(err.value)
 
 
 def test_stiff_linear_step_converges():
@@ -209,8 +209,7 @@ def test_stiff_linear_step_converges():
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
-    cfg = ImplicitSolveConfig(tolerance=1e-12)
-    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1, cfg)[0]
+    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / (1.0 + 1e3), rel=1e-8)
 
 
@@ -257,7 +256,7 @@ def test_implicit_step_meets_tolerance(problem, family, order):
     u = implicit_step_batch(m, problem.system, t, blocks, derivs, 0.1)
     const = multistep_combine(blocks, derivs, m.alpha, m.beta, 0.1)
     res = const + 0.1 * m.beta_new * problem.system.rhs_batch(t + 0.1, u) - u
-    assert np.max(np.abs(res)) <= DEFAULT_SOLVE.tolerance
+    assert np.max(np.abs(res)) <= SOLVE_TOLERANCE
 
 
 # ---------------------------------------------------------------- embedded RK
@@ -265,25 +264,30 @@ def test_implicit_step_meets_tolerance(problem, family, order):
 
 def test_rk12_hand_values():
     p = gaussian_decay_problem()
-    m = make_method(RK, 1)
-    low, high = rk_embedded_step_batch(m, p.system, 0.0, np.array([[1.0]]), 0.1)
-    assert low[0, 0] == pytest.approx(1.2, abs=1e-12)
-    assert high[0, 0] == pytest.approx(1.208, abs=1e-12)
+    for order, value in ((1, 1.2), (2, 1.208)):
+        u = advance_batch(make_method(RK, order), p.system, 0.0, np.array([[[1.0]]]), None, 0.1)
+        assert u[0, 0] == pytest.approx(value, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("order", [1, 2, 4, 5])
 def test_rk_zero_step(order):
     p = gaussian_decay_problem()
-    m = make_method(RK, order)
-    low, high = rk_embedded_step_batch(m, p.system, 0.3, np.array([[0.7]]), 0.0)
-    assert low[0, 0] == 0.7 and high[0, 0] == 0.7
+    u = advance_batch(make_method(RK, order), p.system, 0.3, np.array([[[0.7]]]), None, 0.0)
+    assert u[0, 0] == 0.7
 
 
 def test_rk45_constant_solution():
     zero = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
-    m = make_method(RK, 4)
-    low, high = rk_embedded_step_batch(m, zero, 0.0, np.array([[2.5]]), 0.1)
-    assert low[0, 0] == 2.5 and high[0, 0] == 2.5
+    for order in (4, 5):
+        u = advance_batch(make_method(RK, order), zero, 0.0, np.array([[[2.5]]]), None, 0.1)
+        assert u[0, 0] == 2.5
+
+
+@pytest.mark.parametrize("order,partner", [(1, 2), (4, 5)])
+def test_rk_pair_members_share_a_tableau(order, partner):
+    low, high = make_method(RK, order), make_method(RK, partner)
+    assert low.rk_a is high.rk_a and np.array_equal(low.rk_c, high.rk_c)
+    assert not np.array_equal(low.rk_b, high.rk_b)
 
 
 # -------------------------------------------------------------------- startup
@@ -326,6 +330,16 @@ def test_bootstrap_backward_keeps_newest():
 
 
 @pytest.mark.parametrize(
+    "t_end,h",
+    [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan), (-1.0, 0.1), (np.nan, 0.1),
+     (np.inf, 0.1), (0.55, 0.1)],
+)
+def test_integrate_problem_rejects_bad_spans(t_end, h):
+    with pytest.raises(ValueError, match="integration span"):
+        integrate_problem(make_method(AB, 1), gaussian_decay_problem(), h, t_end=t_end)
+
+
+@pytest.mark.parametrize(
     "family,order",
     [(AB, 1), (AB, 2), (AB, 3), (AB, 4), (AM, 1), (AM, 2), (AM, 3), (AM, 4),
      (BDF, 1), (BDF, 2), (BDF, 3), (BDF, 4)],
@@ -337,12 +351,12 @@ def test_order_of_convergence_multistep(family, order):
     assert 2.0**order * 0.7 <= ratio <= 2.0**order * 1.4
 
 
-@pytest.mark.parametrize("order,output,nominal", [(1, "low", 1), (1, "high", 2), (4, "low", 4), (4, "high", 5)])
-def test_order_of_convergence_rk(order, output, nominal):
+@pytest.mark.parametrize("order", [1, 2, 4, 5])
+def test_order_of_convergence_rk(order):
     p = gaussian_decay_problem()
     m = make_method(RK, order)
-    ratio = 2.0 ** empirical_order(m, p, output=output)
-    assert 2.0**nominal * 0.7 <= ratio <= 2.0**nominal * 1.4
+    ratio = 2.0 ** empirical_order(m, p)
+    assert 2.0**m.order * 0.7 <= ratio <= 2.0**m.order * 1.4
 
 
 @pytest.mark.parametrize(
@@ -368,7 +382,7 @@ def test_polynomial_exactness(family, order):
     )
     m = make_method(family, order)
     h = 0.1
-    times, states = integrate_problem(m, problem, h, solve=TIGHT_SOLVE)
+    times, states = integrate_problem(m, problem, h)
     exact = np.stack([q(t) for t in times])
     # replace the RK startup values with exact history so only the multistep
     # rule is being tested
@@ -376,11 +390,12 @@ def test_polynomial_exactness(family, order):
     assert np.max(np.abs(states[start:] - exact[start:])) < 1e-10 + 1e-10 * np.max(np.abs(exact))
 
 
-@pytest.mark.parametrize("order,output", [(1, "low"), (1, "high"), (4, "low"), (4, "high")])
-def test_polynomial_exactness_rk(order, output):
-    nominal = order if output == "low" else order + 1
+@pytest.mark.parametrize("order,member", [(1, "low"), (1, "high"), (4, "low"), (4, "high")])
+def test_polynomial_exactness_rk(order, member):
+    # ``order`` names the pair 1(2) or 4(5), ``member`` its method
+    m = make_method(RK, order if member == "low" else order + 1)
     rng = np.random.default_rng(order + 3)
-    coeffs = rng.uniform(-1.0, 1.0, nominal + 1)
+    coeffs = rng.uniform(-1.0, 1.0, m.order + 1)
 
     def q(t):
         return np.array([np.polyval(coeffs, t)])
@@ -394,7 +409,6 @@ def test_polynomial_exactness_rk(order, output):
     problem = TestProblem(
         system=system, initial_state=q(0.0), t_span=(0.0, 1.0), exact_solution=q
     )
-    m = rk_propagating(make_method(RK, order), output)
     times, states = integrate_problem(m, problem, 0.1)
     exact = np.stack([q(t) for t in times])
     assert np.max(np.abs(states - exact)) < 1e-10 + 1e-10 * np.max(np.abs(exact))

@@ -24,7 +24,7 @@ def make_model(pair_id="BDF1-BDF2", system=None, var=0.01, indices=None, **pair_
 
 def propagate(model, blocks, t, h):
     """One pair step of a single block state (r, d); returns its (d,) predictor and gamma."""
-    pred, gamma = propagate_blocks(model.pair, model.system, blocks[None], t, h, model.solve)
+    pred, gamma = propagate_blocks(model.pair, model.system, blocks[None], t, h)
     return pred[0], gamma[0]
 
 
@@ -154,9 +154,10 @@ def test_observe_matches_history_newest():
 
 
 def test_model_rejects_nonpositive_measurement_var():
-    with pytest.raises(ValueError, match="positive"):
-        EvolutionObservationModel(
-            system=gaussian_decay_problem().system,
-            pair=make_pair("AB1-AB2"),
-            measurement_var=np.array([0.0]),
-        )
+    for var in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            EvolutionObservationModel(
+                system=gaussian_decay_problem().system,
+                pair=make_pair("AB1-AB2"),
+                measurement_var=np.array([var]),
+            )
