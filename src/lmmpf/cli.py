@@ -4,13 +4,13 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from .experiment import (
     CONFIG_FIELDS,
     ConfigError,
-    DEFAULT_TAU,
     ExperimentConfig,
     ResultsTable,
     emit_outputs,
@@ -20,26 +20,19 @@ from .experiment import (
 )
 from .homec import PAIR_IDS
 from .ode_models import PROBLEMS
-from .particle_filter import RESAMPLERS
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_settings(parser: argparse.ArgumentParser, skip=()):
+    """One text flag per `CONFIG_FIELDS` key not in ``skip``; `_collect_settings` parses it."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     parser.add_argument("--config", help="key=value config file (flags win over file values)")
-    parser.add_argument("--nsample", type=int, help="number of particles (default 150)")
-    parser.add_argument("--dt", type=float, help="integration step (default 0.1)")
-    parser.add_argument("--tend", type=float, help="end time (default: problem span)")
-    parser.add_argument("--stride", type=int, help="steps between observations (default 1)")
-    parser.add_argument("--noise", type=float, help="observation noise stddev")
-    parser.add_argument(
-        "--tau", type=float, help=f"error-control safety factor (default {DEFAULT_TAU})"
-    )
-    parser.add_argument("--seed", type=int, help="base seed (default 1234)")
-    parser.add_argument("--reps", type=int, help="replicate count (default 10)")
-    parser.add_argument("--outdir", help="output directory (default results)")
-    parser.add_argument(
-        "--eps-floor", type=float, default=None, help="innovation covariance floor"
-    )
-    parser.add_argument("--resampler", choices=RESAMPLERS, default=None)
+    for key, (field, _, text) in CONFIG_FIELDS.items():
+        if key in skip:
+            continue
+        default = defaults[field]
+        if default not in (None, dataclasses.MISSING):
+            text = f"{text} (default {default})"
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,45 +43,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment and write its outputs")
-    p_run.add_argument("--problem", help="problem id (see 'lmmpf list')")
-    p_run.add_argument("--pair", help="method pair id (see 'lmmpf list')")
-    p_run.add_argument("--v0", type=float, help="initial ensemble variance (default 0.1)")
-    _add_common(p_run)
+    _add_settings(p_run)
 
     p_sweep = sub.add_parser("sweep", help="cross method pairs with initial variances")
-    p_sweep.add_argument("--problem", help="problem id")
+    _add_settings(p_sweep, skip=("pair", "v0"))
     p_sweep.add_argument("--pairs", help="comma-separated pair ids")
     p_sweep.add_argument("--v", help="comma-separated initial variances")
-    _add_common(p_sweep)
 
     sub.add_parser("list", help="list available problems and method pairs")
     return parser
 
 
 def _collect_settings(args) -> dict:
+    """File values overridden by the flags given, each parsed by its `CONFIG_FIELDS` entry."""
+    texts = parse_config_file(args.config) if args.config else {}
+    for key in CONFIG_FIELDS:
+        if getattr(args, key, None) is not None:
+            texts[key] = getattr(args, key)
     settings = {}
-    if getattr(args, "config", None):
-        file_values = parse_config_file(args.config)
-        for key, raw in file_values.items():
-            field, cast = CONFIG_FIELDS[key]
-            try:
-                settings[field] = cast(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-    for flag, (field, _) in CONFIG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            settings[field] = value
+    for key, text in texts.items():
+        field, parse, _ = CONFIG_FIELDS[key]
+        try:
+            settings[field] = parse(text)
+        except ValueError:
+            raise ConfigError(f"config key {key}: cannot parse {text!r}") from None
     return settings
 
 
-def _print_table(table: ResultsTable):
+def _write_outputs(table: ResultsTable, diags, outdir: str) -> int:
+    manifest = emit_outputs(table, diags, outdir)
     print("pair         V        err_inf   var_2norm")
     for row in table.rows:
         print(
             f"{row.pair_id:<12} {row.initial_variance:<8g} "
             f"{row.error_inf_norm:<9.4g} {row.variance_2norm:<9.4g}"
         )
+    print(f"wrote {len(manifest)} files to {outdir}")
+    return 0
 
 
 def _cmd_run(args) -> int:
@@ -97,11 +88,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("run needs --problem and --pair (flags or config file)")
     config = ExperimentConfig(**settings)
     diags, row = run_experiment(config)
-    table = ResultsTable(rows=[row])
-    manifest = emit_outputs(table, diags, config.outdir)
-    _print_table(table)
-    print(f"wrote {len(manifest)} files to {config.outdir}")
-    return 0
+    return _write_outputs(ResultsTable(rows=[row]), diags, config.outdir)
 
 
 def _cmd_sweep(args) -> int:
@@ -110,11 +97,11 @@ def _cmd_sweep(args) -> int:
     if problem is None:
         raise ConfigError("sweep needs --problem")
     file_pairs = settings.pop("pair", None)
-    pair_value = getattr(args, "pairs", None) or file_pairs
+    pair_value = args.pairs or file_pairs
     if not pair_value:
         raise ConfigError("sweep needs --pairs")
     pair_ids = [p.strip() for p in pair_value.split(",") if p.strip()]
-    v_raw = getattr(args, "v", None)
+    v_raw = args.v
     if not v_raw:
         raise ConfigError("sweep needs --v (comma-separated variances)")
     try:
@@ -123,11 +110,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot parse variances {v_raw!r}") from None
     outdir = settings.get("outdir", ExperimentConfig.outdir)
     settings.pop("initial_variance", None)
-    table = run_sweep(problem, pair_ids, v_values, **settings)
-    manifest = emit_outputs(table, [], outdir)
-    _print_table(table)
-    print(f"wrote {len(manifest)} files to {outdir}")
-    return 0
+    return _write_outputs(run_sweep(problem, pair_ids, v_values, **settings), [], outdir)
 
 
 def _cmd_list() -> int:

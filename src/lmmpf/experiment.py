@@ -247,23 +247,24 @@ def _trajectory_svg(diag: RunDiagnostics, title: str) -> str:
     )
 
 
-# Setting name, as a config-file key and a CLI flag -> (ExperimentConfig
-# field, parser of the file's text value).
+# Setting name, as a config-file key and (with "_" as "-") a CLI flag ->
+# (ExperimentConfig field, parser of its text value, help text). The CLI
+# appends each field's default to the help text.
 CONFIG_FIELDS = {
-    "problem": ("problem", str),
-    "pair": ("pair", str),
-    "nsample": ("n_particles", int),
-    "v0": ("initial_variance", float),
-    "dt": ("step", float),
-    "tend": ("t_end", float),
-    "stride": ("stride", int),
-    "noise": ("noise_stddev", float),
-    "tau": ("tau", float),
-    "eps_floor": ("eps_floor", float),
-    "resampler": ("resampler", str),
-    "seed": ("seed", int),
-    "reps": ("replicates", int),
-    "outdir": ("outdir", str),
+    "problem": ("problem", str, "problem id (see 'lmmpf list')"),
+    "pair": ("pair", str, "method pair id (see 'lmmpf list')"),
+    "nsample": ("n_particles", int, "number of particles"),
+    "v0": ("initial_variance", float, "initial ensemble variance"),
+    "dt": ("step", float, "integration step"),
+    "tend": ("t_end", float, "end time (default: problem span)"),
+    "stride": ("stride", int, "steps between observations"),
+    "noise": ("noise_stddev", float, "observation noise stddev"),
+    "tau": ("tau", float, "error-control safety factor"),
+    "eps_floor": ("eps_floor", float, "innovation covariance floor"),
+    "resampler": ("resampler", str, f"resampling scheme: {', '.join(RESAMPLERS)}"),
+    "seed": ("seed", int, "base seed"),
+    "reps": ("replicates", int, "replicate count"),
+    "outdir": ("outdir", str, "output directory"),
 }
 
 

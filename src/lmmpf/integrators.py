@@ -58,14 +58,15 @@ class MethodSpec:
                   + h * (beta_new f(t_{j+1}, u_{j+1}) + sum_i beta[i] f(t_{j-i}, u_{j-i}))
 
     An embedded RK method uses its Butcher tableau (``rk_c``, ``rk_a``), which
-    it shares with the partner of its pair, and its own weights ``rk_b``.
+    it shares with the partner of its pair, and its own weights ``rk_b``; its
+    ``alpha`` and ``beta`` are None.
     """
 
     family: Family
     order: int
     steps: int
-    alpha: np.ndarray
-    beta: np.ndarray
+    alpha: Optional[np.ndarray] = None
+    beta: Optional[np.ndarray] = None
     beta_new: float = 0.0
     rk_c: Optional[np.ndarray] = None
     rk_a: Optional[Tuple[Tuple[float, ...], ...]] = None
@@ -179,8 +180,6 @@ def make_method(family: Family, order: int) -> MethodSpec:
             family=family,
             order=order,
             steps=1,
-            alpha=np.array([1.0]),
-            beta=np.zeros(1),
             rk_c=np.array(c),
             rk_a=a,
             rk_b=np.array(b),

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._kernels import inverse_cdf_indices, normalize_log_weights
 from .homec import MethodPair, propagate_blocks
-from .integrators import history_derivatives, startup_states_batch
+from .integrators import history_derivatives, startup_states_batch, step_count
 from .ode_models import ObservationRecord, OdeSystem
 from .state_space import EvolutionObservationModel
 
@@ -143,7 +143,9 @@ def initialize(
     f-values (see `Ensemble`).
     """
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
-    n, d = config.n_particles, prior_mean.shape[0]
+    n, d = config.n_particles, model.system.dimension
+    if prior_mean.shape != (d,):
+        raise ValueError(f"prior_mean has shape {prior_mean.shape}; the system has dimension {d}")
     draws = prior_mean[None, :] + np.sqrt(config.initial_variance) * rng.standard_normal((n, d))
     blocks = startup_states_batch(
         model.system, draws, t_start, config.step, model.steps_required, backward=True
@@ -179,6 +181,14 @@ def _require_propagated(ensemble: Ensemble, stage: str):
         )
 
 
+def _normalized_weights(log_values: np.ndarray, time_index: int, time: float) -> np.ndarray:
+    """Normalized exp(log_values), or `LikelihoodUnderflowError` if the largest is not finite."""
+    m = np.max(log_values)
+    if not np.isfinite(m):
+        raise LikelihoodUnderflowError(time_index, time, float(m))
+    return normalize_log_weights(log_values)
+
+
 def _resample_indices(
     fitness: np.ndarray, rng: np.random.Generator, resampler: str
 ) -> np.ndarray:
@@ -212,10 +222,7 @@ def survival_of_the_fittest(
     loglik = model.log_likelihood_batch(observation.value, ensemble.predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
-    m = np.max(log_fitness)
-    if not np.isfinite(m):
-        raise LikelihoodUnderflowError(ensemble.time_index + 1, observation.time, float(m))
-    fitness = normalize_log_weights(log_fitness)
+    fitness = _normalized_weights(log_fitness, ensemble.time_index + 1, observation.time)
     idx = _resample_indices(fitness, rng, resampler)
 
     def gather(rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -279,29 +286,32 @@ def weight_update(
         )
     ll_state = model.log_likelihood_batch(observation.value, ensemble.newest)
     log_ratio = ll_state - ensemble.predictor_loglik
-    m = np.max(log_ratio)
-    if not np.isfinite(m):
-        raise LikelihoodUnderflowError(ensemble.time_index, observation.time, float(m))
-    weights = normalize_log_weights(log_ratio)
+    weights = _normalized_weights(log_ratio, ensemble.time_index, observation.time)
     return replace(ensemble, weights=weights)
 
 
 def _observation_schedule(
-    observations: Sequence[ObservationRecord], h: float, t_start: float
+    observations: Sequence[ObservationRecord], h: float, t_start: float, shape: tuple
 ) -> dict:
+    """Records keyed by the grid step of their time; each value must have ``shape``."""
     if not observations:
         raise ValueError("observations must be nonempty")
     schedule = {}
     prev_k = 0
     for rec in observations:
-        k = int(round((rec.time - t_start) / h))
-        if k < 1 or abs(t_start + k * h - rec.time) > 1e-9 * max(1.0, abs(rec.time)):
+        k = step_count(t_start, rec.time, h)
+        if k < 1:
             raise ValueError(
                 f"observation at t={rec.time} does not sit on the step grid "
                 f"(t_start={t_start}, h={h}); stride and step are inconsistent"
             )
         if k <= prev_k:
             raise ValueError("observation times must be strictly increasing")
+        if np.shape(rec.value) != shape:
+            raise ValueError(
+                f"observation at t={rec.time} has shape {np.shape(rec.value)}; "
+                f"the measurement variance has shape {shape}"
+            )
         schedule[k] = rec
         prev_k = k
     return schedule
@@ -332,7 +342,7 @@ def iter_filter(
         )
     h = config.step
     t_start = float(t_start)
-    schedule = _observation_schedule(observations, h, t_start)
+    schedule = _observation_schedule(observations, h, t_start, model.measurement_var.shape)
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)

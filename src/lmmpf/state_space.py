@@ -36,9 +36,15 @@ class EvolutionObservationModel:
         if not np.all((0.0 < var) & (var < np.inf)):
             raise ValueError("measurement covariance diagonal must be positive and finite")
         object.__setattr__(self, "measurement_var", var)
+        m = self.system.dimension
         if self.observed_indices is not None:
             object.__setattr__(
                 self, "observed_indices", np.asarray(self.observed_indices, dtype=int)
+            )
+            m = len(self.observed_indices)
+        if var.shape != (m,):
+            raise ValueError(
+                f"measurement_var has shape {var.shape}; the observation has {m} components"
             )
 
     @property

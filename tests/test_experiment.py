@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from lmmpf.cli import main
 from lmmpf.experiment import (
+    CONFIG_FIELDS,
     ConfigError,
     ExperimentConfig,
     ResultsTable,
@@ -424,6 +426,76 @@ def test_config_file_rejects_unknown_resampler(tmp_path, capsys):
     cfg_file.write_text("problem=gaussian_decay\npair=AB1-AB2\nresampler=stratified\n")
     assert main(["run", "--config", str(cfg_file)]) == 2
     assert "valid resamplers" in capsys.readouterr().err
+
+
+# A text value of each setting, none of them its ExperimentConfig default
+SETTING_TEXTS = {
+    "problem": "smooth",
+    "pair": "AM1-AM2",
+    "nsample": "17",
+    "v0": "0.25",
+    "dt": "0.05",
+    "tend": "2.5",
+    "stride": "3",
+    "noise": "0.5",
+    "tau": "4",
+    "eps_floor": "1e-12",
+    "resampler": "systematic",
+    "seed": "99",
+    "reps": "4",
+    "outdir": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_FIELDS))
+def test_each_setting_is_a_flag_parsed_like_its_file_value(key, tmp_path):
+    from lmmpf.cli import _build_parser, _collect_settings
+
+    parser = _build_parser()
+    field = CONFIG_FIELDS[key][0]
+    text = SETTING_TEXTS[key]
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"{key}={text}\n")
+    by_file = _collect_settings(parser.parse_args(["run", "--config", str(cfg_file)]))
+    assert hasattr(parser.parse_args(["sweep"]), key) == (key not in ("pair", "v0"))
+    commands = ["run"] if key in ("pair", "v0") else ["run", "sweep"]
+    for command in commands:
+        flag = "--" + key.replace("_", "-")
+        by_flag = _collect_settings(parser.parse_args([command, flag, text]))
+        assert by_flag == by_file and list(by_flag) == [field]
+    base = {"problem": "gaussian_decay", "pair": "AB1-AB2"}
+    assert ExperimentConfig(**{**base, **by_file}) != ExperimentConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--nsample", "abc", "config key nsample: cannot parse 'abc'"),
+        ("--seed", "1.5", "config key seed: cannot parse '1.5'"),
+        ("--tend", "x", "config key tend: cannot parse 'x'"),
+        ("--resampler", "bogus", "unknown resampler 'bogus'; valid resamplers"),
+    ],
+    ids=["nsample", "seed", "tend", "resampler"],
+)
+def test_cli_bad_flag_value_is_config_error_naming_the_key(flag, text, message, tmp_path, capsys):
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", flag, text,
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_run_help_shows_each_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default is None:
+            assert "(default: problem span)" in text
+        elif f.default is not dataclasses.MISSING:
+            assert f"(default {f.default})" in text, f.name
 
 
 def test_cli_sweep_success(tmp_path, capsys):

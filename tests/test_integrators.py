@@ -290,6 +290,12 @@ def test_rk_pair_members_share_a_tableau(order, partner):
     assert not np.array_equal(low.rk_b, high.rk_b)
 
 
+@pytest.mark.parametrize("order", [1, 2, 4, 5])
+def test_rk_specs_carry_no_multistep_coefficients(order):
+    m = make_method(RK, order)
+    assert m.alpha is None and m.beta is None and m.beta_new == 0.0
+
+
 # -------------------------------------------------------------------- startup
 
 

@@ -438,6 +438,38 @@ def test_run_filter_stride_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
+    "time, t_start",
+    [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.1, math.nan)],
+    ids=["nan", "inf", "-inf", "nan-t_start"],
+)
+def test_run_filter_rejects_non_finite_observation_times(time, t_start):
+    p = gaussian_decay_problem()
+    model = make_model("AB1-AB2", system=p.system)
+    cfg = FilterConfig(n_particles=10, initial_variance=0.01, step=0.1, pair=model.pair)
+    records = [ObservationRecord(time_index=1, time=time, value=np.array([1.0]))]
+    with pytest.raises(ValueError, match="does not sit on the step grid"):
+        run_filter(cfg, model, records, p.initial_state, t_start=t_start)
+
+
+@pytest.mark.parametrize("value", [[1.0, 5.0], 1.0, [[1.0]]], ids=["2", "scalar", "1x1"])
+def test_run_filter_rejects_observation_of_another_shape(value):
+    p = gaussian_decay_problem()
+    model = make_model("AB1-AB2", system=p.system)
+    cfg = FilterConfig(n_particles=10, initial_variance=0.01, step=0.1, pair=model.pair)
+    records = [ObservationRecord(time_index=1, time=0.1, value=np.array(value))]
+    with pytest.raises(ValueError, match=r"t=0.1 has shape .* measurement variance has shape \(1,\)"):
+        run_filter(cfg, model, records, p.initial_state, t_start=0.0)
+
+
+@pytest.mark.parametrize("prior_mean", [[1.0, 1.0], [[1.0]], []], ids=["2", "1x1", "empty"])
+def test_initialize_rejects_prior_of_another_dimension(prior_mean):
+    model = make_model()
+    cfg = FilterConfig(n_particles=8, initial_variance=0.1, step=0.1, pair=model.pair)
+    with pytest.raises(ValueError, match="prior_mean has shape .* dimension 1"):
+        initialize(cfg, np.array(prior_mean), np.random.default_rng(0), model=model, t_start=0.0)
+
+
+@pytest.mark.parametrize(
     "other",
     [("RK1-RK2", {}), ("AB3-AB4", {"tau": 2.0}), ("AB3-AB4", {"eps_floor": 1e-8})],
     ids=["label", "tau", "eps_floor"],

@@ -17,7 +17,7 @@ def make_model(pair_id="BDF1-BDF2", system=None, var=0.01, indices=None, **pair_
     return EvolutionObservationModel(
         system=system,
         pair=make_pair(pair_id, **pair_kw),
-        measurement_var=np.array([var] * (1 if indices is None else len(indices))),
+        measurement_var=np.array([var] * (system.dimension if indices is None else len(indices))),
         observed_indices=indices,
     )
 
@@ -161,3 +161,19 @@ def test_model_rejects_nonpositive_measurement_var():
                 pair=make_pair("AB1-AB2"),
                 measurement_var=np.array([var]),
             )
+
+
+@pytest.mark.parametrize(
+    "dimension, indices, var",
+    [(1, None, [0.01, 0.01]), (2, None, [0.01]), (3, [0, 2], [0.01]), (3, [1], [0.01, 0.01])],
+    ids=["2-on-1d", "1-on-2d", "1-on-2-observed", "2-on-1-observed"],
+)
+def test_model_rejects_measurement_var_of_another_length(dimension, indices, var):
+    system = OdeSystem(dimension=dimension, rhs=lambda t, u, p: -u, vectorized=True)
+    with pytest.raises(ValueError, match="measurement_var has shape"):
+        EvolutionObservationModel(
+            system=system,
+            pair=make_pair("AB1-AB2"),
+            measurement_var=np.array(var),
+            observed_indices=indices,
+        )
