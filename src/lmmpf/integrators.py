@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import multistep_combine
 from .ode_models import OdeSystem, TestProblem
 
 
@@ -193,8 +192,15 @@ def make_method(family: Family, order: int) -> MethodSpec:
 def explicit_step_batch(
     spec: MethodSpec, states: np.ndarray, derivs: Optional[np.ndarray], h: float
 ) -> np.ndarray:
-    """Adams-Bashforth update for a batch, states/derivs of shape (N, r, d)."""
-    return multistep_combine(states, derivs, spec.alpha, spec.beta, h)
+    """sum_i alpha[i]*states[:, i] + h * sum_i beta[i]*derivs[:, i], shape (N, d).
+
+    States/derivs are (N, r, d). This is the whole Adams-Bashforth step and
+    the explicit part of an Adams-Moulton or BDF step.
+    """
+    out = np.einsum("i,nid->nd", spec.alpha, states)
+    if np.any(spec.beta):
+        out = out + h * np.einsum("i,nid->nd", spec.beta, derivs)
+    return out
 
 
 def _iteration_inverse(
@@ -240,6 +246,10 @@ def _solve_stage_batch(
     raise ImplicitSolveError(t_new, len(res), int(above), norm)
 
 
+# AB spec of r steps seeding an AM solve of r steps: both have alpha = (1, 0, ...)
+_AM_SEED = {r: make_method(Family.ADAMS_BASHFORTH, r) for r in _AB_BETA}
+
+
 def implicit_step_batch(
     spec: MethodSpec,
     system: OdeSystem,
@@ -251,11 +261,10 @@ def implicit_step_batch(
     """Adams-Moulton / BDF update for a batch; t is the current time t_j."""
     if h == 0.0:
         return states[:, 0].copy()
-    const = multistep_combine(states, derivs, spec.alpha, spec.beta, h)
+    const = explicit_step_batch(spec, states, derivs, h)
     if spec.family is Family.ADAMS_MOULTON:
         # seed the iteration with the explicit Adams step the buffer supports
-        ab_beta = np.array(_AB_BETA[spec.steps])
-        predictor = multistep_combine(states, derivs, spec.alpha, ab_beta, h)
+        predictor = explicit_step_batch(_AM_SEED[spec.steps], states, derivs, h)
     else:
         predictor = states[:, 0].copy()
     return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor)

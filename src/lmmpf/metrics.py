@@ -5,7 +5,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ._kernels import weighted_mean_var
 from .particle_filter import Ensemble
 
 
@@ -28,11 +27,13 @@ class RunDiagnostics:
 
 
 def _moments(ensemble: Ensemble):
-    # the copy pins the bits of trajectory.csv: for r >= 2 the einsum in
-    # weighted_mean_var on the strided newest-block view differs from the
-    # contiguous copy in the last bits
+    """Weighted mean and population variance per component of the newest block."""
+    # the copy pins the bits of trajectory.csv: for r >= 2 the einsum on the
+    # strided newest-block view differs from the contiguous copy in the last bits
     values = np.ascontiguousarray(ensemble.newest)
-    return weighted_mean_var(values, ensemble.weights)
+    mean = np.einsum("n,nd->d", ensemble.weights, values)
+    diff = values - mean[None, :]
+    return mean, np.einsum("n,nd->d", ensemble.weights, diff * diff)
 
 
 def _mean_and_variance(ensemble: Ensemble):

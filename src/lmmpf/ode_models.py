@@ -54,7 +54,13 @@ class TestProblem:
 
 @dataclass(frozen=True)
 class ObservationRecord:
-    """One noisy measurement b_j at step index j."""
+    """One noisy measurement b_j at time ``time``.
+
+    The filter keys each record by the grid step of ``time`` and never reads
+    ``time_index``, which is a label only. `synthesize_observations` labels
+    records 0, 1, ... by default, one below the grid step of observations
+    at h, 2h, ....
+    """
 
     time_index: int
     time: float
@@ -126,7 +132,10 @@ def synthesize_observations(
 
     ``observed_indices`` selects state components (None observes all of them);
     ``time_indices`` attaches explicit step indices, defaulting to 0,1,2,...
-    A fixed generator state gives bit-identical output.
+    The filter never reads them: it keys each record by the grid step of its
+    time, so the default labels of observations at h, 2h, ... sit one below
+    their grid steps 1, 2, .... A fixed generator state gives bit-identical
+    output.
     """
     if problem.exact_solution is None:
         raise ValueError("no ground truth available")

@@ -33,7 +33,6 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import inverse_cdf_indices, normalize_log_weights
 from .homec import MethodPair, propagate_blocks
 from .integrators import history_derivatives, startup_states_batch, step_count
 from .ode_models import ObservationRecord, OdeSystem
@@ -186,7 +185,22 @@ def _normalized_weights(log_values: np.ndarray, time_index: int, time: float) ->
     m = np.max(log_values)
     if not np.isfinite(m):
         raise LikelihoodUnderflowError(time_index, time, float(m))
-    return normalize_log_weights(log_values)
+    w = np.exp(log_values - m)
+    return w / np.sum(w)
+
+
+def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Ancestor indices: smallest k with cumw[k] > u, for each u in us.
+
+    The uniforms are looked up in sorted order, so successive binary
+    searches walk the CDF forwards and stay in cache, then scattered back
+    to their own positions; each lookup is elementwise, so the result is
+    the same as searching ``us`` as given.
+    """
+    order = np.argsort(us)
+    idx = np.empty(us.shape[0], dtype=np.int64)
+    idx[order] = np.searchsorted(cumw, us[order], side="right")
+    return np.minimum(idx, cumw.shape[0] - 1, out=idx)
 
 
 def _resample_indices(
@@ -201,6 +215,19 @@ def _resample_indices(
     else:
         raise ValueError(f"resampler must be one of {RESAMPLERS}")
     return inverse_cdf_indices(cum, us)
+
+
+def _log_likelihood(
+    model: EvolutionObservationModel, observation: ObservationRecord, newest: np.ndarray
+) -> np.ndarray:
+    """log pi(y | newest) per row; the observation value must have measurement_var's shape."""
+    shape = model.measurement_var.shape
+    if np.shape(observation.value) != shape:
+        raise ValueError(
+            f"observation at t={observation.time} has shape {np.shape(observation.value)}; "
+            f"the measurement variance has shape {shape}"
+        )
+    return model.log_likelihood_batch(observation.value, newest)
 
 
 def survival_of_the_fittest(
@@ -219,7 +246,7 @@ def survival_of_the_fittest(
     The returned ensemble has uniform weights.
     """
     _require_propagated(ensemble, "survival_of_the_fittest")
-    loglik = model.log_likelihood_batch(observation.value, ensemble.predictors)
+    loglik = _log_likelihood(model, observation, ensemble.predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
     fitness = _normalized_weights(log_fitness, ensemble.time_index + 1, observation.time)
@@ -284,16 +311,16 @@ def weight_update(
             "ensemble has no predictor_loglik: resample it with "
             "survival_of_the_fittest before weight_update"
         )
-    ll_state = model.log_likelihood_batch(observation.value, ensemble.newest)
+    ll_state = _log_likelihood(model, observation, ensemble.newest)
     log_ratio = ll_state - ensemble.predictor_loglik
     weights = _normalized_weights(log_ratio, ensemble.time_index, observation.time)
     return replace(ensemble, weights=weights)
 
 
 def _observation_schedule(
-    observations: Sequence[ObservationRecord], h: float, t_start: float, shape: tuple
+    observations: Sequence[ObservationRecord], h: float, t_start: float
 ) -> dict:
-    """Records keyed by the grid step of their time; each value must have ``shape``."""
+    """Records keyed by the grid step of their time."""
     if not observations:
         raise ValueError("observations must be nonempty")
     schedule = {}
@@ -307,11 +334,6 @@ def _observation_schedule(
             )
         if k <= prev_k:
             raise ValueError("observation times must be strictly increasing")
-        if np.shape(rec.value) != shape:
-            raise ValueError(
-                f"observation at t={rec.time} has shape {np.shape(rec.value)}; "
-                f"the measurement variance has shape {shape}"
-            )
         schedule[k] = rec
         prev_k = k
     return schedule
@@ -327,13 +349,15 @@ def iter_filter(
 ) -> Iterator[Ensemble]:
     """Run the filter over all observations, yielding S_0, S_1, ..., S_T.
 
-    The first ensemble is the initial one. Steps without an observation
-    execute propagation and innovation only. Identical seeds give identical
-    output. Observation time indices count integrator steps from t_start. Each step
-    is computed when the next ensemble is requested, so a consumer that drops
-    S_j before asking for S_{j+1} keeps about one ensemble alive; invalid
-    observations, or a ``config.pair`` that differs from ``model.pair``
-    (which the filter runs), raise on the first request.
+    The first ensemble is the initial one. Each record is assimilated at the
+    grid step of its ``time`` (its ``time_index`` is not read); steps without
+    an observation execute propagation and innovation only. Identical seeds
+    give identical output. Each step is computed when the next ensemble is
+    requested, so a consumer that drops S_j before asking for S_{j+1} keeps
+    about one ensemble alive. Observation times off the step grid or out of
+    order, or a ``config.pair`` that differs from ``model.pair`` (which the
+    filter runs), raise on the first request; an observation value whose
+    shape is not ``measurement_var``'s raises at the step that assimilates it.
     """
     config_pair, model_pair = ((p.label, p.tau, p.eps_floor) for p in (config.pair, model.pair))
     if config_pair != model_pair:
@@ -342,7 +366,7 @@ def iter_filter(
         )
     h = config.step
     t_start = float(t_start)
-    schedule = _observation_schedule(observations, h, t_start, model.measurement_var.shape)
+    schedule = _observation_schedule(observations, h, t_start)
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)

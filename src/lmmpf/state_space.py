@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import gaussian_logpdf_diag
 from .homec import MethodPair
 from .ode_models import OdeSystem
 
@@ -58,6 +57,11 @@ class EvolutionObservationModel:
         return newest[..., self.observed_indices]
 
     def log_likelihood_batch(self, y: np.ndarray, newest: np.ndarray) -> np.ndarray:
-        """log pi(y | state) for a batch of newest blocks (N, d)."""
-        predicted = self.observe_newest(newest)
-        return gaussian_logpdf_diag(np.asarray(y, dtype=float), predicted, self.measurement_var)
+        """log N(y; G(state), diag(measurement_var)) for a batch of newest blocks (N, d).
+
+        Returns (N,).
+        """
+        var = self.measurement_var
+        residual = np.asarray(y, dtype=float)[None, :] - self.observe_newest(newest)
+        quad = residual**2 / var[None, :]
+        return -0.5 * (np.sum(quad, axis=1) + np.sum(np.log(2.0 * np.pi * var)))

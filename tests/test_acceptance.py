@@ -13,7 +13,6 @@ import pytest
 
 from conftest import empirical_order
 from lmmpf.experiment import ExperimentConfig, run_experiment
-from lmmpf._kernels import gaussian_logpdf_diag
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import Family, make_method
 from lmmpf.ode_models import ObservationRecord, OdeSystem, gaussian_decay_problem
@@ -307,7 +306,8 @@ def test_criterion_7_property_suite():
     sigma = 1.3
     mean, var = np.array([0.5]), np.array([sigma**2])
     xs = np.linspace(0.5 - 8 * sigma, 0.5 + 8 * sigma, 20001)
-    vals = np.exp([gaussian_logpdf_diag(np.array([x]), mean[None], var)[0] for x in xs])
+    density = EvolutionObservationModel(system=const, pair=model.pair, measurement_var=var)
+    vals = np.exp([density.log_likelihood_batch(np.array([x]), mean[None])[0] for x in xs])
     checks["log-density quadrature"] = abs(np.trapezoid(vals, xs) - 1.0) < 1e-6
 
     # byte-identical replay under the fixed seed

@@ -4,7 +4,6 @@ import pytest
 from conftest import empirical_order
 from lmmpf import integrators
 from lmmpf.homec import make_pair, propagate_blocks
-from lmmpf._kernels import multistep_combine
 from lmmpf.integrators import (
     SOLVE_TOLERANCE,
     ColdHistoryError,
@@ -254,7 +253,7 @@ def test_implicit_step_meets_tolerance(problem, family, order):
     blocks = blocks + rng.normal(scale=0.1, size=(50,) + blocks.shape[1:])
     derivs = history_derivatives(problem.system, blocks, t, 0.1)
     u = implicit_step_batch(m, problem.system, t, blocks, derivs, 0.1)
-    const = multistep_combine(blocks, derivs, m.alpha, m.beta, 0.1)
+    const = explicit_step_batch(m, blocks, derivs, 0.1)
     res = const + 0.1 * m.beta_new * problem.system.rhs_batch(t + 0.1, u) - u
     assert np.max(np.abs(res)) <= SOLVE_TOLERANCE
 

@@ -133,7 +133,7 @@ def test_survival_multinomial_frequencies_uniform_fitness():
 
 def test_systematic_resampling_exact_counts():
     # fitness (0.75, 0.25) stratified into 4 draws lands exactly (3, 1)
-    from lmmpf._kernels import inverse_cdf_indices
+    from lmmpf.particle_filter import inverse_cdf_indices
 
     cum = np.cumsum(np.array([0.75, 0.25]))
     for seed in range(5):
@@ -459,6 +459,23 @@ def test_run_filter_rejects_observation_of_another_shape(value):
     records = [ObservationRecord(time_index=1, time=0.1, value=np.array(value))]
     with pytest.raises(ValueError, match=r"t=0.1 has shape .* measurement variance has shape \(1,\)"):
         run_filter(cfg, model, records, p.initial_state, t_start=0.0)
+
+
+@pytest.mark.parametrize("stage", ["survival_of_the_fittest", "weight_update"])
+def test_stages_called_directly_reject_observation_of_another_shape(stage):
+    model = make_model("AB1-AB2")
+    rng = np.random.default_rng(0)
+    ens = propagate_ensemble(flat_ensemble([0.9, 1.0, 1.1], r=2), model, 0.1)
+    bad = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0, 5.0]))
+    good = replace(bad, value=np.array([1.0]))
+    resampled = survival_of_the_fittest(ens, good, model, rng)
+    innovated = innovation_step(resampled, rng, time=0.1, system=model.system)
+    run = {
+        "survival_of_the_fittest": lambda: survival_of_the_fittest(ens, bad, model, rng),
+        "weight_update": lambda: weight_update(innovated, bad, model),
+    }[stage]
+    with pytest.raises(ValueError, match=r"t=0.1 has shape \(2,\); .* variance has shape \(1,\)"):
+        run()
 
 
 @pytest.mark.parametrize("prior_mean", [[1.0, 1.0], [[1.0]], []], ids=["2", "1x1", "empty"])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lmmpf._kernels import gaussian_logpdf_diag
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import ColdHistoryError, history_derivatives, startup_states_batch
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
@@ -38,7 +37,12 @@ def shift(model, blocks, t, h):
 
 def log_density(x, mean, var):
     """Diagonal-Gaussian log density at one point x."""
-    return gaussian_logpdf_diag(np.asarray(x), np.asarray(mean)[None], np.asarray(var))[0]
+    var = np.asarray(var, dtype=float)
+    system = OdeSystem(dimension=len(var), rhs=lambda t, u, p: -u, vectorized=True)
+    model = EvolutionObservationModel(
+        system=system, pair=make_pair("BDF1-BDF2"), measurement_var=var
+    )
+    return model.log_likelihood_batch(x, np.asarray(mean, dtype=float)[None])[0]
 
 
 def test_augment_single_block():
