@@ -101,15 +101,14 @@ def _cmd_sweep(args) -> int:
     if not pair_value:
         raise ConfigError("sweep needs --pairs")
     pair_ids = [p.strip() for p in pair_value.split(",") if p.strip()]
-    v_raw = args.v
-    if not v_raw:
+    file_v = settings.pop("initial_variance", None)
+    if not args.v and file_v is None:
         raise ConfigError("sweep needs --v (comma-separated variances)")
     try:
-        v_values = [float(v) for v in v_raw.split(",") if v.strip()]
+        v_values = [float(v) for v in args.v.split(",") if v.strip()] if args.v else [file_v]
     except ValueError:
-        raise ConfigError(f"cannot parse variances {v_raw!r}") from None
+        raise ConfigError(f"cannot parse variances {args.v!r}") from None
     outdir = settings.get("outdir", ExperimentConfig.outdir)
-    settings.pop("initial_variance", None)
     return _write_outputs(run_sweep(problem, pair_ids, v_values, **settings), [], outdir)
 
 

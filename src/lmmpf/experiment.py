@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .homec import make_pair
+from .homec import MethodPair, make_pair
 from .integrators import step_count
 from .metrics import RunDiagnostics, diagnostics
 from .ode_models import get_problem, synthesize_observations
@@ -47,7 +47,7 @@ class ExperimentConfig:
     stride: int = 1
     noise_stddev: float = DEFAULT_NOISE_STDDEV
     tau: float = DEFAULT_TAU
-    eps_floor: float = 1e-20
+    eps_floor: float = MethodPair.eps_floor
     seed: int = 1234
     replicates: int = 10
     resampler: str = "multinomial"
@@ -104,9 +104,14 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError(
             f"t_end={t_end} is not an integral number of steps of h={config.step} from {t_start}"
         )
+    if n_steps % config.stride:
+        last = n_steps - n_steps % config.stride
+        ending = f"the last observation would be at t={t_start + last * config.step:g}"
+        raise ConfigError(
+            f"{n_steps} steps to t_end={t_end} are not a multiple of stride={config.stride}; "
+            + (ending if last else "no step would be observed")
+        )
     obs_steps = list(range(config.stride, n_steps + 1, config.stride))
-    if not obs_steps:
-        raise ConfigError("no observation falls inside the time span; reduce the stride")
     meas_var = np.array([max(config.noise_stddev**2, MIN_MEASUREMENT_VAR)])
     model = EvolutionObservationModel(system=problem.system, pair=pair, measurement_var=meas_var)
     return problem, model, t_start, t_end, obs_steps

@@ -57,11 +57,6 @@ class MethodPair:
         return max(self.low.steps, self.high.steps)
 
     @property
-    def uses_derivatives(self) -> bool:
-        """Whether a step reads f at the history blocks; see `MethodSpec.reads_derivatives`."""
-        return self.low.reads_derivatives
-
-    @property
     def label(self) -> str:
         return f"{self.low.label}-{self.high.label}"
 
@@ -80,7 +75,9 @@ _PAIR_DEFS = {
 PAIR_IDS = tuple(_PAIR_DEFS)
 
 
-def make_pair(pair_id: str, tau: float = 1.5, eps_floor: float = 1e-20) -> MethodPair:
+def make_pair(
+    pair_id: str, tau: float = MethodPair.tau, eps_floor: float = MethodPair.eps_floor
+) -> MethodPair:
     """Build a method pair from its identifier (e.g. 'AB1-AB2')."""
     try:
         family, lo, hi = _PAIR_DEFS[pair_id]
@@ -116,7 +113,7 @@ def propagate_blocks(
     blocks: (N, r, d) newest-first with r = pair.steps_required, aligned at
     time t. ``derivs``, when given, holds f of every block (N, r, d) and
     spares the r rhs evaluations; otherwise a pair that reads them
-    (`MethodPair.uses_derivatives`) evaluates them at t - i*h.
+    (``pair.low.reads_derivatives``) evaluates them at t - i*h.
     Returns the low-order step (N, d), the predictor of the next newest
     block, and the floored innovation diagonal (N, d). An embedded RK pair
     evaluates its shared stages once and applies each member's weights.
@@ -130,7 +127,7 @@ def propagate_blocks(
         ks = rk_stages_batch(pair.low, system, t, blocks[:, 0], h)
         u_low, u_high = (rk_combine_batch(m, blocks[:, 0], ks, h) for m in (pair.low, pair.high))
     else:
-        if derivs is None and pair.uses_derivatives:
+        if derivs is None and pair.low.reads_derivatives:
             derivs = history_derivatives(system, blocks, t, h)
         outputs = []
         for m in (pair.low, pair.high):

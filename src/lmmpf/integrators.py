@@ -19,10 +19,15 @@ from .ode_models import OdeSystem, TestProblem
 
 
 class Family(enum.Enum):
-    ADAMS_BASHFORTH = "adams_bashforth"
-    ADAMS_MOULTON = "adams_moulton"
-    BDF = "bdf"
-    RUNGE_KUTTA_EMBEDDED = "runge_kutta_embedded"
+    """Integrator family; its value is the prefix of a method's label."""
+
+    ADAMS_BASHFORTH = "AB"
+    ADAMS_MOULTON = "AM"
+    BDF = "BDF"
+    RUNGE_KUTTA_EMBEDDED = "RK"
+
+
+_AB, _AM, _BDF, _RK = Family
 
 
 class ColdHistoryError(ValueError):
@@ -75,41 +80,12 @@ class MethodSpec:
     def reads_derivatives(self) -> bool:
         """Whether a step reads f at the history blocks: AB and AM (AM1 through
         its AB1 predictor), not BDF or RK."""
-        return self.family in (Family.ADAMS_BASHFORTH, Family.ADAMS_MOULTON)
+        return self.family in (_AB, _AM)
 
     @property
     def label(self) -> str:
-        prefix = {
-            Family.ADAMS_BASHFORTH: "AB",
-            Family.ADAMS_MOULTON: "AM",
-            Family.BDF: "BDF",
-            Family.RUNGE_KUTTA_EMBEDDED: "RK",
-        }[self.family]
-        return f"{prefix}{self.order}"
+        return f"{self.family.value}{self.order}"
 
-
-_AB_BETA = {
-    1: [1.0],
-    2: [3.0 / 2.0, -1.0 / 2.0],
-    3: [23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0],
-    4: [55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0],
-}
-
-# (beta_new, history betas); order-p Adams-Moulton keeps r = max(p-1, 1) states
-_AM_BETA = {
-    1: (1.0, [0.0]),
-    2: (1.0 / 2.0, [1.0 / 2.0]),
-    3: (5.0 / 12.0, [8.0 / 12.0, -1.0 / 12.0]),
-    4: (9.0 / 24.0, [19.0 / 24.0, -5.0 / 24.0, 1.0 / 24.0]),
-}
-
-# (beta_new, state alphas)
-_BDF_COEFFS = {
-    1: (1.0, [1.0]),
-    2: (2.0 / 3.0, [4.0 / 3.0, -1.0 / 3.0]),
-    3: (6.0 / 11.0, [18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0]),
-    4: (12.0 / 25.0, [48.0 / 25.0, -36.0 / 25.0, 16.0 / 25.0, -3.0 / 25.0]),
-}
 
 # Heun-Euler 1(2) tableau (c, a)
 _RK12 = ([0.0, 1.0], ((), (1.0,)))
@@ -127,12 +103,28 @@ _RK45 = (
     ),
 )
 
-# order -> (tableau, weights): each embedded pair is two orders over one tableau
-_RK_WEIGHTS = {
-    1: (_RK12, [1.0, 0.0]),
-    2: (_RK12, [0.5, 0.5]),
-    4: (_RK45, [25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0]),
-    5: (
+# (family, order) -> multistep (alpha, beta, beta_new), newest first, with
+# r = len(alpha) steps; or RK (tableau, weights), an embedded pair being two
+# orders over one tableau. Order-p AM keeps r = max(p-1, 1) states.
+_COEFFS = {
+    (_AB, 1): ([1.0], [1.0], 0.0),
+    (_AB, 2): ([1.0, 0.0], [3.0 / 2.0, -1.0 / 2.0], 0.0),
+    (_AB, 3): ([1.0, 0.0, 0.0], [23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0], 0.0),
+    (_AB, 4): ([1.0, 0.0, 0.0, 0.0], [55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0], 0.0),
+    (_AM, 1): ([1.0], [0.0], 1.0),
+    (_AM, 2): ([1.0], [1.0 / 2.0], 1.0 / 2.0),
+    (_AM, 3): ([1.0, 0.0], [8.0 / 12.0, -1.0 / 12.0], 5.0 / 12.0),
+    (_AM, 4): ([1.0, 0.0, 0.0], [19.0 / 24.0, -5.0 / 24.0, 1.0 / 24.0], 9.0 / 24.0),
+    (_BDF, 1): ([1.0], [0.0], 1.0),
+    (_BDF, 2): ([4.0 / 3.0, -1.0 / 3.0], [0.0, 0.0], 2.0 / 3.0),
+    (_BDF, 3): ([18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0], [0.0, 0.0, 0.0], 6.0 / 11.0),
+    (_BDF, 4): (
+        [48.0 / 25.0, -36.0 / 25.0, 16.0 / 25.0, -3.0 / 25.0], [0.0, 0.0, 0.0, 0.0], 12.0 / 25.0
+    ),
+    (_RK, 1): (_RK12, [1.0, 0.0]),
+    (_RK, 2): (_RK12, [0.5, 0.5]),
+    (_RK, 4): (_RK45, [25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0]),
+    (_RK, 5): (
         _RK45,
         [16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0],
     ),
@@ -143,47 +135,19 @@ _SUPPORTED = "AB, AM and BDF orders 1-4; RK orders 1, 2 (Heun-Euler) and 4, 5 (F
 
 def make_method(family: Family, order: int) -> MethodSpec:
     """Build the standard published coefficients for (family, order)."""
-    if family is Family.ADAMS_BASHFORTH and order in _AB_BETA:
-        beta = np.array(_AB_BETA[order])
-        r = order
-        alpha = np.zeros(r)
-        alpha[0] = 1.0
-        return MethodSpec(family=family, order=order, steps=r, alpha=alpha, beta=beta)
-    if family is Family.ADAMS_MOULTON and order in _AM_BETA:
-        beta_new, beta = _AM_BETA[order]
-        r = max(order - 1, 1)
-        alpha = np.zeros(r)
-        alpha[0] = 1.0
-        return MethodSpec(
-            family=family,
-            order=order,
-            steps=r,
-            alpha=alpha,
-            beta=np.array(beta),
-            beta_new=beta_new,
-        )
-    if family is Family.BDF and order in _BDF_COEFFS:
-        beta_new, alpha = _BDF_COEFFS[order]
-        r = order
-        return MethodSpec(
-            family=family,
-            order=order,
-            steps=r,
-            alpha=np.array(alpha),
-            beta=np.zeros(r),
-            beta_new=beta_new,
-        )
-    if family is Family.RUNGE_KUTTA_EMBEDDED and order in _RK_WEIGHTS:
-        (c, a), b = _RK_WEIGHTS[order]
-        return MethodSpec(
-            family=family,
-            order=order,
-            steps=1,
-            rk_c=np.array(c),
-            rk_a=a,
-            rk_b=np.array(b),
-        )
-    raise ValueError(f"unsupported method ({family.value}, order {order}); supported: {_SUPPORTED}")
+    try:
+        coeffs = _COEFFS[family, order]
+    except KeyError:
+        raise ValueError(
+            f"unsupported method ({family.value}, order {order}); supported: {_SUPPORTED}"
+        ) from None
+    if family is _RK:
+        (c, a), b = coeffs
+        return MethodSpec(family, order, 1, rk_c=np.array(c), rk_a=a, rk_b=np.array(b))
+    alpha, beta, beta_new = coeffs
+    return MethodSpec(
+        family, order, len(alpha), alpha=np.array(alpha), beta=np.array(beta), beta_new=beta_new
+    )
 
 
 # --------------------------------------------------------------- batch steps
@@ -247,7 +211,7 @@ def _solve_stage_batch(
 
 
 # AB spec of r steps seeding an AM solve of r steps: both have alpha = (1, 0, ...)
-_AM_SEED = {r: make_method(Family.ADAMS_BASHFORTH, r) for r in _AB_BETA}
+_AM_SEED = {r: make_method(_AB, r) for family, r in _COEFFS if family is _AB}
 
 
 def implicit_step_batch(
@@ -262,7 +226,7 @@ def implicit_step_batch(
     if h == 0.0:
         return states[:, 0].copy()
     const = explicit_step_batch(spec, states, derivs, h)
-    if spec.family is Family.ADAMS_MOULTON:
+    if spec.family is _AM:
         # seed the iteration with the explicit Adams step the buffer supports
         predictor = explicit_step_batch(_AM_SEED[spec.steps], states, derivs, h)
     else:
@@ -311,9 +275,9 @@ def advance_batch(
     ``derivs`` is f of every block (N, r, d), or None for a method whose
     ``reads_derivatives`` is false.
     """
-    if spec.family is Family.ADAMS_BASHFORTH:
+    if spec.family is _AB:
         return explicit_step_batch(spec, states, derivs, h)
-    if spec.family in (Family.ADAMS_MOULTON, Family.BDF):
+    if spec.family in (_AM, _BDF):
         return implicit_step_batch(spec, system, t, states, derivs, h)
     u = states[:, 0]
     return rk_combine_batch(spec, u, rk_stages_batch(spec, system, t, u, h), h)
@@ -328,7 +292,7 @@ def history_derivatives(
     )
 
 
-_STARTUP_RK = make_method(Family.RUNGE_KUTTA_EMBEDDED, 5)
+_STARTUP_RK = make_method(_RK, 5)
 
 
 def startup_states_batch(
@@ -342,7 +306,8 @@ def startup_states_batch(
     step = -h if backward else h
     seq = [np.atleast_2d(np.asarray(u0, dtype=float))]
     for i in range(r - 1):
-        seq.append(advance_batch(_STARTUP_RK, system, t0 + i * step, seq[-1][:, None], None, step))
+        ks = rk_stages_batch(_STARTUP_RK, system, t0 + i * step, seq[-1], step)
+        seq.append(rk_combine_batch(_STARTUP_RK, seq[-1], ks, step))
     if not backward:
         seq.reverse()
     return np.stack(seq, axis=1)

@@ -147,11 +147,11 @@ def initialize(
         raise ValueError(f"prior_mean has shape {prior_mean.shape}; the system has dimension {d}")
     draws = prior_mean[None, :] + np.sqrt(config.initial_variance) * rng.standard_normal((n, d))
     blocks = startup_states_batch(
-        model.system, draws, t_start, config.step, model.steps_required, backward=True
+        model.system, draws, t_start, config.step, model.pair.steps_required, backward=True
     )
     t_start = float(t_start)
     derivatives = None
-    if model.pair.uses_derivatives and not model.system.vectorized:
+    if model.pair.low.reads_derivatives and not model.system.vectorized:
         derivatives = history_derivatives(model.system, blocks, t_start, config.step)
     weights = np.full(n, 1.0 / n)
     return Ensemble(

@@ -46,10 +46,6 @@ class EvolutionObservationModel:
                 f"measurement_var has shape {var.shape}; the observation has {m} components"
             )
 
-    @property
-    def steps_required(self) -> int:
-        return self.pair.steps_required
-
     def observe_newest(self, newest: np.ndarray) -> np.ndarray:
         """Apply the observation map to newest blocks of shape (..., d)."""
         if self.observed_indices is None:

@@ -8,9 +8,10 @@ from typing import List, Sequence, Tuple
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 18, 34, 46
+X_LABEL, Y_LABEL, X_TICKS, Y_TICKS = "t", "value", 6, 5
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
+def _ticks(lo: float, hi: float, count: int) -> List[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
@@ -22,11 +23,7 @@ def _fmt(v: float) -> str:
 
 
 def render_line_plot(
-    title: str,
-    x: Sequence[float],
-    curves: List[Tuple[str, str, Sequence[float]]],
-    x_label: str = "t",
-    y_label: str = "value",
+    title: str, x: Sequence[float], curves: List[Tuple[str, str, Sequence[float]]]
 ) -> str:
     """Render labelled curves [(label, color, values)] over a shared x axis."""
     x = list(map(float, x))
@@ -56,7 +53,7 @@ def render_line_plot(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#888"/>',
     ]
-    for tx in _ticks(x_lo, x_hi, 6):
+    for tx in _ticks(x_lo, x_hi, X_TICKS):
         xp = px(tx)
         parts.append(
             f'<line x1="{xp:.2f}" y1="{MARGIN_T + plot_h}" x2="{xp:.2f}" '
@@ -66,7 +63,7 @@ def render_line_plot(
             f'<text x="{xp:.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
             f'font-size="11" font-family="sans-serif">{_fmt(tx)}</text>'
         )
-    for ty in _ticks(y_lo, y_hi, 5):
+    for ty in _ticks(y_lo, y_hi, Y_TICKS):
         yp = py(ty)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{yp:.2f}" x2="{MARGIN_L}" y2="{yp:.2f}" stroke="#444"/>'
@@ -77,12 +74,12 @@ def render_line_plot(
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{x_label}</text>'
+        f'font-size="12" font-family="sans-serif">{X_LABEL}</text>'
     )
     parts.append(
         f'<text x="16" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">'
-        f"{y_label}</text>"
+        f"{Y_LABEL}</text>"
     )
     for _label, color, values in curves:
         pts = " ".join(f"{px(vx):.2f},{py(float(vy)):.2f}" for vx, vy in zip(x, values))

@@ -194,8 +194,28 @@ def test_stride_controls_observation_count():
     cfg_bad = ExperimentConfig(
         problem="gaussian_decay", pair="AB1-AB2", t_end=0.3, stride=5
     )
-    with pytest.raises(ConfigError, match="stride"):
+    with pytest.raises(ConfigError, match="stride=5; no step would be observed"):
         run_experiment(cfg_bad)
+
+
+def test_stride_must_divide_the_step_count():
+    # 10 steps at stride 3 would observe last at t = 0.9 and stop there
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", stride=3, **FAST)
+    with pytest.raises(ConfigError, match="not a multiple of stride=3") as info:
+        run_experiment(cfg)
+    assert str(info.value).endswith("the last observation would be at t=0.9")
+    _, row = run_experiment(dataclasses.replace(cfg, t_end=0.9))
+    assert row.t_end == 0.9
+
+
+def test_cli_stride_not_dividing_the_span_exits_2(tmp_path, capsys):
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--tend", "1.0",
+        "--stride", "3", "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "the last observation would be at t=0.9" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_emit_outputs_multiple_runs_suffixed(tmp_path):
@@ -399,6 +419,24 @@ def test_cli_sweep_pairs_flag_overrides_config_file(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_file), "--v", "0.1"]) == 0
     table = (tmp_path / "out" / "table.csv").read_text()
     assert "AB1-AB2" in table and "AM1-AM2" not in table
+
+
+def test_cli_sweep_v_flag_overrides_config_file_v0(tmp_path, capsys):
+    cfg_file = tmp_path / "sweep.cfg"
+    cfg_file.write_text(
+        "problem=gaussian_decay\npair=AB1-AB2\nv0=0.5\nnsample=10\nreps=1\ntend=1.0\n"
+        f"outdir={tmp_path / 'out'}\n"
+    )
+
+    def variances():
+        rows = (tmp_path / "out" / "table.csv").read_text().splitlines()[1:]
+        return [row.split(",")[1] for row in rows]
+
+    assert main(["sweep", "--config", str(cfg_file), "--v", "0.1,0.01"]) == 0
+    assert variances() == ["0.1", "0.01"]
+    # without the flag, the file's v0 is the one variance
+    assert main(["sweep", "--config", str(cfg_file)]) == 0
+    assert variances() == ["0.5"]
 
 
 def test_config_file_sets_resampler_and_eps_floor(tmp_path):

@@ -175,7 +175,7 @@ def test_propagate_blocks_rejects_wrong_block_count():
 
 
 def test_uses_derivatives_only_for_adams_pairs():
-    uses = {pair_id: make_pair(pair_id).uses_derivatives for pair_id in PAIR_IDS}
+    uses = {pair_id: make_pair(pair_id).low.reads_derivatives for pair_id in PAIR_IDS}
     assert uses == {
         pair_id: pair_id.startswith(("AB", "AM")) for pair_id in PAIR_IDS
     }

@@ -71,6 +71,26 @@ def test_bdf2_coefficients_from_interpolation():
     assert m.beta_new == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("family,order", list(integrators._COEFFS), ids=str)
+def test_order_conditions_of_every_table_entry(family, order):
+    m = make_method(family, order)
+    if family is RK:
+        # quadrature conditions sum_i b_i c_i^k = 1/(k+1), k < p, and row sums c_i
+        for k in range(order):
+            assert np.dot(m.rk_b, m.rk_c**k) == pytest.approx(1.0 / (k + 1), abs=1e-12), k
+        assert np.allclose([sum(row) for row in m.rk_a], m.rk_c, rtol=0.0, atol=1e-12)
+        return
+    # one step h = 1 from history nodes t = 0, -1, ..., -(r-1) to t = 1 is exact
+    # for u = t^k, u' = k t^(k-1), k <= p
+    nodes = -np.arange(m.steps, dtype=float)
+    assert m.steps == len(m.beta)
+    for k in range(order + 1):
+        u = nodes**k
+        f = k * nodes ** (k - 1) if k else np.zeros_like(nodes)
+        u_new = np.dot(m.alpha, u) + np.dot(m.beta, f) + m.beta_new * k
+        assert u_new == pytest.approx(1.0, abs=1e-12), k
+
+
 @pytest.mark.parametrize("order,steps", [(1, 1), (2, 1), (3, 2), (4, 3)])
 def test_am_step_counts(order, steps):
     assert make_method(AM, order).steps == steps

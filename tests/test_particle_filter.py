@@ -622,7 +622,7 @@ def test_unobserved_steps_shift_the_block_vector(pair_id):
     # stride 2: between observations a step is propagation and innovation
     # only, so every older block of S_{j+1} is the block of S_j one newer
     cfg, model, records, prior = streamed_inputs(pair_id, "multinomial")
-    assert model.steps_required >= 2
+    assert model.pair.steps_required >= 2
     observed = {rec.time_index for rec in records}
     run = list(iter_filter(cfg, model, records, prior, t_start=0.0))
     unobserved = [j for j in range(len(run) - 1) if j + 1 not in observed]

@@ -1,5 +1,6 @@
-"""README.md's python blocks run as written, and its hand-written filter loop
-ends on the same ensemble as `iter_filter`."""
+"""README.md's python blocks run as written, its hand-written filter loop
+ends on the same ensemble as `iter_filter`, and its lists of config keys and
+modules match the package."""
 
 import dataclasses
 import re
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from lmmpf import iter_filter
+from lmmpf.experiment import CONFIG_FIELDS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_blocks_run_and_the_hand_written_loop_matches_iter_filter():
@@ -31,3 +34,15 @@ def test_readme_blocks_run_and_the_hand_written_loop_matches_iter_filter():
         assert (a is None) == (b is None), field.name
         if b is not None:
             assert np.array_equal(a, b), field.name
+
+
+def test_readme_config_keys_are_the_config_fields_in_order():
+    keys = re.search(r"^Config file keys: `([^`]*)`", README.read_text(), flags=re.M).group(1)
+    assert [key.strip() for key in keys.split(",")] == list(CONFIG_FIELDS)
+
+
+def test_readme_layout_lists_every_module():
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.M)
+    listed = re.findall(r"^  (\w+\.py) ", layout.group(1), flags=re.M)
+    modules = sorted(p.name for p in (ROOT / "src" / "lmmpf").glob("*.py"))
+    assert sorted(listed) == [name for name in modules if not name.startswith("_")]
