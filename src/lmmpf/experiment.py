@@ -50,7 +50,7 @@ class ExperimentConfig:
     eps_floor: float = MethodPair.eps_floor
     seed: int = 1234
     replicates: int = 10
-    resampler: str = "multinomial"
+    resampler: str = FilterConfig.resampler
     outdir: str = "results"
 
 
@@ -100,7 +100,11 @@ def _resolve(config: ExperimentConfig):
     t_start = problem.t_span[0]
     t_end = float(config.t_end if config.t_end is not None else problem.t_span[1])
     n_steps = step_count(t_start, t_end, config.step)
-    if n_steps < 1:
+    if n_steps == 0 or t_end < t_start:
+        raise ConfigError(
+            f"t_end={t_end} must lie at least one step of h={config.step} after the start {t_start}"
+        )
+    if n_steps < 0:
         raise ConfigError(
             f"t_end={t_end} is not an integral number of steps of h={config.step} from {t_start}"
         )

@@ -8,6 +8,7 @@ re-seeded from the same accepted state each step, so the discrepancy is a
 per-step (local) quantity.
 """
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -61,33 +62,19 @@ class MethodPair:
         return f"{self.low.label}-{self.high.label}"
 
 
-_PAIR_DEFS = {
-    "AB1-AB2": (Family.ADAMS_BASHFORTH, 1, 2),
-    "AB3-AB4": (Family.ADAMS_BASHFORTH, 3, 4),
-    "AM1-AM2": (Family.ADAMS_MOULTON, 1, 2),
-    "AM3-AM4": (Family.ADAMS_MOULTON, 3, 4),
-    "BDF1-BDF2": (Family.BDF, 1, 2),
-    "BDF3-BDF4": (Family.BDF, 3, 4),
-    "RK1-RK2": (Family.RUNGE_KUTTA_EMBEDDED, 1, 2),
-    "RK4-RK5": (Family.RUNGE_KUTTA_EMBEDDED, 4, 5),
-}
-
-PAIR_IDS = tuple(_PAIR_DEFS)
+PAIR_IDS = (
+    "AB1-AB2", "AB3-AB4", "AM1-AM2", "AM3-AM4", "BDF1-BDF2", "BDF3-BDF4", "RK1-RK2", "RK4-RK5"
+)
 
 
 def make_pair(
     pair_id: str, tau: float = MethodPair.tau, eps_floor: float = MethodPair.eps_floor
 ) -> MethodPair:
-    """Build a method pair from its identifier (e.g. 'AB1-AB2')."""
-    try:
-        family, lo, hi = _PAIR_DEFS[pair_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown method pair {pair_id!r}; valid pairs: {', '.join(PAIR_IDS)}"
-        ) from None
-    return MethodPair(
-        low=make_method(family, lo), high=make_method(family, hi), tau=tau, eps_floor=eps_floor
-    )
+    """Build a method pair from its identifier, the labels of its members (e.g. 'AB1-AB2')."""
+    if pair_id not in PAIR_IDS:
+        raise ValueError(f"unknown method pair {pair_id!r}; valid pairs: {', '.join(PAIR_IDS)}")
+    low, high = (make_method(Family(f), int(p)) for f, p in re.findall(r"([A-Z]+)(\d+)", pair_id))
+    return MethodPair(low=low, high=high, tau=tau, eps_floor=eps_floor)
 
 
 def innovation_covariance(u_low: np.ndarray, u_high: np.ndarray, tau: float) -> np.ndarray:

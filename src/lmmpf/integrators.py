@@ -10,7 +10,7 @@ a forward-difference Jacobian: about three rhs calls for a smooth step.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -54,27 +54,32 @@ SOLVE_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One integrator: family, order p, step count r, and coefficients.
+    """One integrator: family, order p and coefficients.
 
     Multistep update (newest history entry first):
 
         u_{j+1} = sum_i alpha[i] u_{j-i}
                   + h * (beta_new f(t_{j+1}, u_{j+1}) + sum_i beta[i] f(t_{j-i}, u_{j-i}))
 
-    An embedded RK method uses its Butcher tableau (``rk_c``, ``rk_a``), which
-    it shares with the partner of its pair, and its own weights ``rk_b``; its
-    ``alpha`` and ``beta`` are None.
+    Its step count r, ``steps``, is ``len(alpha)``. An embedded RK method uses
+    its Butcher tableau (``rk_c``, ``rk_a``), which it shares with the partner
+    of its pair, and its own weights ``rk_b``; its ``alpha`` and ``beta`` are
+    None and it has one step.
     """
 
     family: Family
     order: int
-    steps: int
+    steps: int = field(init=False)
     alpha: Optional[np.ndarray] = None
     beta: Optional[np.ndarray] = None
     beta_new: float = 0.0
     rk_c: Optional[np.ndarray] = None
     rk_a: Optional[Tuple[Tuple[float, ...], ...]] = None
     rk_b: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        # a field, not a property: the filter reads it several times per step
+        object.__setattr__(self, "steps", 1 if self.family is _RK else len(self.alpha))
 
     @property
     def reads_derivatives(self) -> bool:
@@ -130,24 +135,22 @@ _COEFFS = {
     ),
 }
 
-_SUPPORTED = "AB, AM and BDF orders 1-4; RK orders 1, 2 (Heun-Euler) and 4, 5 (Fehlberg)"
-
 
 def make_method(family: Family, order: int) -> MethodSpec:
     """Build the standard published coefficients for (family, order)."""
     try:
         coeffs = _COEFFS[family, order]
     except KeyError:
+        name = family.value if isinstance(family, Family) else repr(family)
+        supported = ", ".join(f"{f.value}{p}" for f, p in _COEFFS)
         raise ValueError(
-            f"unsupported method ({family.value}, order {order}); supported: {_SUPPORTED}"
+            f"unsupported method ({name}, order {order}); supported: {supported}"
         ) from None
     if family is _RK:
         (c, a), b = coeffs
-        return MethodSpec(family, order, 1, rk_c=np.array(c), rk_a=a, rk_b=np.array(b))
+        return MethodSpec(family, order, rk_c=np.array(c), rk_a=a, rk_b=np.array(b))
     alpha, beta, beta_new = coeffs
-    return MethodSpec(
-        family, order, len(alpha), alpha=np.array(alpha), beta=np.array(beta), beta_new=beta_new
-    )
+    return MethodSpec(family, order, alpha=np.array(alpha), beta=np.array(beta), beta_new=beta_new)
 
 
 # --------------------------------------------------------------- batch steps

@@ -67,41 +67,26 @@ class ObservationRecord:
     value: np.ndarray
 
 
+def _vectorized_problem(name: str, rhs: Callable, exact: Callable) -> TestProblem:
+    """Problem ``name`` with a vectorized rhs on [0, 5], started on its exact solution."""
+    x0 = exact(0.0)
+    system = OdeSystem(dimension=len(x0), rhs=rhs, vectorized=True, name=name)
+    return TestProblem(system, x0, (0.0, 5.0), exact_solution=exact, name=name)
+
+
 def smooth_problem() -> TestProblem:
     """Scalar problem x' = cos^2(x), x(0) = 0, with exact solution arctan(t)."""
-
-    def rhs(t, u, params):
-        return np.cos(u) ** 2
-
-    def exact(t):
-        return np.array([np.arctan(t)])
-
-    system = OdeSystem(dimension=1, rhs=rhs, vectorized=True, name="smooth")
-    return TestProblem(
-        system=system,
-        initial_state=np.array([0.0]),
-        t_span=(0.0, 5.0),
-        exact_solution=exact,
-        name="smooth",
+    return _vectorized_problem(
+        "smooth", lambda t, u, params: np.cos(u) ** 2, lambda t: np.array([np.arctan(t)])
     )
 
 
 def gaussian_decay_problem() -> TestProblem:
     """Scalar problem x' = -2(t-1)x, x(0) = 1, with exact solution exp(-t(t-2))."""
-
-    def rhs(t, u, params):
-        return -2.0 * (t - 1.0) * u
-
-    def exact(t):
-        return np.array([np.exp(-t * (t - 2.0))])
-
-    system = OdeSystem(dimension=1, rhs=rhs, vectorized=True, name="gaussian_decay")
-    return TestProblem(
-        system=system,
-        initial_state=np.array([1.0]),
-        t_span=(0.0, 5.0),
-        exact_solution=exact,
-        name="gaussian_decay",
+    return _vectorized_problem(
+        "gaussian_decay",
+        lambda t, u, params: -2.0 * (t - 1.0) * u,
+        lambda t: np.array([np.exp(-t * (t - 2.0))]),
     )
 
 

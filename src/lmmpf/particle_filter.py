@@ -11,8 +11,8 @@ next travel in the ensemble only.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
-then per step the resampling uniforms (N for multinomial, 1 for systematic,
-none between observations) followed by one (N, d) innovation normal block.
+then per step the resampler's uniforms (see `RESAMPLERS`; none between
+observations) followed by one (N, d) innovation normal block.
 All operations return new ensembles and never write to their inputs. To
 avoid copies, an ensemble may hold the very arrays it was built from (the
 predictors of one step are shared by its resampled and its innovated
@@ -38,7 +38,12 @@ from .integrators import history_derivatives, startup_states_batch, step_count
 from .ode_models import ObservationRecord, OdeSystem
 from .state_space import EvolutionObservationModel
 
-RESAMPLERS = ("multinomial", "systematic")
+# Resampler name -> its n ancestor uniforms in [0, 1): n independent draws,
+# or one draw shifting a regular grid. The first entry is the default.
+RESAMPLERS = {
+    "multinomial": lambda rng, n: rng.random(n),
+    "systematic": lambda rng, n: (rng.random() + np.arange(n)) / n,
+}
 
 
 class LikelihoodUnderflowError(RuntimeError):
@@ -112,7 +117,7 @@ class FilterConfig:
     initial_variance: float
     step: float
     pair: MethodPair
-    resampler: str = "multinomial"
+    resampler: str = next(iter(RESAMPLERS))
     seed: int = 0
 
     def __post_init__(self):
@@ -123,7 +128,7 @@ class FilterConfig:
         if not 0.0 < self.step < np.inf:
             raise ValueError("step must be positive and finite")
         if self.resampler not in RESAMPLERS:
-            raise ValueError(f"resampler must be one of {RESAMPLERS}")
+            raise ValueError(f"resampler must be one of {tuple(RESAMPLERS)}")
 
 
 def initialize(
@@ -206,15 +211,9 @@ def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _resample_indices(
     fitness: np.ndarray, rng: np.random.Generator, resampler: str
 ) -> np.ndarray:
-    n = fitness.shape[0]
-    cum = np.cumsum(fitness)
-    if resampler == "multinomial":
-        us = rng.random(n)
-    elif resampler == "systematic":
-        us = (rng.random() + np.arange(n)) / n
-    else:
-        raise ValueError(f"resampler must be one of {RESAMPLERS}")
-    return inverse_cdf_indices(cum, us)
+    if resampler not in RESAMPLERS:
+        raise ValueError(f"resampler must be one of {tuple(RESAMPLERS)}")
+    return inverse_cdf_indices(np.cumsum(fitness), RESAMPLERS[resampler](rng, fitness.shape[0]))
 
 
 def _log_likelihood(
@@ -236,7 +235,7 @@ def survival_of_the_fittest(
     model: EvolutionObservationModel,
     rng: np.random.Generator,
     *,
-    resampler: str = "multinomial",
+    resampler: str = FilterConfig.resampler,
 ) -> Ensemble:
     """Resample particles with replacement by normalized predictor fitness.
 

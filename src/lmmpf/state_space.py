@@ -4,7 +4,7 @@ The r most recent states of a multistep scheme are stacked into one block
 vector, turning the r-step recursion into a first-order Markov transition.
 Each step adds one entry, the newest block: the low-order step of the pair
 (`homec.propagate_blocks`) plus the innovation. The older blocks shift back
-by one and the oldest drops out; that shift lives in one place,
+by one and the oldest drops out; the filter's shift lives in one place,
 `particle_filter.innovation_step`.
 """
 

@@ -40,6 +40,31 @@ def test_run_experiment_rejects_fractional_span():
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_run_experiment_rejects_a_span_without_a_step(t_end):
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=t_end)
+    with pytest.raises(ConfigError, match="must lie at least one step of h=0.1 after the start"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "tend, message",
+    [
+        ("0", "t_end=0.0 must lie at least one step of h=0.1 after the start 0.0"),
+        ("-1", "t_end=-1.0 must lie at least one step of h=0.1 after the start 0.0"),
+        ("0.05", "t_end=0.05 is not an integral number of steps of h=0.1 from 0.0"),
+    ],
+)
+def test_cli_span_without_a_whole_step_exits_2(tend, message, tmp_path, capsys):
+    code = main([
+        "run", "--problem", "smooth", "--pair", "AB1-AB2", "--tend", tend,
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
 @pytest.mark.parametrize(
     "kw,msg",
     [

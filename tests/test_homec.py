@@ -74,6 +74,13 @@ def test_pair_registry_ids():
         make_pair("AB2-AB3")
 
 
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_every_pair_id_builds_the_pair_it_names(pair_id):
+    pair = make_pair(pair_id)
+    assert pair.label == pair_id
+    assert pair.low.family is pair.high.family
+
+
 def test_pair_validation():
     with pytest.raises(ValueError, match="tau"):
         make_pair("AB1-AB2", tau=1.0)

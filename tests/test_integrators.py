@@ -9,6 +9,7 @@ from lmmpf.integrators import (
     ColdHistoryError,
     Family,
     ImplicitSolveError,
+    MethodSpec,
     advance_batch,
     explicit_step_batch,
     history_derivatives,
@@ -96,10 +97,26 @@ def test_am_step_counts(order, steps):
     assert make_method(AM, order).steps == steps
 
 
-@pytest.mark.parametrize("family,order", [(AB, 5), (AM, 0), (BDF, 7), (RK, 3)])
+# "AB" is the label prefix Family.ADAMS_BASHFORTH.value, not a family
+@pytest.mark.parametrize("family,order", [(AB, 5), (AM, 0), (BDF, 7), (RK, 3), ("AB", 1)])
 def test_unsupported_methods_listed(family, order):
-    with pytest.raises(ValueError, match="supported"):
+    with pytest.raises(ValueError, match="supported: AB1, "):
         make_method(family, order)
+
+
+@pytest.mark.parametrize("family,order", list(integrators._COEFFS), ids=str)
+def test_every_table_entry_derives_its_step_count_and_is_listed_as_supported(family, order):
+    m = make_method(family, order)
+    assert m.steps == (1 if family is RK else len(m.alpha))
+    with pytest.raises(ValueError) as info:
+        make_method(family, 99)
+    assert m.label in str(info.value).split("supported: ")[1].split(", ")
+
+
+def test_method_spec_steps_is_not_an_argument():
+    with pytest.raises(TypeError, match="steps"):
+        MethodSpec(AB, 2, steps=3, alpha=np.ones(2), beta=np.ones(2))
+    assert MethodSpec(AB, 2, alpha=np.ones(2), beta=np.ones(2)).steps == 2
 
 
 # ------------------------------------------------------------ explicit steps

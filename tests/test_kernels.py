@@ -154,7 +154,7 @@ def test_multistep_combine_parity(rng):
     derivs = rng.normal(size=(40, 3, 2))
     alpha = rng.normal(size=3)
     beta = rng.normal(size=3)
-    spec = MethodSpec(Family.ADAMS_BASHFORTH, order=3, steps=3, alpha=alpha, beta=beta)
+    spec = MethodSpec(Family.ADAMS_BASHFORTH, order=3, alpha=alpha, beta=beta)
     a = explicit_step_batch(spec, states, derivs, 0.1)
     ref = np.einsum("i,nid->nd", alpha, states) + 0.1 * np.einsum("i,nid->nd", beta, derivs)
     assert np.allclose(a, ref, rtol=1e-12, atol=1e-14)

@@ -8,6 +8,7 @@ from lmmpf.homec import make_pair
 from lmmpf.metrics import ensemble_mean, sample_variance
 from lmmpf.ode_models import ObservationRecord, gaussian_decay_problem, smooth_problem
 from lmmpf.particle_filter import (
+    RESAMPLERS,
     Ensemble,
     FilterConfig,
     LikelihoodUnderflowError,
@@ -496,6 +497,25 @@ def test_run_filter_rejects_config_pair_other_than_model_pair(other):
     cfg = replace(cfg, pair=make_pair(other[0], **other[1]))
     with pytest.raises(ValueError, match=f"pair .*{other[0]}.* model's pair .*AB3-AB4"):
         run_filter(cfg, model, records, prior, t_start=0.0)
+
+
+@pytest.mark.parametrize("name", list(RESAMPLERS))
+def test_every_resampler_draws_n_uniforms_in_the_unit_interval(name):
+    us = RESAMPLERS[name](np.random.default_rng(3), 50)
+    assert us.shape == (50,)
+    assert np.all((0.0 <= us) & (us < 1.0))
+
+
+def test_systematic_resampler_draws_once_for_one_uniform_per_stratum():
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    us = RESAMPLERS["systematic"](rng, 8)
+    assert np.array_equal(np.floor(us * 8), np.arange(8))
+    twin.random()
+    assert rng.random() == twin.random()
+
+
+def test_default_resampler_is_multinomial():
+    assert FilterConfig.resampler == "multinomial"
 
 
 def test_run_filter_systematic_resampler():

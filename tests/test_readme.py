@@ -1,6 +1,6 @@
 """README.md's python blocks run as written, its hand-written filter loop
-ends on the same ensemble as `iter_filter`, and its lists of config keys and
-modules match the package."""
+ends on the same ensemble as `iter_filter`, and its lists of built-in
+catalogues, config keys and modules match the package."""
 
 import dataclasses
 import re
@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lmmpf import iter_filter
+from lmmpf import PAIR_IDS, PROBLEMS, iter_filter
 from lmmpf.experiment import CONFIG_FIELDS
+from lmmpf.particle_filter import RESAMPLERS
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -39,6 +40,18 @@ def test_readme_blocks_run_and_the_hand_written_loop_matches_iter_filter():
 def test_readme_config_keys_are_the_config_fields_in_order():
     keys = re.search(r"^Config file keys: `([^`]*)`", README.read_text(), flags=re.M).group(1)
     assert [key.strip() for key in keys.split(",")] == list(CONFIG_FIELDS)
+
+
+def test_readme_built_ins_are_the_problems_pairs_and_resamplers():
+    line = re.search(
+        r"^Built-in problems: `([^`]*)`; method pairs: `([^`]*)`; resamplers: `([^`]*)`\.$",
+        README.read_text(),
+        flags=re.M,
+    )
+    problems, pairs, resamplers = ([n.strip() for n in g.split(",")] for g in line.groups())
+    assert problems == sorted(PROBLEMS)
+    assert pairs == list(PAIR_IDS)
+    assert resamplers == list(RESAMPLERS)
 
 
 def test_readme_layout_lists_every_module():
