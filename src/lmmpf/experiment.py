@@ -8,7 +8,7 @@ variances and collect the rows into the results table.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,11 +76,7 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 
 def _resolve(config: ExperimentConfig):
-    try:
-        problem = get_problem(config.problem)
-        pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times)."""
     if config.stride < 1:
         raise ConfigError("stride must be >= 1")
     if config.replicates < 1:
@@ -93,10 +89,14 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("v0 must be positive and finite")
     if not 0 < config.step < np.inf:
         raise ConfigError("dt must be positive and finite")
-    if config.resampler not in RESAMPLERS:
-        raise ConfigError(
-            f"unknown resampler {config.resampler!r}; valid resamplers: {', '.join(RESAMPLERS)}"
+    try:
+        problem = get_problem(config.problem)
+        pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
+        fconfig = FilterConfig(
+            config.n_particles, config.initial_variance, config.step, pair, config.resampler
         )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     t_start = problem.t_span[0]
     t_end = float(config.t_end if config.t_end is not None else problem.t_span[1])
     n_steps = step_count(t_start, t_end, config.step)
@@ -116,9 +116,10 @@ def _resolve(config: ExperimentConfig):
             + (ending if last else "no step would be observed")
         )
     obs_steps = list(range(config.stride, n_steps + 1, config.stride))
+    obs_times = [t_start + k * config.step for k in obs_steps]
     meas_var = np.array([max(config.noise_stddev**2, MIN_MEASUREMENT_VAR)])
     model = EvolutionObservationModel(system=problem.system, pair=pair, measurement_var=meas_var)
-    return problem, model, t_start, t_end, obs_steps
+    return problem, model, fconfig, t_start, t_end, obs_steps, obs_times
 
 
 def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
@@ -127,20 +128,12 @@ def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
 
 
 def _run_resolved(config: ExperimentConfig, resolved, replicate: int) -> RunDiagnostics:
-    problem, model, t_start, _, obs_steps = resolved
-    times = [t_start + k * config.step for k in obs_steps]
+    problem, model, fconfig, t_start, _, obs_steps, obs_times = resolved
     obs_rng = np.random.default_rng(_sub_seed(config.seed, replicate, 0))
     records = synthesize_observations(
-        problem, times, config.noise_stddev, obs_rng, time_indices=obs_steps
+        problem, obs_times, config.noise_stddev, obs_rng, time_indices=obs_steps
     )
-    fconfig = FilterConfig(
-        n_particles=config.n_particles,
-        initial_variance=config.initial_variance,
-        step=config.step,
-        pair=model.pair,
-        resampler=config.resampler,
-        seed=_sub_seed(config.seed, replicate, 1),
-    )
+    fconfig = replace(fconfig, seed=_sub_seed(config.seed, replicate, 1))
     run = iter_filter(fconfig, model, records, problem.initial_state, t_start=t_start)
     return diagnostics(run, problem.exact_solution)
 
@@ -158,7 +151,7 @@ def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], Tabl
         variance_2norm=float(np.mean(variances)),
         error_band=(float(np.min(errs)), float(np.max(errs))),
         variance_band=(float(np.min(variances)), float(np.max(variances))),
-        t_end=resolved[3],
+        t_end=resolved[4],
         replicates=config.replicates,
     )
     return diags, row
@@ -185,12 +178,13 @@ def run_sweep(
     return table
 
 
-def _write(path: str, text: str):
+def _write(path: str, text: str) -> str:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed to write {path}: {exc}") from exc
+    return path
 
 
 def emit_outputs(
@@ -198,49 +192,31 @@ def emit_outputs(
 ) -> List[str]:
     """Write table.csv plus per-run trajectory.csv / plot.svg; returns paths."""
     os.makedirs(output_dir, exist_ok=True)
-    manifest = []
+    return [
+        _write(os.path.join(output_dir, name), text) for name, text in _output_files(table, diags)
+    ]
+
+
+def _output_files(table: ResultsTable, diags: Sequence[RunDiagnostics]):
+    """(file name, text) of each output in write order; a text is made when it is asked for."""
     lines = ["pair,V,err_inf,var_2norm,err_band_lo,err_band_hi"]
     for row in table.rows:
-        lines.append(
-            f"{row.pair_id},{row.initial_variance:.6g},{row.error_inf_norm:.6g},"
-            f"{row.variance_2norm:.6g},{row.error_band[0]:.6g},{row.error_band[1]:.6g}"
-        )
-    table_path = os.path.join(output_dir, "table.csv")
-    _write(table_path, "\n".join(lines) + "\n")
-    manifest.append(table_path)
-    multiple = len(diags) > 1
+        values = (row.initial_variance, row.error_inf_norm, row.variance_2norm, *row.error_band)
+        lines.append(",".join([row.pair_id] + [f"{v:.6g}" for v in values]))
+    yield "table.csv", "\n".join(lines) + "\n"
     for i, diag in enumerate(diags):
-        suffix = f"_{i:02d}" if multiple else ""
-        traj_path = os.path.join(output_dir, f"trajectory{suffix}.csv")
-        manifest.append(traj_path)
-        _write(traj_path, _trajectory_csv(diag))
-        plot_path = os.path.join(output_dir, f"plot{suffix}.svg")
-        manifest.append(plot_path)
-        _write(plot_path, _trajectory_svg(diag, f"filter run{suffix.replace('_', ' ')}"))
-    return manifest
+        suffix = f"_{i:02d}" if len(diags) > 1 else ""
+        yield f"trajectory{suffix}.csv", _trajectory_csv(diag)
+        yield f"plot{suffix}.svg", _trajectory_svg(diag, f"filter run{suffix.replace('_', ' ')}")
 
 
 def _trajectory_csv(diag: RunDiagnostics) -> str:
+    names = ("mean", "exact", "abs_error", "variance")
+    values = (diag.ensemble_means, diag.exact_values, diag.absolute_errors, diag.sample_variances)
     d = diag.ensemble_means.shape[1]
-    if d == 1:
-        header = "t,mean,exact,abs_error,variance"
-    else:
-        cols = [
-            ",".join(f"{name}_{k}" for k in range(d))
-            for name in ("mean", "exact", "abs_error", "variance")
-        ]
-        header = "t," + ",".join(cols)
-    lines = [header]
-    for i, t in enumerate(diag.times):
-        fields = [f"{t:.17g}"]
-        for arr in (
-            diag.ensemble_means,
-            diag.exact_values,
-            diag.absolute_errors,
-            diag.sample_variances,
-        ):
-            fields.extend(f"{v:.17g}" for v in arr[i])
-        lines.append(",".join(fields))
+    header = ["t"] + [name if d == 1 else f"{name}_{k}" for name in names for k in range(d)]
+    rows = np.column_stack([diag.times, *values])
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

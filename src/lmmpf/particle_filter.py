@@ -46,19 +46,24 @@ RESAMPLERS = {
 }
 
 
+def _check_resampler(name: str):
+    if name not in RESAMPLERS:
+        raise ValueError(f"unknown resampler {name!r}; valid resamplers: {', '.join(RESAMPLERS)}")
+
+
 class LikelihoodUnderflowError(RuntimeError):
     """No particle gives the observation a positive weight.
 
     ``time_index`` is the filter step that assimilates the observation,
     ``time`` the observation time and ``max_log_value`` the largest log
     fitness (resampling) or log likelihood ratio (reweighting), which is
-    -inf or nan.
+    -inf or nan. The message blames ``non_finite`` rows, if given, not the observation.
     """
 
-    def __init__(self, time_index: int, time: float, max_log_value: float):
+    def __init__(self, time_index: int, time: float, max_log_value: float, non_finite=""):
         super().__init__(
             f"likelihood underflow at step {time_index} (t={time:g}): largest log value "
-            f"{max_log_value}; observation inconsistent with ensemble"
+            f"{max_log_value}; {non_finite or 'observation inconsistent with ensemble'}"
         )
         self.time_index = time_index
         self.time = time
@@ -127,8 +132,7 @@ class FilterConfig:
             raise ValueError("initial_variance must be positive and finite")
         if not 0.0 < self.step < np.inf:
             raise ValueError("step must be positive and finite")
-        if self.resampler not in RESAMPLERS:
-            raise ValueError(f"resampler must be one of {tuple(RESAMPLERS)}")
+        _check_resampler(self.resampler)
 
 
 def initialize(
@@ -185,11 +189,15 @@ def _require_propagated(ensemble: Ensemble, stage: str):
         )
 
 
-def _normalized_weights(log_values: np.ndarray, time_index: int, time: float) -> np.ndarray:
-    """Normalized exp(log_values), or `LikelihoodUnderflowError` if the largest is not finite."""
+def _normalized_weights(
+    log_values: np.ndarray, time_index: int, time: float, rows: np.ndarray, name: str
+) -> np.ndarray:
+    """Normalized exp(log_values), or `LikelihoodUnderflowError` counting non-finite ``rows``."""
     m = np.max(log_values)
     if not np.isfinite(m):
-        raise LikelihoodUnderflowError(time_index, time, float(m))
+        bad = np.count_nonzero(~np.isfinite(rows).all(axis=1))
+        non_finite = f"{bad} of {len(rows)} {name} hold nan or inf" if bad else ""
+        raise LikelihoodUnderflowError(time_index, time, float(m), non_finite)
     w = np.exp(log_values - m)
     return w / np.sum(w)
 
@@ -211,8 +219,7 @@ def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _resample_indices(
     fitness: np.ndarray, rng: np.random.Generator, resampler: str
 ) -> np.ndarray:
-    if resampler not in RESAMPLERS:
-        raise ValueError(f"resampler must be one of {tuple(RESAMPLERS)}")
+    _check_resampler(resampler)
     return inverse_cdf_indices(np.cumsum(fitness), RESAMPLERS[resampler](rng, fitness.shape[0]))
 
 
@@ -248,7 +255,9 @@ def survival_of_the_fittest(
     loglik = _log_likelihood(model, observation, ensemble.predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
-    fitness = _normalized_weights(log_fitness, ensemble.time_index + 1, observation.time)
+    fitness = _normalized_weights(
+        log_fitness, ensemble.time_index + 1, observation.time, ensemble.predictors, "predictors"
+    )
     idx = _resample_indices(fitness, rng, resampler)
 
     def gather(rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -312,7 +321,9 @@ def weight_update(
         )
     ll_state = _log_likelihood(model, observation, ensemble.newest)
     log_ratio = ll_state - ensemble.predictor_loglik
-    weights = _normalized_weights(log_ratio, ensemble.time_index, observation.time)
+    weights = _normalized_weights(
+        log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
+    )
     return replace(ensemble, weights=weights)
 
 

@@ -537,8 +537,9 @@ def test_each_setting_is_a_flag_parsed_like_its_file_value(key, tmp_path):
         ("--seed", "1.5", "config key seed: cannot parse '1.5'"),
         ("--tend", "x", "config key tend: cannot parse 'x'"),
         ("--resampler", "bogus", "unknown resampler 'bogus'; valid resamplers"),
+        ("--stride", "0", "stride must be >= 1"),
     ],
-    ids=["nsample", "seed", "tend", "resampler"],
+    ids=["nsample", "seed", "tend", "resampler", "stride"],
 )
 def test_cli_bad_flag_value_is_config_error_naming_the_key(flag, text, message, tmp_path, capsys):
     code = main([
@@ -581,3 +582,35 @@ def test_cli_sweep_success(tmp_path, capsys):
 
 def test_cli_sweep_missing_v(capsys):
     assert main(["sweep", "--problem", "smooth", "--pairs", "AB1-AB2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--pairs", "AB1-AB2", "--v", "0.1"], "sweep needs --problem"),
+        (["sweep", "--problem", "smooth", "--v", "0.1"], "sweep needs --pairs"),
+        (
+            ["sweep", "--problem", "smooth", "--pairs", "AB1-AB2", "--v", "0.1,x"],
+            "cannot parse variances '0.1,x'",
+        ),
+        (["run", "--config", "{cfg}"], "{cfg}:2: expected key=value, got 'pair AB1-AB2'"),
+    ],
+    ids=["sweep-no-problem", "sweep-no-pairs", "sweep-bad-v", "config-line-without-equals"],
+)
+def test_cli_usage_error_exits_2_with_its_message(args, message, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem=gaussian_decay\npair AB1-AB2\n")
+    args = [a.format(cfg=cfg) for a in args] + ["--outdir", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert f"config error: {message.format(cfg=cfg)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_write_failure_exits_1_naming_the_file(tmp_path, capsys):
+    (tmp_path / "table.csv").mkdir()
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--nsample", "10",
+        "--reps", "1", "--tend", "1.0", "--outdir", str(tmp_path),
+    ])
+    assert code == 1
+    assert f"error: failed to write {tmp_path / 'table.csv'}: " in capsys.readouterr().err

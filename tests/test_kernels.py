@@ -54,7 +54,7 @@ def test_gaussian_logpdf_reference(rng):
 
 def test_normalize_log_weights_parity(rng):
     logw = rng.normal(size=200) * 50.0
-    a = _normalized_weights(logw, 0, 0.0)
+    a = _normalized_weights(logw, 0, 0.0, np.zeros((logw.size, 1)), "states")
     m = max(logw)
     b = [math.exp(x - m) for x in logw]
     total = math.fsum(b)
@@ -64,7 +64,7 @@ def test_normalize_log_weights_parity(rng):
 
 def test_normalize_log_weights_extreme():
     logw = np.array([-1e308, 0.0, -1e308])
-    out = _normalized_weights(logw, 0, 0.0)
+    out = _normalized_weights(logw, 0, 0.0, np.zeros((3, 1)), "states")
     assert out[1] == pytest.approx(1.0)
 
 

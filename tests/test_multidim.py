@@ -7,7 +7,7 @@ from lmmpf.experiment import ResultsTable, emit_outputs
 from lmmpf.homec import make_pair
 from lmmpf.integrators import Family, integrate_problem, make_method
 from lmmpf.metrics import diagnostics, ensemble_mean
-from lmmpf.ode_models import ObservationRecord, OdeSystem, TestProblem
+from lmmpf.ode_models import ObservationRecord, OdeSystem, TestProblem, synthesize_observations
 from lmmpf.particle_filter import FilterConfig, run_filter
 from lmmpf.state_space import EvolutionObservationModel
 
@@ -63,6 +63,28 @@ def test_filter_two_components_partial_observation():
     assert d.ensemble_means.shape == (21, 2)
     # both components stay near the truth; the unobserved one leans on the prior
     assert d.error_inf_norm < 0.2
+
+
+def test_synthesized_partial_observations_feed_a_partial_observation_model():
+    p = two_state_problem()
+    times = [0.1 * k for k in range(1, 11)]
+    records = synthesize_observations(p, times, 0.0, np.random.default_rng(0), observed_indices=[0])
+    assert [r.value.shape for r in records] == [(1,)] * len(times)
+    for rec, t in zip(records, times):
+        assert np.array_equal(rec.value, p.exact_solution(t)[[0]])
+    # the noise is drawn for the selected component only
+    noisy = synthesize_observations(p, times, 0.1, np.random.default_rng(1), observed_indices=[0])
+    draws = 0.1 * np.random.default_rng(1).standard_normal((len(times), 1))
+    assert np.allclose([r.value for r in noisy], [r.value + e for r, e in zip(records, draws)])
+    model = EvolutionObservationModel(
+        system=p.system,
+        pair=make_pair("AB1-AB2"),
+        measurement_var=np.array([1e-2]),
+        observed_indices=[0],
+    )
+    cfg = FilterConfig(n_particles=40, initial_variance=1e-4, step=0.1, pair=model.pair, seed=2)
+    run = run_filter(cfg, model, noisy, p.initial_state, t_start=0.0)
+    assert len(run) == 11 and run[-1].states.shape == (40, 2, 2)
 
 
 def test_trajectory_csv_multidim_columns(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from lmmpf.ode_models import (
     ObservationRecord,
+    TestProblem,
     gaussian_decay_problem,
     get_problem,
     smooth_problem,
@@ -40,6 +41,15 @@ def test_exact_solution_satisfies_ode(name):
 def test_exact_matches_initial_state(name):
     p = get_problem(name)
     assert np.allclose(p.exact_solution(p.t_span[0]), p.initial_state, atol=1e-12)
+
+
+def test_problem_rejects_an_exact_solution_that_misses_the_initial_state():
+    p = gaussian_decay_problem()
+    with pytest.raises(ValueError, match=r"exact_solution\(t_start\) does not match initial_state"):
+        TestProblem(p.system, np.array([1.5]), p.t_span, exact_solution=p.exact_solution)
+    # within the 1e-12 tolerance, and without an exact solution, it is accepted
+    TestProblem(p.system, np.array([1.0 + 1e-13]), p.t_span, exact_solution=p.exact_solution)
+    TestProblem(p.system, np.array([1.5]), p.t_span)
 
 
 def test_registry_rejects_unknown():

@@ -179,6 +179,7 @@ def test_survival_underflow_names_step_time_and_log_fitness():
     assert not np.isfinite(err.max_log_value)
     assert "step 1" in str(err) and "t=0.1" in str(err)
     assert str(err.max_log_value) in str(err)
+    assert "observation inconsistent with ensemble" in str(err)
 
 
 def test_weight_update_underflow_names_step_time_and_log_ratio():
@@ -195,6 +196,65 @@ def test_weight_update_underflow_names_step_time_and_log_ratio():
     assert (err.time_index, err.time) == (3, 0.3)
     assert not np.isfinite(err.max_log_value)
     assert "step 3" in str(err) and "t=0.3" in str(err)
+    # -inf - (-inf) is nan, but no state is: the observation is to blame
+    assert "observation inconsistent with ensemble" in str(err)
+
+
+def test_non_finite_predictors_are_named_instead_of_the_observation():
+    # gaussian_decay whose rhs breaks down above u = 1.45: the prior draws
+    # beyond it get nan histories and so nan predictors at the first step
+    p = gaussian_decay_problem()
+    system = OdeSystem(
+        dimension=1,
+        rhs=lambda t, u, params: np.where(u > 1.45, np.nan, -2.0 * (t - 1.0) * u),
+        vectorized=True,
+    )
+    model = make_model("AB1-AB2", system=system, var=0.27**2)
+    cfg = FilterConfig(n_particles=150, initial_variance=0.1, step=0.1, pair=model.pair, seed=0)
+    records = [
+        ObservationRecord(time_index=k, time=0.1 * k, value=p.exact_solution(0.1 * k))
+        for k in range(1, 11)
+    ]
+    rng = np.random.default_rng(cfg.seed)
+    start = initialize(cfg, p.initial_state, rng, model=model, t_start=0.0)
+    predictors = propagate_ensemble(start, model, 0.1).predictors
+    bad = int(np.count_nonzero(~np.isfinite(predictors[:, 0])))
+    assert 0 < bad < 150
+    with pytest.raises(LikelihoodUnderflowError) as info:
+        run_filter(cfg, model, records, p.initial_state, t_start=0.0)
+    err = info.value
+    assert (err.time_index, err.time) == (1, 0.1)
+    assert np.isnan(err.max_log_value)
+    assert str(err) == (
+        f"likelihood underflow at step 1 (t=0.1): largest log value nan; "
+        f"{bad} of 150 predictors hold nan or inf"
+    )
+
+
+def test_non_finite_states_are_named_at_reweighting():
+    model = make_model(system=constant_system(), var=0.04)
+    ens = replace(flat_ensemble([0.0, np.nan, 1.0]), time_index=2, time=0.2)
+    obs = ObservationRecord(time_index=2, time=0.2, value=np.array([0.5]))
+    with pytest.raises(LikelihoodUnderflowError) as info:
+        weight_update(replace(ens, predictor_loglik=np.zeros(3)), obs, model)
+    err = info.value
+    assert (err.time_index, err.time) == (2, 0.2)
+    assert str(err).endswith("step 2 (t=0.2): largest log value nan; 1 of 3 states hold nan or inf")
+
+
+def test_survival_rejects_an_unknown_resampler_as_filter_config_does():
+    model = make_model(system=constant_system(), var=0.04)
+    ens = flat_ensemble([0.0, 1.0])
+    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
+    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
+    message = "unknown resampler 'bogus'; valid resamplers: multinomial, systematic"
+    with pytest.raises(ValueError) as direct:
+        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0), resampler="bogus")
+    with pytest.raises(ValueError) as configured:
+        FilterConfig(
+            n_particles=10, initial_variance=0.1, step=0.1, pair=model.pair, resampler="bogus"
+        )
+    assert str(direct.value) == str(configured.value) == message
 
 
 def test_resampling_unbiasedness_multinomial():
@@ -425,6 +485,19 @@ def test_run_filter_seed_changes_output():
     a = run_simple(seed=7)
     b = run_simple(seed=8)
     assert not np.array_equal(a[-1].states, b[-1].states)
+
+
+def test_run_filter_rejects_observations_out_of_order():
+    p = gaussian_decay_problem()
+    model = make_model("AB1-AB2", system=p.system)
+    cfg = FilterConfig(n_particles=10, initial_variance=0.01, step=0.1, pair=model.pair)
+    for times in ([0.2, 0.1], [0.1, 0.1]):
+        records = [
+            ObservationRecord(time_index=k, time=t, value=np.array([1.0]))
+            for k, t in enumerate(times)
+        ]
+        with pytest.raises(ValueError, match="observation times must be strictly increasing"):
+            run_filter(cfg, model, records, p.initial_state, t_start=0.0)
 
 
 def test_run_filter_stride_mismatch_rejected():
