@@ -11,10 +11,9 @@ from .integrators import (
     Family,
     ImplicitSolveError,
     MethodSpec,
-    integrate_problem,
     make_method,
 )
-from .metrics import RunDiagnostics, diagnostics, ensemble_mean, sample_variance
+from .metrics import RunDiagnostics, diagnostics
 from .ode_models import (
     PROBLEMS,
     ObservationRecord,

@@ -81,6 +81,8 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError("stride must be >= 1")
     if config.replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    if config.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     if not 0 <= config.noise_stddev < np.inf:
         raise ConfigError("noise_stddev must be nonnegative and finite")
     if config.n_particles < 2:

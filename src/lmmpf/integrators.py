@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .ode_models import OdeSystem, TestProblem
+from .ode_models import OdeSystem
 
 
 class Family(enum.Enum):
@@ -299,20 +299,17 @@ _STARTUP_RK = make_method(_RK, 5)
 
 
 def startup_states_batch(
-    system: OdeSystem, u0: np.ndarray, t0: float, h: float, r: int, backward: bool = False
+    system: OdeSystem, u0: np.ndarray, t0: float, h: float, r: int
 ) -> np.ndarray:
     """History blocks (N, r, d), newest first, generated by order-5 RK steps.
 
-    Forward startup integrates ahead of t0, so the newest block sits at
-    t0 + (r-1)h. Backward startup fills blocks behind t0, keeping u0 newest.
+    The blocks are filled behind t0 by steps of -h, keeping u0 newest: block
+    i sits at t0 - i*h.
     """
-    step = -h if backward else h
     seq = [np.atleast_2d(np.asarray(u0, dtype=float))]
     for i in range(r - 1):
-        ks = rk_stages_batch(_STARTUP_RK, system, t0 + i * step, seq[-1], step)
-        seq.append(rk_combine_batch(_STARTUP_RK, seq[-1], ks, step))
-    if not backward:
-        seq.reverse()
+        ks = rk_stages_batch(_STARTUP_RK, system, t0 - i * h, seq[-1], -h)
+        seq.append(rk_combine_batch(_STARTUP_RK, seq[-1], ks, -h))
     return np.stack(seq, axis=1)
 
 
@@ -325,36 +322,3 @@ def step_count(t0: float, t_end: float, h: float) -> int:
     n_steps = int(round(n_steps))
     return n_steps if abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end)) else -1
 
-
-def integrate_problem(
-    method: MethodSpec,
-    problem: TestProblem,
-    h: float,
-    t_end: Optional[float] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step integration of a test problem; returns (times, states).
-
-    The first r-1 values come from the RK startup.
-    """
-    t0, tf = problem.t_span[0], float(t_end if t_end is not None else problem.t_span[1])
-    n_steps = step_count(t0, tf, h)
-    if n_steps < 0:
-        raise ValueError("integration span is not an integral number of steps")
-    system = problem.system
-    r = method.steps
-    times = t0 + h * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, system.dimension))
-    blocks = startup_states_batch(system, problem.initial_state, t0, h, r)
-    for i in range(min(r, n_steps + 1)):
-        out[i] = blocks[0, r - 1 - i]
-    derivs = None
-    if method.reads_derivatives:
-        derivs = history_derivatives(system, blocks, t0 + (r - 1) * h, h)
-    for j in range(r - 1, n_steps):
-        u_new = advance_batch(method, system, times[j], blocks, derivs, h)
-        blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
-        if derivs is not None:
-            f_new = system.rhs_batch(times[j + 1], u_new)
-            derivs = np.concatenate([f_new[:, None, :], derivs[:, : r - 1]], axis=1)
-        out[j + 1] = u_new[0]
-    return times, out

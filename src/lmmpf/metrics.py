@@ -28,28 +28,14 @@ class RunDiagnostics:
 
 def _moments(ensemble: Ensemble):
     """Weighted mean and population variance per component of the newest block."""
+    if ensemble.n_particles < 2:
+        raise ValueError("sample variance needs at least 2 particles")
     # the copy pins the bits of trajectory.csv: for r >= 2 the einsum on the
     # strided newest-block view differs from the contiguous copy in the last bits
     values = np.ascontiguousarray(ensemble.newest)
     mean = np.einsum("n,nd->d", ensemble.weights, values)
     diff = values - mean[None, :]
     return mean, np.einsum("n,nd->d", ensemble.weights, diff * diff)
-
-
-def _mean_and_variance(ensemble: Ensemble):
-    if ensemble.n_particles < 2:
-        raise ValueError("sample variance needs at least 2 particles")
-    return _moments(ensemble)
-
-
-def ensemble_mean(ensemble: Ensemble) -> np.ndarray:
-    """Weighted mean of the newest block over the ensemble."""
-    return _moments(ensemble)[0]
-
-
-def sample_variance(ensemble: Ensemble) -> np.ndarray:
-    """Weighted population variance per component of the newest block."""
-    return _mean_and_variance(ensemble)[1]
 
 
 def diagnostics(
@@ -62,10 +48,12 @@ def diagnostics(
     """
     times, means, variances = [], [], []
     for ens in run:
-        mean, var = _mean_and_variance(ens)
+        mean, var = _moments(ens)
         times.append(ens.time)
         means.append(mean)
         variances.append(var)
+    if not times:
+        raise ValueError("the run yielded no ensemble to diagnose")
     times = np.array(times)
     means = np.stack(means)
     variances = np.stack(variances)
@@ -77,6 +65,6 @@ def diagnostics(
         sample_variances=variances,
         absolute_errors=errors,
         exact_values=truth,
-        error_inf_norm=float(np.max(errors)) if errors.size else 0.0,
+        error_inf_norm=float(np.max(errors)),
         variance_2norm=float(np.linalg.norm(variances.ravel())),
     )

@@ -125,13 +125,15 @@ def synthesize_observations(
     if problem.exact_solution is None:
         raise ValueError("no ground truth available")
     times = np.asarray(times, dtype=float)
+    if time_indices is None:
+        time_indices = range(len(times))
+    if len(time_indices) != len(times):
+        raise ValueError(f"{len(time_indices)} time_indices for {len(times)} times")
     exact = np.stack([problem.exact_solution(t) for t in times])
     if observed_indices is not None:
         exact = exact[:, np.asarray(observed_indices, dtype=int)]
     noise = noise_stddev * rng.standard_normal(exact.shape)
     values = exact + noise
-    if time_indices is None:
-        time_indices = range(len(times))
     records = [
         ObservationRecord(time_index=int(j), time=float(t), value=values[i])
         for i, (j, t) in enumerate(zip(time_indices, times))

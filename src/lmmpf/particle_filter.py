@@ -156,7 +156,7 @@ def initialize(
         raise ValueError(f"prior_mean has shape {prior_mean.shape}; the system has dimension {d}")
     draws = prior_mean[None, :] + np.sqrt(config.initial_variance) * rng.standard_normal((n, d))
     blocks = startup_states_batch(
-        model.system, draws, t_start, config.step, model.pair.steps_required, backward=True
+        model.system, draws, t_start, config.step, model.pair.steps_required
     )
     t_start = float(t_start)
     derivatives = None

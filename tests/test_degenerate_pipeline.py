@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lmmpf.homec import make_pair
-from lmmpf.metrics import ensemble_mean
+from lmmpf.metrics import diagnostics
 from lmmpf.ode_models import ObservationRecord, OdeSystem, gaussian_decay_problem
 from lmmpf.particle_filter import FilterConfig, run_filter
 from lmmpf.state_space import EvolutionObservationModel
@@ -45,7 +45,7 @@ def test_noiseless_degenerate_filter_reproduces_backward_euler():
     p = gaussian_decay_problem()
     out = run_degenerate(p.system, p.exact_solution)
     reference = backward_euler_scalar(0.0, 1.0, 0.1, 50)
-    means = np.array([ensemble_mean(e)[0] for e in out])
+    means = diagnostics(out, p.exact_solution).ensemble_means[:, 0]
     assert np.max(np.abs(means - reference)) < 1e-8
 
 
@@ -56,5 +56,5 @@ def test_noiseless_degenerate_filter_constant_problem():
     system = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
     exact = lambda t: np.array([1.0])
     out = run_degenerate(system, exact, n_steps=20, v0=1e-20)
-    means = np.array([ensemble_mean(e)[0] for e in out[1:]])
+    means = diagnostics(out[1:], exact).ensemble_means[:, 0]
     assert np.max(np.abs(means - 1.0)) < 1e-8

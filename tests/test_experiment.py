@@ -395,6 +395,15 @@ def test_cli_run_non_finite_setting_is_config_error(tmp_path, capsys):
     assert "config error: tau must be > 1 and finite" in capsys.readouterr().err
 
 
+def test_cli_run_negative_seed_is_config_error(tmp_path, capsys):
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--seed", "-1",
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "config error: seed must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_cli_run_missing_required(capsys):
     assert main(["run", "--nsample", "20"]) == 2
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import empirical_order
+from conftest import empirical_order, forward_startup, integrate_trajectory
 from lmmpf import integrators
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import (
@@ -14,9 +14,9 @@ from lmmpf.integrators import (
     explicit_step_batch,
     history_derivatives,
     implicit_step_batch,
-    integrate_problem,
     make_method,
     startup_states_batch,
+    step_count,
 )
 from lmmpf.ode_models import OdeSystem, TestProblem, gaussian_decay_problem, smooth_problem
 
@@ -29,7 +29,7 @@ RK = Family.RUNGE_KUTTA_EMBEDDED
 def warm_history(problem, method, h=0.1):
     """RK startup blocks (1, r, d) newest first, their f-values and the newest time."""
     t0 = problem.t_span[0]
-    blocks = startup_states_batch(problem.system, problem.initial_state, t0, h, method.steps)
+    blocks = forward_startup(problem.system, problem.initial_state, t0, h, method.steps)
     t = t0 + (method.steps - 1) * h
     return blocks, history_derivatives(problem.system, blocks, t, h), t
 
@@ -344,7 +344,7 @@ def test_bootstrap_single_step_method():
 
 def test_bootstrap_accuracy_ab2():
     p = gaussian_decay_problem()
-    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 2)[0]
+    blocks = forward_startup(p.system, p.initial_state, 0.0, 0.1, 2)[0]
     exact = p.exact_solution(0.1)[0]
     assert len(blocks) == 2
     assert blocks[1][0] == 1.0
@@ -362,7 +362,7 @@ def test_bootstrap_deterministic():
 
 def test_bootstrap_backward_keeps_newest():
     p = gaussian_decay_problem()
-    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 3, backward=True)[0]
+    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 3)[0]
     assert blocks[0][0] == 1.0
     # older blocks should follow the flow backwards
     assert abs(blocks[1][0] - p.exact_solution(-0.1)[0]) < 1e-6
@@ -376,10 +376,8 @@ def test_bootstrap_backward_keeps_newest():
     [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan), (-1.0, 0.1), (np.nan, 0.1),
      (np.inf, 0.1), (0.55, 0.1)],
 )
-def test_integrate_problem_rejects_bad_spans(t_end, h):
-    with pytest.raises(ValueError, match="integration span"):
-        integrate_problem(make_method(AB, 1), gaussian_decay_problem(), h, t_end=t_end)
-
+def test_step_count_rejects_bad_spans(t_end, h):
+    assert step_count(0.0, t_end, h) == -1
 
 @pytest.mark.parametrize(
     "family,order",
@@ -401,122 +399,42 @@ def test_order_of_convergence_rk(order):
     assert 2.0**m.order * 0.7 <= ratio <= 2.0**m.order * 1.4
 
 
+def assert_integrates_polynomial(m, coeffs, start=0):
+    """``m`` reproduces the polynomial q of ``coeffs`` from u' = q'(t), from step
+    ``start`` on."""
+
+    def q(t):
+        return np.array([np.polyval(coeffs, t)])
+
+    dcoeffs = np.polyder(coeffs)
+    system = OdeSystem(
+        dimension=1,
+        rhs=lambda t, u, p: np.broadcast_to(np.polyval(dcoeffs, t), np.shape(u)).copy(),
+        vectorized=True,
+    )
+    problem = TestProblem(
+        system=system, initial_state=q(0.0), t_span=(0.0, 1.0), exact_solution=q
+    )
+    times, states = integrate_trajectory(m, problem, 0.1, 1.0)
+    exact = np.stack([q(t) for t in times])
+    assert np.max(np.abs(states[start:] - exact[start:])) < 1e-10 + 1e-10 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize(
     "family,order",
     [(AB, 1), (AB, 3), (AM, 2), (AM, 4), (BDF, 2), (BDF, 4)],
 )
 def test_polynomial_exactness(family, order):
     # a method of order p integrates u' = q'(t) exactly for deg q <= p
-    rng = np.random.default_rng(order * 7 + 1)
-    coeffs = rng.uniform(-1.0, 1.0, order + 1)
-
-    def q(t):
-        return np.array([np.polyval(coeffs, t)])
-
-    dcoeffs = np.polyder(coeffs)
-    system = OdeSystem(
-        dimension=1,
-        rhs=lambda t, u, p: np.broadcast_to(np.polyval(dcoeffs, t), np.shape(u)).copy(),
-        vectorized=True,
-    )
-    problem = TestProblem(
-        system=system, initial_state=q(0.0), t_span=(0.0, 1.0), exact_solution=q
-    )
     m = make_method(family, order)
-    h = 0.1
-    times, states = integrate_problem(m, problem, h)
-    exact = np.stack([q(t) for t in times])
-    # replace the RK startup values with exact history so only the multistep
-    # rule is being tested
-    start = min(m.steps - 1, len(times) - 1)
-    assert np.max(np.abs(states[start:] - exact[start:])) < 1e-10 + 1e-10 * np.max(np.abs(exact))
+    coeffs = np.random.default_rng(order * 7 + 1).uniform(-1.0, 1.0, order + 1)
+    # skip the RK startup values so only the multistep rule is being tested
+    assert_integrates_polynomial(m, coeffs, start=m.steps - 1)
 
 
 @pytest.mark.parametrize("order,member", [(1, "low"), (1, "high"), (4, "low"), (4, "high")])
 def test_polynomial_exactness_rk(order, member):
     # ``order`` names the pair 1(2) or 4(5), ``member`` its method
     m = make_method(RK, order if member == "low" else order + 1)
-    rng = np.random.default_rng(order + 3)
-    coeffs = rng.uniform(-1.0, 1.0, m.order + 1)
-
-    def q(t):
-        return np.array([np.polyval(coeffs, t)])
-
-    dcoeffs = np.polyder(coeffs)
-    system = OdeSystem(
-        dimension=1,
-        rhs=lambda t, u, p: np.broadcast_to(np.polyval(dcoeffs, t), np.shape(u)).copy(),
-        vectorized=True,
-    )
-    problem = TestProblem(
-        system=system, initial_state=q(0.0), t_span=(0.0, 1.0), exact_solution=q
-    )
-    times, states = integrate_problem(m, problem, 0.1)
-    exact = np.stack([q(t) for t in times])
-    assert np.max(np.abs(states - exact)) < 1e-10 + 1e-10 * np.max(np.abs(exact))
-
-
-def test_bdf_integration_skips_history_derivatives(monkeypatch):
-    # BDF and embedded RK read no f at the history blocks: integrate_problem
-    # must not evaluate them, and the result equals a run that does
-    p = gaussian_decay_problem()
-    h, n_steps = 0.05, 20
-    times = p.t_span[0] + h * np.arange(n_steps + 1)
-    methods = [make_method(BDF, order) for order in (1, 2, 3, 4)]
-    methods += [make_method(RK, 1), make_method(RK, 4)]
-    expected = {}
-    for m in methods:
-        r = m.steps
-        blocks = startup_states_batch(p.system, p.initial_state, times[0], h, r)
-        out = [blocks[0, r - 1 - i] for i in range(r)]
-        for j in range(r - 1, n_steps):
-            derivs = history_derivatives(p.system, blocks, times[j], h)
-            u_new = advance_batch(m, p.system, times[j], blocks, derivs, h)
-            blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
-            out.append(u_new[0])
-        expected[m.label] = np.stack(out)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("integration evaluated history derivatives")
-
-    monkeypatch.setattr(integrators, "history_derivatives", refuse)
-    for m in methods:
-        _, states = integrate_problem(m, p, h, t_end=1.0)
-        assert np.array_equal(states, expected[m.label]), m.label
-
-
-def reevaluating_integration(m, p, h, t_end):
-    """Reference loop: f evaluated afresh at every history block each step."""
-    r = m.steps
-    n_steps = int(round((t_end - p.t_span[0]) / h))
-    times = p.t_span[0] + h * np.arange(n_steps + 1)
-    blocks = startup_states_batch(p.system, p.initial_state, times[0], h, r)
-    out = [blocks[0, r - 1 - i] for i in range(min(r, n_steps + 1))]
-    for j in range(r - 1, n_steps):
-        derivs = history_derivatives(p.system, blocks, times[j], h)
-        u_new = advance_batch(m, p.system, times[j], blocks, derivs, h)
-        blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
-        out.append(u_new[0])
-    return np.stack(out)
-
-
-@pytest.mark.parametrize("family,order", [(f, o) for f in (AB, AM) for o in (1, 2, 3, 4)])
-def test_integration_carries_history_derivatives(family, order):
-    m = make_method(family, order)
-    # t_end = 0.1 is two steps, fewer than AB4's startup blocks
-    for p, tol, t_end in (
-        (smooth_problem(), 0.0, 1.0),
-        (gaussian_decay_problem(), 1e-13, 1.0),
-        (gaussian_decay_problem(), 1e-13, 0.1),
-    ):
-        _, states = integrate_problem(m, p, 0.05, t_end=t_end)
-        expected = reevaluating_integration(m, p, 0.05, t_end)
-        # autonomous smooth sees the same f-values; gaussian_decay evaluates
-        # f at t0 + j*h rather than t - i*h, which rounds differently
-        assert np.max(np.abs(states - expected)) <= tol, p.name
-
-
-def test_ab4_integration_evaluates_each_block_once(rhs_calls):
-    # 3 RK45 startup steps (18 calls), 4 startup blocks, then one per step
-    integrate_problem(make_method(AB, 4), gaussian_decay_problem(), 0.05, t_end=1.0)
-    assert len(rhs_calls) <= 39
+    coeffs = np.random.default_rng(order + 3).uniform(-1.0, 1.0, m.order + 1)
+    assert_integrates_polynomial(m, coeffs)

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import moments
 from lmmpf.homec import make_pair
 from lmmpf.integrators import Family, MethodSpec, explicit_step_batch
-from lmmpf.metrics import ensemble_mean, sample_variance
 from lmmpf.ode_models import OdeSystem
 from lmmpf.particle_filter import Ensemble, _normalized_weights, inverse_cdf_indices
 from lmmpf.state_space import EvolutionObservationModel
@@ -126,7 +126,7 @@ def test_weighted_mean_var_matches_exact_sums(rng):
     w = rng.uniform(0.0, 1.0, size=2000)
     w /= w.sum()
     ens = newest_ensemble(values, w)
-    mean, var = ensemble_mean(ens), sample_variance(ens)
+    mean, var = moments(ens)
     for k in range(3):
         col = values[:, k].tolist()
         ref_mean = math.fsum(wi * x for wi, x in zip(w.tolist(), col))
@@ -140,7 +140,7 @@ def test_weighted_mean_var_parity(rng):
     w = rng.uniform(0.1, 1.0, size=80)
     w /= w.sum()
     ens = newest_ensemble(values, w)
-    m1, v1 = ensemble_mean(ens), sample_variance(ens)
+    m1, v1 = moments(ens)
     # reference via einsum
     ref_mean = np.einsum("n,nd->d", w, values)
     diff = values - ref_mean

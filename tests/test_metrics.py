@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lmmpf.metrics import diagnostics, ensemble_mean, sample_variance
+from conftest import moments
+from lmmpf.metrics import diagnostics
 from lmmpf.particle_filter import Ensemble
 
 
@@ -13,30 +14,30 @@ def ens_from(values, weights=None, time=0.0):
 
 
 def test_mean_constant_ensemble():
-    assert ensemble_mean(ens_from([3.0, 3.0, 3.0]))[0] == 3.0
+    assert moments(ens_from([3.0, 3.0, 3.0]))[0][0] == 3.0
 
 
 def test_mean_midpoint():
-    assert ensemble_mean(ens_from([0.0, 1.0]))[0] == pytest.approx(0.5)
+    assert moments(ens_from([0.0, 1.0]))[0][0] == pytest.approx(0.5)
 
 
 def test_mean_weighted():
-    assert ensemble_mean(ens_from([0.0, 1.0], weights=[0.25, 0.75]))[0] == pytest.approx(0.75)
+    assert moments(ens_from([0.0, 1.0], weights=[0.25, 0.75]))[0][0] == pytest.approx(0.75)
 
 
 def test_variance_constant_zero():
-    assert sample_variance(ens_from([2.0, 2.0, 2.0]))[0] == 0.0
+    assert moments(ens_from([2.0, 2.0, 2.0]))[1][0] == 0.0
 
 
 def test_variance_unit():
-    assert sample_variance(ens_from([-1.0, 1.0]))[0] == pytest.approx(1.0)
+    assert moments(ens_from([-1.0, 1.0]))[1][0] == pytest.approx(1.0)
 
 
 def test_variance_translation_invariant():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=30)
-    a = sample_variance(ens_from(vals))[0]
-    b = sample_variance(ens_from(vals + 17.5))[0]
+    a = moments(ens_from(vals))[1][0]
+    b = moments(ens_from(vals + 17.5))[1][0]
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -45,7 +46,12 @@ def test_variance_needs_two_particles():
         states=np.zeros((1, 1, 1)), weights=np.ones(1), time_index=0, time=0.0
     )
     with pytest.raises(ValueError, match="2 particles"):
-        sample_variance(single)
+        moments(single)
+
+
+def test_diagnostics_of_an_empty_run_names_it():
+    with pytest.raises(ValueError, match="the run yielded no ensemble"):
+        diagnostics([], lambda t: np.array([0.0]))
 
 
 def test_diagnostics_perfect_estimate():

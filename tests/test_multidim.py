@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import integrate_trajectory, moments
 from lmmpf.experiment import ResultsTable, emit_outputs
 from lmmpf.homec import make_pair
-from lmmpf.integrators import Family, integrate_problem, make_method
-from lmmpf.metrics import diagnostics, ensemble_mean
+from lmmpf.integrators import Family, make_method
+from lmmpf.metrics import diagnostics
 from lmmpf.ode_models import ObservationRecord, OdeSystem, TestProblem, synthesize_observations
 from lmmpf.particle_filter import FilterConfig, run_filter
 from lmmpf.state_space import EvolutionObservationModel
@@ -39,7 +40,7 @@ def two_state_problem():
 def test_integration_two_components(family, order):
     p = two_state_problem()
     m = make_method(family, order)
-    times, states = integrate_problem(m, p, 0.05)
+    times, states = integrate_trajectory(m, p, 0.05, 2.0)
     exact = np.stack([p.exact_solution(t) for t in times])
     assert np.max(np.abs(states - exact)) < 2e-3
 
@@ -116,6 +117,6 @@ def test_weighted_mean_two_components():
         ObservationRecord(time_index=1, time=0.1, value=p.exact_solution(0.1))
     ]
     run = run_filter(cfg, model, records, p.initial_state, t_start=0.0)
-    mean = ensemble_mean(run[-1])
+    mean = moments(run[-1])[0]
     assert mean.shape == (2,)
     assert np.allclose(mean, p.exact_solution(0.1), atol=0.05)

@@ -97,6 +97,14 @@ def test_synthesize_time_indices_strictly_increasing():
         )
 
 
+def test_synthesize_rejects_time_indices_of_another_length():
+    # zip would silently drop the 41 times that have no index
+    p = gaussian_decay_problem()
+    times = 0.1 * np.arange(1, 51)
+    with pytest.raises(ValueError, match="9 time_indices for 50 times"):
+        synthesize_observations(p, times, 0.0, np.random.default_rng(0), time_indices=range(1, 10))
+
+
 def test_observation_record_fields():
     rec = ObservationRecord(time_index=3, time=0.3, value=np.array([1.5]))
     assert rec.time_index == 3 and rec.time == 0.3

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import moments
+from lmmpf import homec, particle_filter
 from lmmpf.homec import make_pair
-from lmmpf.metrics import ensemble_mean, sample_variance
+from lmmpf.metrics import diagnostics
 from lmmpf.ode_models import ObservationRecord, gaussian_decay_problem, smooth_problem
 from lmmpf.particle_filter import (
     RESAMPLERS,
@@ -61,14 +63,14 @@ def test_initialize_degenerate_prior():
     model = make_model()
     cfg = FilterConfig(n_particles=150, initial_variance=1e-12, step=0.1, pair=model.pair)
     ens = initialize(cfg, np.array([1.0]), np.random.default_rng(1), model=model, t_start=0.0)
-    assert sample_variance(ens)[0] < 1e-10
+    assert moments(ens)[1][0] < 1e-10
 
 
 def test_initialize_variance_in_chi_square_band():
     model = make_model()
     cfg = FilterConfig(n_particles=150, initial_variance=0.1, step=0.1, pair=model.pair)
     ens = initialize(cfg, np.array([1.0]), np.random.default_rng(7), model=model, t_start=0.0)
-    assert 0.06 <= sample_variance(ens)[0] <= 0.14
+    assert 0.06 <= moments(ens)[1][0] <= 0.14
 
 
 def test_initialize_histories_follow_each_particle():
@@ -607,7 +609,7 @@ def test_run_filter_systematic_resampler():
     for ea, eb in zip(a, b):
         assert np.array_equal(ea.states, eb.states)
     assert all(abs(float(np.sum(e.weights)) - 1.0) < 1e-12 for e in a)
-    err = abs(ensemble_mean(a[-1])[0] - p.exact_solution(1.0)[0])
+    err = abs(moments(a[-1])[0][0] - p.exact_solution(1.0)[0])
     assert err < 0.5
 
 
@@ -641,7 +643,7 @@ def test_run_filter_tracks_gaussian_decay():
         for k in range(1, 51)
     ]
     out = run_filter(cfg, model, records, p.initial_state, t_start=0.0)
-    errors = [abs(ensemble_mean(e)[0] - p.exact_solution(e.time)[0]) for e in out]
+    errors = diagnostics(out, p.exact_solution).absolute_errors[:, 0]
     assert max(errors) < 0.15
 
 
@@ -828,7 +830,9 @@ def test_only_non_vectorized_adams_runs_carry_derivatives(pair_id, vectorized):
     )
 
 
-def test_carried_derivatives_evaluate_one_row_per_particle_per_step():
+def rhs_rows_per_ensemble(pair_id):
+    """Particles and the rows a non-vectorized smooth rhs evaluates for each
+    ensemble a run yields."""
     rows = []
     smooth_rhs = smooth_problem().system.rhs
 
@@ -837,17 +841,40 @@ def test_carried_derivatives_evaluate_one_row_per_particle_per_step():
         return smooth_rhs(t, u, params)
 
     system = OdeSystem(dimension=1, rhs=counted, vectorized=False)
-    cfg, model, records, prior = streamed_inputs("AB3-AB4", "systematic")
-    model = make_model("AB3-AB4", system=system, var=0.05)
-    run = iter_filter(cfg, model, records, prior, t_start=0.0)
-    next(run)  # initialization
-    per_step = []
-    while True:
-        before = len(rows)
-        if next(run, None) is None:
-            break
-        per_step.append(len(rows) - before)
-    assert per_step == [cfg.n_particles] * 10
+    cfg, model, records, prior = streamed_inputs(pair_id, "systematic")
+    model = make_model(pair_id, system=system, var=0.05)
+    per_ensemble = []
+    for _ in iter_filter(cfg, model, records, prior, t_start=0.0):
+        per_ensemble.append(len(rows) - sum(per_ensemble))
+    return cfg.n_particles, per_ensemble
+
+
+def test_carried_derivatives_evaluate_one_row_per_particle_per_step():
+    n, per_ensemble = rhs_rows_per_ensemble("AB3-AB4")
+    per_step = per_ensemble[1:]  # after initialization
+    assert per_step == [n] * 10
+
+
+@pytest.mark.parametrize("pair_id", ["AB1-AB2", "AB3-AB4"])
+def test_adams_bashforth_runs_evaluate_each_block_once(pair_id):
+    # r - 1 six-stage RK startup steps and f at the r startup blocks, then
+    # f once per step, at the new block
+    r = make_pair(pair_id).steps_required
+    n, per_ensemble = rhs_rows_per_ensemble(pair_id)
+    assert per_ensemble == [n * (6 * (r - 1) + r)] + [n] * 10
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("pair_id", ["BDF1-BDF2", "BDF3-BDF4", "RK1-RK2", "RK4-RK5"])
+def test_bdf_and_rk_runs_never_evaluate_history_derivatives(monkeypatch, pair_id, vectorized):
+    # BDF and embedded RK read no f at the history blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("the filter evaluated history derivatives")
+
+    monkeypatch.setattr(homec, "history_derivatives", refuse)
+    monkeypatch.setattr(particle_filter, "history_derivatives", refuse)
+    inputs = streamed_inputs(pair_id, "multinomial", vectorized=vectorized)
+    assert len(run_filter(*inputs, t_start=0.0)) == 11  # initialization and 10 steps
 
 
 @pytest.mark.xfail(

@@ -1,14 +1,16 @@
 """README.md's python blocks run as written, its hand-written filter loop
 ends on the same ensemble as `iter_filter`, and its lists of built-in
-catalogues, config keys and modules match the package."""
+catalogues, config keys, modules and standalone integrator names match the
+package."""
 
 import dataclasses
+import operator
 import re
 from pathlib import Path
 
 import numpy as np
 
-from lmmpf import PAIR_IDS, PROBLEMS, iter_filter
+from lmmpf import PAIR_IDS, PROBLEMS, integrators, iter_filter
 from lmmpf.experiment import CONFIG_FIELDS
 from lmmpf.particle_filter import RESAMPLERS
 
@@ -59,3 +61,15 @@ def test_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\w+\.py) ", layout.group(1), flags=re.M)
     modules = sorted(p.name for p in (ROOT / "src" / "lmmpf").glob("*.py"))
     assert sorted(listed) == [name for name in modules if not name.startswith("_")]
+
+
+def test_readme_standalone_integrator_names_are_integrators_attributes():
+    paragraph = re.search(
+        r"^Integrators are also usable standalone from `lmmpf\.integrators`(.*?)\n\n",
+        README.read_text(),
+        flags=re.DOTALL | re.M,
+    ).group(1)
+    spans = re.findall(r"`([^`]*)`", paragraph)
+    names = [span for span in spans if re.fullmatch(r"[A-Za-z_][\w.]*", span)]
+    assert "startup_states_batch" in names
+    operator.attrgetter(*names)(integrators)  # an AttributeError names a stale one

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import forward_startup
 from lmmpf.homec import make_pair, propagate_blocks
 from lmmpf.integrators import ColdHistoryError, history_derivatives, startup_states_batch
 from lmmpf.ode_models import OdeSystem, gaussian_decay_problem
@@ -54,7 +55,7 @@ def test_augment_single_block():
 
 def test_augment_orders_newest_first():
     ramp = OdeSystem(dimension=1, rhs=lambda t, u, p: np.ones_like(u), vectorized=True)
-    blocks = startup_states_batch(ramp, np.array([1.0]), 0.0, 1.0, 2)
+    blocks = forward_startup(ramp, np.array([1.0]), 0.0, 1.0, 2)
     assert blocks[0, 1, 0] == 1.0
     assert blocks[0, 0, 0] == pytest.approx(2.0, abs=1e-15)
 
@@ -67,7 +68,7 @@ def test_augment_rejects_empty():
 
 def test_augment_project_round_trip():
     p = gaussian_decay_problem()
-    blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 3)
+    blocks = forward_startup(p.system, p.initial_state, 0.0, 0.1, 3)
     derivs = history_derivatives(p.system, blocks, 0.2, 0.1)
     for i in range(3):
         assert np.array_equal(derivs[0, i], p.system(0.2 - i * 0.1, blocks[0, i]))
@@ -179,5 +180,20 @@ def test_model_rejects_measurement_var_of_another_length(dimension, indices, var
             system=system,
             pair=make_pair("AB1-AB2"),
             measurement_var=np.array(var),
+            observed_indices=indices,
+        )
+
+
+@pytest.mark.parametrize(
+    "dimension, indices", [(1, [3]), (2, [0, 2]), (2, [-1])], ids=["3-on-1d", "2-on-2d", "-1"]
+)
+def test_model_rejects_observed_index_outside_the_state(dimension, indices):
+    system = OdeSystem(dimension=dimension, rhs=lambda t, u, p: -u, vectorized=True)
+    bad = indices[-1]
+    with pytest.raises(ValueError, match=rf"observed index {bad} .*\(d={dimension}\)"):
+        EvolutionObservationModel(
+            system=system,
+            pair=make_pair("AB1-AB2"),
+            measurement_var=np.full(len(indices), 0.01),
             observed_indices=indices,
         )
