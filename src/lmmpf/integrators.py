@@ -230,11 +230,13 @@ def implicit_step_batch(
         return states[:, 0].copy()
     const = explicit_step_batch(spec, states, derivs, h)
     if spec.family is _AM:
-        # seed the iteration with the explicit Adams step the buffer supports
+        # seed with the explicit Adams step, or with u_j where a stiff step throws it off
         predictor = explicit_step_batch(_AM_SEED[spec.steps], states, derivs, h)
-    else:
-        predictor = states[:, 0].copy()
-    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor)
+        try:
+            return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor)
+        except ImplicitSolveError:
+            pass
+    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, states[:, 0].copy())
 
 
 def rk_stages_batch(

@@ -13,7 +13,7 @@ class OdeSystem:
     ``rhs`` must be deterministic and return a vector of length ``dimension``.
     When ``vectorized`` is true, ``rhs`` also accepts states of shape
     (..., d) and maps over the leading axes, which is what the ensemble
-    propagation uses.
+    propagation uses; otherwise `rhs_batch` calls it once per row.
     """
 
     dimension: int
@@ -26,11 +26,18 @@ class OdeSystem:
         return np.asarray(self.rhs(t, np.asarray(u, dtype=float), self.params), dtype=float)
 
     def rhs_batch(self, t: float, states: np.ndarray) -> np.ndarray:
-        """Evaluate the rhs for a batch of states with shape (N, d)."""
+        """Evaluate the rhs for a batch of states (N, d); the result has their shape."""
         states = np.asarray(states, dtype=float)
         if self.vectorized:
-            return np.asarray(self.rhs(t, states, self.params), dtype=float)
-        return np.stack([self(t, row) for row in states])
+            out = np.asarray(self.rhs(t, states, self.params), dtype=float)
+        else:  # an empty batch builds from ``states``, keeping its shape (0, d)
+            out = np.array([self.rhs(t, row, self.params) for row in states] or states, dtype=float)
+        if out.shape != states.shape:
+            raise ValueError(
+                f"rhs of system {self.name!r} (d={self.dimension}) at t={t:.6g} returned "
+                f"shape {out.shape}, expected {states.shape}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,15 @@ class ObservationRecord:
     time_index: int
     time: float
     value: np.ndarray
+
+
+def checked_observed_indices(indices, d: int) -> np.ndarray:
+    """``indices`` as an int array; each must select a component 0..d-1 of a state."""
+    indices = np.asarray(indices, dtype=int)
+    outside = indices[(indices < 0) | (indices >= d)]
+    if outside.size:
+        raise ValueError(f"observed index {outside[0]} is outside 0..{d - 1} (d={d})")
+    return indices
 
 
 def _vectorized_problem(name: str, rhs: Callable, exact: Callable) -> TestProblem:
@@ -131,7 +147,7 @@ def synthesize_observations(
         raise ValueError(f"{len(time_indices)} time_indices for {len(times)} times")
     exact = np.stack([problem.exact_solution(t) for t in times])
     if observed_indices is not None:
-        exact = exact[:, np.asarray(observed_indices, dtype=int)]
+        exact = exact[:, checked_observed_indices(observed_indices, problem.system.dimension)]
     noise = noise_stddev * rng.standard_normal(exact.shape)
     values = exact + noise
     records = [

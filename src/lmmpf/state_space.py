@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .homec import MethodPair
-from .ode_models import OdeSystem
+from .ode_models import OdeSystem, checked_observed_indices
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,7 @@ class EvolutionObservationModel:
         object.__setattr__(self, "measurement_var", var)
         m = d = self.system.dimension
         if self.observed_indices is not None:
-            indices = np.asarray(self.observed_indices, dtype=int)
-            outside = indices[(indices < 0) | (indices >= d)]
-            if outside.size:
-                raise ValueError(f"observed index {outside[0]} is outside 0..{d - 1} (d={d})")
+            indices = checked_observed_indices(self.observed_indices, d)
             object.__setattr__(self, "observed_indices", indices)
             m = len(indices)
         if var.shape != (m,):

@@ -235,13 +235,6 @@ def test_implicit_nonconvergence_reports_residual():
         assert "at t=0.1: 1 of 1 rows above tolerance; last residual max-norm" in str(err.value)
 
 
-def test_stiff_linear_step_converges():
-    stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
-    blocks, derivs = single([1.0], [-1e4])
-    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
-    assert u[0] == pytest.approx(1.0 / 1001.0, rel=1e-6)
-
-
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
@@ -257,6 +250,18 @@ def test_stiff_cubic_step_converges_to_root(family):
     u = implicit_step_batch(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
     assert abs(u + 1000.0 * u**3 - 1.0) <= 1e-10
     assert u == pytest.approx(0.0966679, abs=1e-7)
+
+
+@pytest.mark.parametrize("k, root", [(3e4, 0.06773391983622516), (1e5, 0.04569780162982182)])
+def test_stiff_am_step_falls_back_to_the_bdf_seed(k, root):
+    # the AB1 predictor lands at 1 - 0.1 k, where Newton does not converge;
+    # from u_j the AM1 solve is BDF1's, bit for bit
+    stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -k * u**3, vectorized=True)
+    blocks, derivs = single([1.0], [-k])
+    u_am = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)
+    u_bdf = implicit_step_batch(make_method(BDF, 1), stiff, 0.0, blocks, derivs, 0.1)
+    assert u_am[0, 0] == u_bdf[0, 0] == root
+    assert abs(root + 0.1 * k * root**3 - 1.0) <= 1e-10
 
 
 def test_coupled_linear_step_matches_direct_solve():

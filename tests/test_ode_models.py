@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lmmpf.ode_models import (
     ObservationRecord,
+    OdeSystem,
     TestProblem,
     gaussian_decay_problem,
     get_problem,
@@ -50,6 +52,57 @@ def test_problem_rejects_an_exact_solution_that_misses_the_initial_state():
     # within the 1e-12 tolerance, and without an exact solution, it is accepted
     TestProblem(p.system, np.array([1.0 + 1e-13]), p.t_span, exact_solution=p.exact_solution)
     TestProblem(p.system, np.array([1.5]), p.t_span)
+
+
+def linear_2d(t, u, p):
+    # written elementwise: a matmul's rounding can depend on the batch size
+    x, y = u[..., 0], u[..., 1]
+    return np.stack([-x + 5.0 * y, -5.0 * x - y], axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 500])
+@pytest.mark.parametrize(
+    "vectorized",
+    [
+        smooth_problem().system,
+        gaussian_decay_problem().system,
+        OdeSystem(2, linear_2d, vectorized=True),
+    ],
+    ids=["smooth", "gaussian_decay", "linear_2d"],
+)
+def test_row_by_row_rhs_batch_equals_the_vectorized_one(vectorized, n):
+    rows = OdeSystem(vectorized.dimension, vectorized.rhs, vectorized=False)
+    states = np.random.default_rng(n).normal(size=(n, vectorized.dimension))
+    for t in (0.0, 0.7, 3.3):
+        expected = vectorized.rhs_batch(t, states)
+        assert expected.shape == states.shape
+        assert np.array_equal(rows.rhs_batch(t, states), expected)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_rhs_batch_of_an_empty_batch_is_empty(vectorized):
+    system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=vectorized)
+    assert system.rhs_batch(0.0, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "vectorized, dimension, rhs, returned",
+    [
+        (False, 1, lambda t, u, p: float(u[0]), "(150,)"),
+        (True, 1, lambda t, u, p: u[:, 0], "(150,)"),
+        (False, 2, lambda t, u, p: np.array([u[0], u[1], 0.0]), "(150, 3)"),
+        (True, 2, lambda t, u, p: np.zeros((len(u), 3)), "(150, 3)"),
+    ],
+    ids=["row-scalar", "vectorized-flat", "row-3-of-2", "vectorized-3-of-2"],
+)
+def test_rhs_batch_names_a_wrong_shaped_result(vectorized, dimension, rhs, returned):
+    system = OdeSystem(dimension, rhs, vectorized=vectorized, name="bad")
+    message = (
+        f"rhs of system 'bad' (d={dimension}) at t=0.25 returned shape {returned}, "
+        f"expected (150, {dimension})"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        system.rhs_batch(0.25, np.ones((150, dimension)))
 
 
 def test_registry_rejects_unknown():
@@ -103,6 +156,13 @@ def test_synthesize_rejects_time_indices_of_another_length():
     times = 0.1 * np.arange(1, 51)
     with pytest.raises(ValueError, match="9 time_indices for 50 times"):
         synthesize_observations(p, times, 0.0, np.random.default_rng(0), time_indices=range(1, 10))
+
+
+@pytest.mark.parametrize("indices", [[3], [-1]], ids=["3", "-1"])
+def test_synthesize_rejects_an_observed_index_outside_the_state(indices):
+    p = gaussian_decay_problem()
+    with pytest.raises(ValueError, match=rf"observed index {indices[0]} is outside 0..0 \(d=1\)"):
+        synthesize_observations(p, [0.5], 0.0, np.random.default_rng(0), observed_indices=indices)
 
 
 def test_observation_record_fields():
