@@ -21,14 +21,15 @@ from .experiment import (
 from .homec import PAIR_IDS
 from .ode_models import PROBLEMS
 
+# Keys that `sweep` reads as comma-separated lists, crossing their values
+SWEEP_LISTS = ("pair", "v0")
 
-def _add_settings(parser: argparse.ArgumentParser, skip=()):
-    """One text flag per `CONFIG_FIELDS` key not in ``skip``; `_collect_settings` parses it."""
+
+def _add_settings(parser: argparse.ArgumentParser):
+    """`--config` plus one text flag per `CONFIG_FIELDS` key; `_collect_settings` parses it."""
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     parser.add_argument("--config", help="key=value config file (flags win over file values)")
     for key, (field, _, text) in CONFIG_FIELDS.items():
-        if key in skip:
-            continue
         default = defaults[field]
         if default not in (None, dataclasses.MISSING):
             text = f"{text} (default {default})"
@@ -41,30 +42,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="State estimation with multistep-integrator particle filters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment and write its outputs")
-    _add_settings(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="cross method pairs with initial variances")
-    _add_settings(p_sweep, skip=("pair", "v0"))
-    p_sweep.add_argument("--pairs", help="comma-separated pair ids")
-    p_sweep.add_argument("--v", help="comma-separated initial variances")
-
+    _add_settings(sub.add_parser("run", help="run one experiment and write its outputs"))
+    _add_settings(sub.add_parser("sweep", help="cross method pairs with initial variances"))
     sub.add_parser("list", help="list available problems and method pairs")
     return parser
 
 
 def _collect_settings(args) -> dict:
-    """File values overridden by the flags given, each parsed by its `CONFIG_FIELDS` entry."""
+    """File values overridden by the flags given, each parsed by its `CONFIG_FIELDS` entry;
+    `sweep` parses each element of a `SWEEP_LISTS` value into a list."""
     texts = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_FIELDS:
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             texts[key] = getattr(args, key)
     settings = {}
     for key, text in texts.items():
         field, parse, _ = CONFIG_FIELDS[key]
         try:
-            settings[field] = parse(text)
+            if args.command == "sweep" and key in SWEEP_LISTS:
+                settings[field] = [parse(v) for v in map(str.strip, text.split(",")) if v]
+            else:
+                settings[field] = parse(text)
         except ValueError:
             raise ConfigError(f"config key {key}: cannot parse {text!r}") from None
     return settings
@@ -82,34 +80,17 @@ def _write_outputs(table: ResultsTable, diags, outdir: str) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    settings = _collect_settings(args)
-    if "problem" not in settings or "pair" not in settings:
-        raise ConfigError("run needs --problem and --pair (flags or config file)")
+def _cmd_run(settings: dict) -> int:
     config = ExperimentConfig(**settings)
     diags, row = run_experiment(config)
     return _write_outputs(ResultsTable(rows=[row]), diags, config.outdir)
 
 
-def _cmd_sweep(args) -> int:
-    settings = _collect_settings(args)
-    problem = settings.pop("problem", None)
-    if problem is None:
-        raise ConfigError("sweep needs --problem")
-    file_pairs = settings.pop("pair", None)
-    pair_value = args.pairs or file_pairs
-    if not pair_value:
-        raise ConfigError("sweep needs --pairs")
-    pair_ids = [p.strip() for p in pair_value.split(",") if p.strip()]
-    file_v = settings.pop("initial_variance", None)
-    if not args.v and file_v is None:
-        raise ConfigError("sweep needs --v (comma-separated variances)")
-    try:
-        v_values = [float(v) for v in args.v.split(",") if v.strip()] if args.v else [file_v]
-    except ValueError:
-        raise ConfigError(f"cannot parse variances {args.v!r}") from None
-    outdir = settings.get("outdir", ExperimentConfig.outdir)
-    return _write_outputs(run_sweep(problem, pair_ids, v_values, **settings), [], outdir)
+def _cmd_sweep(settings: dict) -> int:
+    pair_ids = settings.pop("pair")
+    v_values = settings.pop("initial_variance", [ExperimentConfig.initial_variance])
+    table = run_sweep(settings.pop("problem"), pair_ids, v_values, **settings)
+    return _write_outputs(table, [], settings.get("outdir", ExperimentConfig.outdir))
 
 
 def _cmd_list() -> int:
@@ -123,14 +104,16 @@ def _cmd_list() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        if args.command == "list":
+            return _cmd_list()
+        settings = _collect_settings(args)
+        if "problem" not in settings or "pair" not in settings:
+            raise ConfigError(f"{args.command} needs --problem and --pair (flags or config file)")
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_list()
+            return _cmd_run(settings)
+        return _cmd_sweep(settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -80,11 +80,11 @@ def _resolve(config: ExperimentConfig):
     if config.stride < 1:
         raise ConfigError("stride must be >= 1")
     if config.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+        raise ConfigError("reps must be >= 1")
     if config.seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     if not 0 <= config.noise_stddev < np.inf:
-        raise ConfigError("noise_stddev must be nonnegative and finite")
+        raise ConfigError("noise must be nonnegative and finite")
     if config.n_particles < 2:
         raise ConfigError("nsample must be >= 2")
     if not 0 < config.initial_variance < np.inf:
@@ -239,9 +239,9 @@ def _trajectory_svg(diag: RunDiagnostics, title: str) -> str:
 # appends each field's default to the help text.
 CONFIG_FIELDS = {
     "problem": ("problem", str, "problem id (see 'lmmpf list')"),
-    "pair": ("pair", str, "method pair id (see 'lmmpf list')"),
+    "pair": ("pair", str, "method pair id (see 'lmmpf list'); sweep: comma-separated ids"),
     "nsample": ("n_particles", int, "number of particles"),
-    "v0": ("initial_variance", float, "initial ensemble variance"),
+    "v0": ("initial_variance", float, "initial ensemble variance; sweep: comma-separated values"),
     "dt": ("step", float, "integration step"),
     "tend": ("t_end", float, "end time (default: problem span)"),
     "stride": ("stride", int, "steps between observations"),
@@ -256,8 +256,9 @@ CONFIG_FIELDS = {
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    """Read line-oriented key=value experiment settings."""
+    """Read line-oriented key=value experiment settings; each key may appear once."""
     out: Dict[str, str] = {}
+    lines: Dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -272,7 +273,11 @@ def parse_config_file(path: str) -> Dict[str, str]:
                         f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                         + ", ".join(CONFIG_FIELDS)
                     )
-                out[key] = value
+                if key in out:
+                    raise ConfigError(
+                        f"{path}:{lineno}: key {key!r} is already set on line {lines[key]}"
+                    )
+                out[key], lines[key] = value, lineno
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out

@@ -31,11 +31,16 @@ class OdeSystem:
         if self.vectorized:
             out = np.asarray(self.rhs(t, states, self.params), dtype=float)
         else:  # an empty batch builds from ``states``, keeping its shape (0, d)
-            out = np.array([self.rhs(t, row, self.params) for row in states] or states, dtype=float)
-        if out.shape != states.shape:
+            rows = [self.rhs(t, row, self.params) for row in states] or states
+            try:
+                out = np.array(rows, dtype=float)
+            except ValueError:  # rows of different lengths do not stack
+                out = None
+        if out is None or out.shape != states.shape:
+            returned = "rows that do not stack" if out is None else f"shape {out.shape}"
             raise ValueError(
                 f"rhs of system {self.name!r} (d={self.dimension}) at t={t:.6g} returned "
-                f"shape {out.shape}, expected {states.shape}"
+                f"{returned}, expected {states.shape}"
             )
         return out
 

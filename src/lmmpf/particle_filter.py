@@ -337,6 +337,11 @@ def _observation_schedule(
     prev_k = 0
     for rec in observations:
         k = step_count(t_start, rec.time, h)
+        if k == 0 or -np.inf < rec.time < t_start:
+            raise ValueError(
+                f"observation at t={rec.time} is at or before t_start={t_start}; "
+                f"each must lie at least one step of h={h} after it"
+            )
         if k < 1:
             raise ValueError(
                 f"observation at t={rec.time} does not sit on the step grid "

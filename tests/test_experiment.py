@@ -1,10 +1,11 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from lmmpf.cli import main
+from lmmpf.cli import SWEEP_LISTS, main
 from lmmpf.experiment import (
     CONFIG_FIELDS,
     ConfigError,
@@ -72,7 +73,7 @@ def test_cli_span_without_a_whole_step_exits_2(tend, message, tmp_path, capsys):
         (dict(initial_variance=0.0), "v0"),
         (dict(step=-0.1), "dt"),
         (dict(tau=1.0), "tau"),
-        (dict(replicates=0), "replicates"),
+        (dict(replicates=0), "reps"),
         (dict(noise_stddev=-1.0), "noise"),
         (dict(eps_floor=-1.0), "eps_floor"),
         (dict(initial_variance=np.nan), "v0"),
@@ -364,6 +365,18 @@ def test_config_file_rejects_unknown_key(tmp_path):
     )
 
 
+def test_config_file_rejects_a_key_given_twice(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("problem=gaussian_decay\npair=AB1-AB2\n# later\npair=AM1-AM2\n")
+    message = f"{cfg_file}:4: key 'pair' is already set on line 2"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_file(str(cfg_file))
+    outdir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_file), "--outdir", str(outdir)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(str(tmp_path / "absent.cfg"))
@@ -439,26 +452,28 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     assert "AM1-AM2" in table and "AB1-AB2" not in table
 
 
-def test_cli_sweep_pairs_flag_overrides_config_file(tmp_path, capsys):
+def test_cli_sweep_pair_flag_overrides_config_file(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(
-        "problem=gaussian_decay\npair=AB1-AB2\nnsample=10\nreps=1\ntend=1.0\n"
+        "problem=gaussian_decay\npair=AB1-AB2,BDF1-BDF2\nnsample=10\nreps=1\ntend=1.0\n"
         f"outdir={tmp_path / 'out'}\n"
     )
-    code = main(["sweep", "--config", str(cfg_file), "--pairs", "AM1-AM2", "--v", "0.1"])
-    assert code == 0
-    table = (tmp_path / "out" / "table.csv").read_text()
-    assert "AM1-AM2" in table and "AB1-AB2" not in table
-    # without the flag, the file's pair runs
-    assert main(["sweep", "--config", str(cfg_file), "--v", "0.1"]) == 0
-    table = (tmp_path / "out" / "table.csv").read_text()
-    assert "AB1-AB2" in table and "AM1-AM2" not in table
+
+    def pairs():
+        rows = (tmp_path / "out" / "table.csv").read_text().splitlines()[1:]
+        return [row.split(",")[0] for row in rows]
+
+    assert main(["sweep", "--config", str(cfg_file), "--pair", "AM1-AM2"]) == 0
+    assert pairs() == ["AM1-AM2"]
+    # without the flag, the file's list of pairs runs
+    assert main(["sweep", "--config", str(cfg_file)]) == 0
+    assert pairs() == ["AB1-AB2", "BDF1-BDF2"]
 
 
-def test_cli_sweep_v_flag_overrides_config_file_v0(tmp_path, capsys):
+def test_cli_sweep_v0_flag_overrides_config_file_v0(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text(
-        "problem=gaussian_decay\npair=AB1-AB2\nv0=0.5\nnsample=10\nreps=1\ntend=1.0\n"
+        "problem=gaussian_decay\npair=AB1-AB2\nv0=0.05, 0.5\nnsample=10\nreps=1\ntend=1.0\n"
         f"outdir={tmp_path / 'out'}\n"
     )
 
@@ -466,11 +481,11 @@ def test_cli_sweep_v_flag_overrides_config_file_v0(tmp_path, capsys):
         rows = (tmp_path / "out" / "table.csv").read_text().splitlines()[1:]
         return [row.split(",")[1] for row in rows]
 
-    assert main(["sweep", "--config", str(cfg_file), "--v", "0.1,0.01"]) == 0
+    assert main(["sweep", "--config", str(cfg_file), "--v0", "0.1,0.01"]) == 0
     assert variances() == ["0.1", "0.01"]
-    # without the flag, the file's v0 is the one variance
+    # without the flag, the file's list of variances runs, largest first
     assert main(["sweep", "--config", str(cfg_file)]) == 0
-    assert variances() == ["0.5"]
+    assert variances() == ["0.5", "0.05"]
 
 
 def test_config_file_sets_resampler_and_eps_floor(tmp_path):
@@ -529,12 +544,15 @@ def test_each_setting_is_a_flag_parsed_like_its_file_value(key, tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"{key}={text}\n")
     by_file = _collect_settings(parser.parse_args(["run", "--config", str(cfg_file)]))
-    assert hasattr(parser.parse_args(["sweep"]), key) == (key not in ("pair", "v0"))
-    commands = ["run"] if key in ("pair", "v0") else ["run", "sweep"]
-    for command in commands:
+    for command in ("run", "sweep"):
         flag = "--" + key.replace("_", "-")
         by_flag = _collect_settings(parser.parse_args([command, flag, text]))
-        assert by_flag == by_file and list(by_flag) == [field]
+        by_verb_file = _collect_settings(parser.parse_args([command, "--config", str(cfg_file)]))
+        assert by_flag == by_verb_file and list(by_flag) == [field]
+        if command == "sweep" and key in SWEEP_LISTS:  # a list of one element
+            assert by_flag == {field: [by_file[field]]}
+        else:
+            assert by_flag == by_file
     base = {"problem": "gaussian_decay", "pair": "AB1-AB2"}
     assert ExperimentConfig(**{**base, **by_file}) != ExperimentConfig(**base)
 
@@ -547,8 +565,10 @@ def test_each_setting_is_a_flag_parsed_like_its_file_value(key, tmp_path):
         ("--tend", "x", "config key tend: cannot parse 'x'"),
         ("--resampler", "bogus", "unknown resampler 'bogus'; valid resamplers"),
         ("--stride", "0", "stride must be >= 1"),
+        ("--reps", "0", "reps must be >= 1"),
+        ("--noise", "-1", "noise must be nonnegative and finite"),
     ],
-    ids=["nsample", "seed", "tend", "resampler", "stride"],
+    ids=["nsample", "seed", "tend", "resampler", "stride", "reps", "noise"],
 )
 def test_cli_bad_flag_value_is_config_error_naming_the_key(flag, text, message, tmp_path, capsys):
     code = main([
@@ -576,8 +596,8 @@ def test_cli_sweep_success(tmp_path, capsys):
         [
             "sweep",
             "--problem", "gaussian_decay",
-            "--pairs", "AB1-AB2,AM1-AM2",
-            "--v", "0.1,0.01",
+            "--pair", "AB1-AB2,AM1-AM2",
+            "--v0", "0.1,0.01",
             "--reps", "1",
             "--nsample", "15",
             "--tend", "1.0",
@@ -589,22 +609,40 @@ def test_cli_sweep_success(tmp_path, capsys):
     assert len(lines) == 5  # header + 4 rows
 
 
-def test_cli_sweep_missing_v(capsys):
-    assert main(["sweep", "--problem", "smooth", "--pairs", "AB1-AB2"]) == 2
+def test_cli_sweep_without_v0_runs_the_default_variance(tmp_path, capsys):
+    code = main([
+        "sweep", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--reps", "1",
+        "--nsample", "10", "--tend", "1.0", "--outdir", str(tmp_path),
+    ])
+    assert code == 0
+    rows = (tmp_path / "table.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["AB1-AB2", "0.1"]]
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["sweep", "--pairs", "AB1-AB2", "--v", "0.1"], "sweep needs --problem"),
-        (["sweep", "--problem", "smooth", "--v", "0.1"], "sweep needs --pairs"),
+        (["sweep", "--pair", "AB1-AB2", "--v0", "0.1"], "sweep needs --problem and --pair"),
+        (["sweep", "--problem", "smooth", "--v0", "0.1"], "sweep needs --problem and --pair"),
+        (["run", "--problem", "smooth"], "run needs --problem and --pair (flags or config file)"),
         (
-            ["sweep", "--problem", "smooth", "--pairs", "AB1-AB2", "--v", "0.1,x"],
-            "cannot parse variances '0.1,x'",
+            ["sweep", "--problem", "smooth", "--pair", "AB1-AB2", "--v0", "0.1,x"],
+            "config key v0: cannot parse '0.1,x'",
+        ),
+        (
+            ["sweep", "--problem", "smooth", "--pair", "AB1-AB2", "--nsample", "10,20"],
+            "config key nsample: cannot parse '10,20'",
         ),
         (["run", "--config", "{cfg}"], "{cfg}:2: expected key=value, got 'pair AB1-AB2'"),
     ],
-    ids=["sweep-no-problem", "sweep-no-pairs", "sweep-bad-v", "config-line-without-equals"],
+    ids=[
+        "sweep-no-problem",
+        "sweep-no-pair",
+        "run-no-pair",
+        "sweep-bad-v0-element",
+        "sweep-list-of-a-single-value-key",
+        "config-line-without-equals",
+    ],
 )
 def test_cli_usage_error_exits_2_with_its_message(args, message, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"

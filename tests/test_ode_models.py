@@ -92,17 +92,24 @@ def test_rhs_batch_of_an_empty_batch_is_empty(vectorized):
         (True, 1, lambda t, u, p: u[:, 0], "(150,)"),
         (False, 2, lambda t, u, p: np.array([u[0], u[1], 0.0]), "(150, 3)"),
         (True, 2, lambda t, u, p: np.zeros((len(u), 3)), "(150, 3)"),
+        (False, 1, lambda t, u, p: np.ones(1 + int(u[0])), None),
+        (False, 2, lambda t, u, p: np.ones(1 + int(u[0])), None),
     ],
-    ids=["row-scalar", "vectorized-flat", "row-3-of-2", "vectorized-3-of-2"],
+    ids=[
+        "row-scalar", "vectorized-flat", "row-3-of-2", "vectorized-3-of-2", "ragged-1", "ragged-2"
+    ],
 )
 def test_rhs_batch_names_a_wrong_shaped_result(vectorized, dimension, rhs, returned):
+    """``returned`` is the shape named, or None for rows of different lengths."""
     system = OdeSystem(dimension, rhs, vectorized=vectorized, name="bad")
+    returned = "rows that do not stack" if returned is None else f"shape {returned}"
     message = (
-        f"rhs of system 'bad' (d={dimension}) at t=0.25 returned shape {returned}, "
+        f"rhs of system 'bad' (d={dimension}) at t=0.25 returned {returned}, "
         f"expected (150, {dimension})"
     )
+    states = np.arange(150.0 * dimension).reshape(150, dimension)  # row i starts at i * d
     with pytest.raises(ValueError, match=re.escape(message)):
-        system.rhs_batch(0.25, np.ones((150, dimension)))
+        system.rhs_batch(0.25, states)
 
 
 def test_registry_rejects_unknown():

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -525,6 +526,17 @@ def test_run_filter_rejects_non_finite_observation_times(time, t_start):
     records = [ObservationRecord(time_index=1, time=time, value=np.array([1.0]))]
     with pytest.raises(ValueError, match="does not sit on the step grid"):
         run_filter(cfg, model, records, p.initial_state, t_start=t_start)
+
+
+@pytest.mark.parametrize("time", [0.0, -0.1], ids=["at-t_start", "before-t_start"])
+def test_run_filter_names_an_observation_at_or_before_t_start(time):
+    p = gaussian_decay_problem()
+    model = make_model("AB1-AB2", system=p.system)
+    cfg = FilterConfig(n_particles=10, initial_variance=0.01, step=0.1, pair=model.pair)
+    records = [ObservationRecord(time_index=1, time=time, value=np.array([1.0]))]
+    message = f"observation at t={time} is at or before t_start=0.0; each must lie at least one"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_filter(cfg, model, records, p.initial_state, t_start=0.0)
 
 
 @pytest.mark.parametrize("value", [[1.0, 5.0], 1.0, [[1.0]]], ids=["2", "scalar", "1x1"])

@@ -1,16 +1,19 @@
 """README.md's python blocks run as written, its hand-written filter loop
-ends on the same ensemble as `iter_filter`, and its lists of built-in
-catalogues, config keys, modules and standalone integrator names match the
-package."""
+ends on the same ensemble as `iter_filter`, its `lmmpf` commands parse, and
+its lists of built-in catalogues, config keys, modules and standalone
+integrator names match the package; each CLI verb takes every config key."""
 
 import dataclasses
 import operator
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from lmmpf import PAIR_IDS, PROBLEMS, integrators, iter_filter
+from lmmpf.cli import _build_parser, main
 from lmmpf.experiment import CONFIG_FIELDS
 from lmmpf.particle_filter import RESAMPLERS
 
@@ -42,6 +45,32 @@ def test_readme_blocks_run_and_the_hand_written_loop_matches_iter_filter():
 def test_readme_config_keys_are_the_config_fields_in_order():
     keys = re.search(r"^Config file keys: `([^`]*)`", README.read_text(), flags=re.M).group(1)
     assert [key.strip() for key in keys.split(",")] == list(CONFIG_FIELDS)
+
+
+def _readme_cli_commands():
+    """Each `lmmpf` command of README's bash blocks, continuation lines joined, comments dropped."""
+    blocks = re.findall(r"^```bash\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("lmmpf ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_cli_commands()
+    assert {words[1] for words in commands} == {"list", "run", "sweep"}
+    parser = _build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(words)}")
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_cli_verb_offers_config_and_one_flag_per_config_field(verb, capsys):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == {"--config"} | {"--" + key.replace("_", "-") for key in CONFIG_FIELDS}
 
 
 def test_readme_built_ins_are_the_problems_pairs_and_resamplers():
