@@ -1,11 +1,6 @@
 """State estimation with linear-multistep propagators and pair-based error control."""
 
-from .homec import (
-    PAIR_IDS,
-    MethodPair,
-    innovation_covariance,
-    make_pair,
-)
+from .homec import PAIR_IDS, MethodPair, make_pair
 from .integrators import (
     ColdHistoryError,
     Family,

@@ -77,16 +77,6 @@ def make_pair(
     return MethodPair(low=low, high=high, tau=tau, eps_floor=eps_floor)
 
 
-def innovation_covariance(u_low: np.ndarray, u_high: np.ndarray, tau: float) -> np.ndarray:
-    """gamma = tau^2 (u_low - u_high)^2 elementwise, exactly (no floor applied)."""
-    u_low = np.asarray(u_low, dtype=float)
-    u_high = np.asarray(u_high, dtype=float)
-    if u_low.shape != u_high.shape:
-        raise ValueError("solution vectors must have matching dimension")
-    diff = u_low - u_high
-    return tau * tau * diff * diff
-
-
 def propagate_blocks(
     pair: MethodPair,
     system: OdeSystem,
@@ -102,8 +92,9 @@ def propagate_blocks(
     spares the r rhs evaluations; otherwise a pair that reads them
     (``pair.low.reads_derivatives``) evaluates them at t - i*h.
     Returns the low-order step (N, d), the predictor of the next newest
-    block, and the floored innovation diagonal (N, d). An embedded RK pair
-    evaluates its shared stages once and applies each member's weights.
+    block, and the innovation diagonal max(tau^2 (u_low - u_high)^2, eps_floor)
+    (N, d). An embedded RK pair evaluates its shared stages once and applies
+    each member's weights.
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
@@ -121,5 +112,6 @@ def propagate_blocks(
             m_derivs = None if derivs is None else derivs[:, : m.steps]
             outputs.append(advance_batch(m, system, t, blocks[:, : m.steps], m_derivs, h))
         u_low, u_high = outputs
-    gamma = np.maximum(innovation_covariance(u_low, u_high, pair.tau), pair.eps_floor)
-    return u_low, gamma
+    diff = u_low - u_high
+    # ((tau * tau) * diff) * diff: another operand order changes gamma's last bits
+    return u_low, np.maximum(pair.tau * pair.tau * diff * diff, pair.eps_floor)

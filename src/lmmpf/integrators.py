@@ -315,12 +315,11 @@ def startup_states_batch(
     return np.stack(seq, axis=1)
 
 
-def step_count(t0: float, t_end: float, h: float) -> int:
-    """Steps of size h from t0 to t_end, or -1 unless h is positive and finite
-    and t_end lies a whole, nonnegative number of steps from t0."""
-    n_steps = (t_end - t0) / h if 0.0 < h < np.inf else np.nan
-    if not 0.0 <= n_steps < np.inf:
-        return -1
-    n_steps = int(round(n_steps))
-    return n_steps if abs(t0 + n_steps * h - t_end) <= 1e-9 * max(1.0, abs(t_end)) else -1
-
+def step_count(t0: float, t: float, h: float) -> Optional[int]:
+    """The signed step count k with t = t0 + k*h, or None unless h is positive and
+    finite and t lies on that grid: within 1e-6 of a step, at any step size."""
+    k = (t - t0) / h if 0.0 < h < np.inf else np.nan
+    if not abs(k) < np.inf:
+        return None
+    n = round(k)
+    return int(n) if abs(k - n) <= 1e-6 else None

@@ -29,7 +29,7 @@ class RunDiagnostics:
 def _moments(ensemble: Ensemble):
     """Weighted mean and population variance per component of the newest block."""
     if ensemble.n_particles < 2:
-        raise ValueError("sample variance needs at least 2 particles")
+        raise ValueError("the weighted ensemble variance needs at least 2 particles")
     # the copy pins the bits of trajectory.csv: for r >= 2 the einsum on the
     # strided newest-block view differs from the contiguous copy in the last bits
     values = np.ascontiguousarray(ensemble.newest)

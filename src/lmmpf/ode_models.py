@@ -22,9 +22,6 @@ class OdeSystem:
     vectorized: bool = False
     name: str = ""
 
-    def __call__(self, t: float, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.rhs(t, np.asarray(u, dtype=float), self.params), dtype=float)
-
     def rhs_batch(self, t: float, states: np.ndarray) -> np.ndarray:
         """Evaluate the rhs for a batch of states (N, d); the result has their shape."""
         states = np.asarray(states, dtype=float)

@@ -28,6 +28,7 @@ the step that made the block, which can differ from t - i*h in the last ulp;
 see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 """
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence
 
@@ -49,6 +50,12 @@ RESAMPLERS = {
 def _check_resampler(name: str):
     if name not in RESAMPLERS:
         raise ValueError(f"unknown resampler {name!r}; valid resamplers: {', '.join(RESAMPLERS)}")
+
+
+def _check_integer(name: str, value, least: int):
+    """``value`` must be an integer (a numpy integer too) of at least ``least``."""
+    if not hasattr(type(value), "__index__") or operator.index(value) < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class LikelihoodUnderflowError(RuntimeError):
@@ -126,8 +133,8 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be >= 2")
+        _check_integer("n_particles", self.n_particles, 2)
+        _check_integer("seed", self.seed, 0)
         if not 0.0 < self.initial_variance < np.inf:
             raise ValueError("initial_variance must be positive and finite")
         if not 0.0 < self.step < np.inf:
@@ -226,14 +233,12 @@ def _resample_indices(
 def _log_likelihood(
     model: EvolutionObservationModel, observation: ObservationRecord, newest: np.ndarray
 ) -> np.ndarray:
-    """log pi(y | newest) per row; the observation value must have measurement_var's shape."""
-    shape = model.measurement_var.shape
-    if np.shape(observation.value) != shape:
-        raise ValueError(
-            f"observation at t={observation.time} has shape {np.shape(observation.value)}; "
-            f"the measurement variance has shape {shape}"
-        )
-    return model.log_likelihood_batch(observation.value, newest)
+    """log pi(y | newest) per row; the model's shape error gains the observation time."""
+    try:
+        return model.log_likelihood_batch(observation.value, newest)
+    except ValueError as exc:
+        where = f"observation at t={observation.time}"
+        raise ValueError(str(exc).replace("observation", where, 1)) from None
 
 
 def survival_of_the_fittest(
@@ -337,15 +342,15 @@ def _observation_schedule(
     prev_k = 0
     for rec in observations:
         k = step_count(t_start, rec.time, h)
-        if k == 0 or -np.inf < rec.time < t_start:
-            raise ValueError(
-                f"observation at t={rec.time} is at or before t_start={t_start}; "
-                f"each must lie at least one step of h={h} after it"
-            )
-        if k < 1:
+        if k is None:
             raise ValueError(
                 f"observation at t={rec.time} does not sit on the step grid "
                 f"(t_start={t_start}, h={h}); stride and step are inconsistent"
+            )
+        if k < 1:
+            raise ValueError(
+                f"observation at t={rec.time} is at or before t_start={t_start}; "
+                f"each must lie at least one step of h={h} after it"
             )
         if k <= prev_k:
             raise ValueError("observation times must be strictly increasing")

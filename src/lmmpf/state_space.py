@@ -54,9 +54,14 @@ class EvolutionObservationModel:
     def log_likelihood_batch(self, y: np.ndarray, newest: np.ndarray) -> np.ndarray:
         """log N(y; G(state), diag(measurement_var)) for a batch of newest blocks (N, d).
 
-        Returns (N,).
+        ``y`` must have ``measurement_var``'s shape. Returns (N,).
         """
         var = self.measurement_var
-        residual = np.asarray(y, dtype=float)[None, :] - self.observe_newest(newest)
+        y = np.asarray(y, dtype=float)
+        if y.shape != var.shape:
+            raise ValueError(
+                f"observation has shape {y.shape}; the measurement variance has shape {var.shape}"
+            )
+        residual = y[None, :] - self.observe_newest(newest)
         quad = residual**2 / var[None, :]
         return -0.5 * (np.sum(quad, axis=1) + np.sum(np.log(2.0 * np.pi * var)))

@@ -66,6 +66,17 @@ def test_cli_span_without_a_whole_step_exits_2(tend, message, tmp_path, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+def test_cli_tend_half_a_tiny_step_off_the_grid_exits_2(tmp_path, capsys):
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--dt", "1e-9",
+        "--tend", "2.5e-9", "--reps", "1", "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    message = "t_end=2.5e-09 is not an integral number of steps of h=1e-09 from 0.0"
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "table.csv").exists()
+
+
 @pytest.mark.parametrize(
     "kw,msg",
     [

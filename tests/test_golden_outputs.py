@@ -1,0 +1,62 @@
+"""`lmmpf sweep` and `lmmpf run` reproduce their recorded outputs byte for byte.
+
+A small sweep over all eight pairs (two V0 values, both resamplers) and one
+run are compared by the SHA-256 of their stdout and of every file they write.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+from lmmpf.cli import main
+
+PAIRS = "AB1-AB2,AB3-AB4,AM1-AM2,AM3-AM4,BDF1-BDF2,BDF3-BDF4,RK1-RK2,RK4-RK5"
+SWEEP = ["sweep", "--problem", "gaussian_decay", "--pair", PAIRS, "--v0", "0.1,0.001",
+         "--reps", "2", "--tend", "1.0"]
+COMMANDS = {
+    "sweep_multinomial": SWEEP + ["--resampler", "multinomial"],
+    "sweep_systematic": SWEEP + ["--resampler", "systematic"],
+    "run_smooth": ["run", "--problem", "smooth", "--pair", "AM3-AM4", "--reps", "2",
+                   "--tend", "1.0", "--stride", "2"],
+}
+
+# SHA-256 of "<outdir>/stdout" and of "<outdir>/<file>" for each written file
+GOLDEN = {
+    "sweep_multinomial/stdout": "cd6a0e2c9a8cb1db5fbcb0222cd3640b02478df381948e4e8067fdc2ba349124",
+    "sweep_multinomial/table.csv": "9dd77cf2f790ebf87def7f33f4b52c23ccd880a017694e98a2659c7945afd534",
+    "sweep_systematic/stdout": "f31d600a32cfb248d2c08c6b25a1e03b5ef7adba528747fea82ba5bcfb26595e",
+    "sweep_systematic/table.csv": "910a32352ea8502baf55c7f34eb33eb399fc9aa31e02d91f549b8ebfd43ab941",
+    "run_smooth/stdout": "9777659098bb1c88d7d3b30907185fd5db6c4511c79e863c77bd66becc5a296e",
+    "run_smooth/plot_00.svg": "a2b15d8c1a07fcc15d314da2076cb8c1f15162d413450991216784bfc696ab73",
+    "run_smooth/plot_01.svg": "6288644bfe591d8842aa853a1a789d064ce09c3093fd3d74bb03e26f8e7d2ac5",
+    "run_smooth/table.csv": "97987a71a9a2d856262525a5fa6e8a0d8421f54a8a07e0e372434ec81e1fed7f",
+    "run_smooth/trajectory_00.csv": "e93edf4937a0de3a78069485cb3624cef9f167699caf00f454da0e14138ea16c",
+    "run_smooth/trajectory_01.csv": "4e0c7639846a94a95ed0bef76ce59000e08c74e6fabe44126fb4f91c051c28a2",
+}
+
+
+def output_digests():
+    """Run each command in the working directory, its name as the output directory."""
+    digests = {}
+    for outdir, argv in COMMANDS.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv + ["--outdir", outdir]) == 0, outdir
+        digests[f"{outdir}/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+        for name in sorted(os.listdir(outdir)):
+            with open(os.path.join(outdir, name), "rb") as fh:
+                digests[f"{outdir}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = output_digests()
+    changed = sorted(
+        name for name in GOLDEN.keys() | digests.keys() if GOLDEN.get(name) != digests.get(name)
+    )
+    assert not changed, (
+        f"outputs differ from the recorded digests: {', '.join(changed)}. A deliberate output "
+        "change must update GOLDEN in this file and record that in CHANGES.md."
+    )

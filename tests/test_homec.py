@@ -4,7 +4,6 @@ import pytest
 from lmmpf.homec import (
     PAIR_IDS,
     MethodPair,
-    innovation_covariance,
     make_pair,
     propagate_blocks,
 )
@@ -36,33 +35,36 @@ def shifted_blocks(pair, system, blocks, t, h):
     return innovation_step(ens, np.random.default_rng(0), time=t + h, system=system).states
 
 
-def test_innovation_zero_for_identical_solutions():
-    gamma = innovation_covariance(np.array([1.0, 2.0]), np.array([1.0, 2.0]), tau=2.0)
-    assert np.array_equal(gamma, [0.0, 0.0])
+def rk12_gamma(slopes, tau):
+    """Innovation diagonal of RK1-RK2 (no floor) for f(t, u) = slopes * t, one step
+    of h = 0.1 from t = 0: the members differ by h^2/2 * slopes, so gamma is
+    tau^2 * 2.5e-5 * slopes^2."""
+    slopes = np.asarray(slopes, dtype=float)
+    system = OdeSystem(
+        dimension=len(slopes), rhs=lambda t, u, p: t * slopes + 0.0 * u, vectorized=True
+    )
+    pair = make_pair("RK1-RK2", tau=tau, eps_floor=0.0)
+    _, gamma = propagate_blocks(pair, system, np.zeros((1, 1, len(slopes))), 0.0, 0.1)
+    return gamma[0]
 
 
 def test_innovation_hand_value():
-    gamma = innovation_covariance(np.array([0.01, -0.02]), np.array([0.0, 0.0]), tau=2.0)
-    assert gamma[0] == pytest.approx(4e-4, rel=1e-12)
-    assert gamma[1] == pytest.approx(1.6e-3, rel=1e-12)
+    gamma = rk12_gamma([1.0, -2.0], tau=2.0)
+    assert gamma[0] == pytest.approx(1e-4, rel=1e-12)
+    assert gamma[1] == pytest.approx(4e-4, rel=1e-12)
 
 
 def test_innovation_quadratic_scaling():
-    base = innovation_covariance(np.array([0.3]), np.array([0.1]), tau=1.5)
-    scaled = innovation_covariance(np.array([0.5]), np.array([-0.1]), tau=1.5)
+    base = rk12_gamma([1.0], tau=1.5)
+    scaled = rk12_gamma([3.0], tau=1.5)
     # difference scaled by 3 -> gamma scaled by 9
     assert scaled[0] == pytest.approx(9.0 * base[0], rel=1e-12)
 
 
 def test_innovation_monotone_in_tau():
-    lo = innovation_covariance(np.array([0.2]), np.array([0.1]), tau=1.5)
-    hi = innovation_covariance(np.array([0.2]), np.array([0.1]), tau=2.5)
+    lo = rk12_gamma([1.0], tau=1.5)
+    hi = rk12_gamma([1.0], tau=2.5)
     assert np.all(hi >= lo)
-
-
-def test_innovation_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        innovation_covariance(np.zeros(2), np.zeros(3), tau=1.5)
 
 
 def test_pair_registry_ids():
@@ -137,7 +139,8 @@ def test_rk_pair_delegates_to_embedded_step():
         advance_batch(m, p.system, 0.0, blocks, None, 0.1) for m in (pair.low, pair.high)
     )
     assert np.array_equal(pred, ref_low)
-    assert np.array_equal(gamma, innovation_covariance(ref_low, ref_high, pair.tau))
+    diff = ref_low - ref_high
+    assert np.array_equal(gamma, pair.tau * pair.tau * diff * diff)
 
 
 def test_homec_calibration_tracks_local_error():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import empirical_order, forward_startup, integrate_trajectory
 from lmmpf import integrators
@@ -195,7 +197,7 @@ def test_backward_euler_closed_form_linear_agreement():
     # u = u_j / (1 - h*lambda(t+h)) in closed form for the scalar linear rhs
     p = gaussian_decay_problem()
     for t0, u0 in ((0.3, 0.8), (2.0, 1.0)):
-        blocks, derivs = single([u0], p.system(t0, np.array([u0])))
+        blocks, derivs = single([u0], p.system.rhs_batch(t0, np.array([[u0]]))[0])
         lam = -2.0 * (t0 + 0.1 - 1.0)
         expected = u0 / (1.0 - 0.1 * lam)
         u_am = implicit_step_batch(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
@@ -279,7 +281,7 @@ def test_coupled_linear_step_matches_direct_solve():
 def test_smooth_step_needs_few_rhs_calls(rhs_calls):
     p = gaussian_decay_problem()
     t, u_j = 4.9, p.exact_solution(4.9)
-    blocks, derivs = single(u_j, p.system(t, u_j))
+    blocks, derivs = single(u_j, p.system.rhs(t, u_j, p.system.params))
     implicit_step_batch(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
     assert len(rhs_calls) <= 4
 
@@ -378,11 +380,29 @@ def test_bootstrap_backward_keeps_newest():
 
 @pytest.mark.parametrize(
     "t_end,h",
-    [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan), (-1.0, 0.1), (np.nan, 0.1),
-     (np.inf, 0.1), (0.55, 0.1)],
+    [(1.0, 0.0), (1.0, -0.1), (1.0, np.inf), (1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1),
+     (0.55, 0.1), (1.5e-10, 1e-10)],
 )
 def test_step_count_rejects_bad_spans(t_end, h):
-    assert step_count(0.0, t_end, h) == -1
+    assert step_count(0.0, t_end, h) is None
+
+
+def test_step_count_before_the_start_is_negative():
+    assert step_count(0.0, -1.0, 0.1) == -10
+
+
+@settings(deadline=None, database=None)
+@given(
+    h=st.floats(1e-12, 1e3),
+    start=st.floats(-1e3, 1e3),
+    k=st.integers(-10**6, 10**6),
+)
+def test_step_count_is_the_signed_step_of_a_grid_time(h, start, k):
+    # judged in units of a step, so the same at every step size
+    t0 = start * h
+    assert step_count(t0, t0 + k * h, h) == k
+    assert step_count(t0, t0 + (k + 0.5) * h, h) is None
+
 
 @pytest.mark.parametrize(
     "family,order",

@@ -19,7 +19,7 @@ def test_smooth_problem_values():
     p = smooth_problem()
     assert p.exact_solution(0.0) == pytest.approx(0.0, abs=1e-15)
     assert p.exact_solution(1.0)[0] == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert p.system(0.0, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert p.system.rhs_batch(0.0, np.array([[0.0]]))[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_gaussian_decay_values():
@@ -35,7 +35,7 @@ def test_exact_solution_satisfies_ode(name):
     eps = 1e-6
     for t in np.linspace(p.t_span[0] + eps, p.t_span[1] - eps, 100):
         dx = (p.exact_solution(t + eps) - p.exact_solution(t - eps)) / (2.0 * eps)
-        f = p.system(t, p.exact_solution(t))
+        f = p.system.rhs_batch(t, p.exact_solution(t)[None])[0]
         assert np.max(np.abs(dx - f)) < 1e-6
 
 

@@ -100,6 +100,27 @@ def test_initialize_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n_particles", 2.5), ("seed", -1), ("seed", 1.5)],
+    ids=["n_particles-2.5", "seed--1", "seed-1.5"],
+)
+def test_filter_config_names_the_field_that_is_not_a_valid_integer(field, value):
+    model = make_model()
+    settings = dict(n_particles=10, initial_variance=0.1, step=0.1, pair=model.pair)
+    with pytest.raises(ValueError, match=rf"{field} must be an integer >= \d, got {value}"):
+        FilterConfig(**{**settings, field: value})
+
+
+def test_filter_config_takes_numpy_integers():
+    model = make_model()
+    cfg = FilterConfig(
+        n_particles=np.int64(10), initial_variance=0.1, step=0.1, pair=model.pair,
+        seed=np.uint32(7),
+    )
+    records = [ObservationRecord(time_index=1, time=0.1, value=np.array([1.0]))]
+    assert run_filter(cfg, model, records, np.array([1.0]), t_start=0.0)[-1].n_particles == 10
+
+
 # ------------------------------------------------------- survival (resample)
 
 
@@ -526,6 +547,16 @@ def test_run_filter_rejects_non_finite_observation_times(time, t_start):
     records = [ObservationRecord(time_index=1, time=time, value=np.array([1.0]))]
     with pytest.raises(ValueError, match="does not sit on the step grid"):
         run_filter(cfg, model, records, p.initial_state, t_start=t_start)
+
+
+def test_run_filter_judges_the_grid_in_units_of_a_step():
+    # half a step off the grid, however small the step
+    p = gaussian_decay_problem()
+    model = make_model("AB1-AB2", system=p.system)
+    cfg = FilterConfig(n_particles=10, initial_variance=0.01, step=1e-10, pair=model.pair)
+    records = [ObservationRecord(time_index=1, time=1.5e-10, value=np.array([1.0]))]
+    with pytest.raises(ValueError, match="t=1.5e-10 does not sit on the step grid"):
+        run_filter(cfg, model, records, p.initial_state, t_start=0.0)
 
 
 @pytest.mark.parametrize("time", [0.0, -0.1], ids=["at-t_start", "before-t_start"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_augment_project_round_trip():
     blocks = forward_startup(p.system, p.initial_state, 0.0, 0.1, 3)
     derivs = history_derivatives(p.system, blocks, 0.2, 0.1)
     for i in range(3):
-        assert np.array_equal(derivs[0, i], p.system(0.2 - i * 0.1, blocks[0, i]))
+        assert np.array_equal(derivs[0, i], p.system.rhs_batch(0.2 - i * 0.1, blocks[:1, i])[0])
 
 
 def test_propagate_constant_solution_floor():
@@ -156,6 +157,20 @@ def test_observe_matches_history_newest():
     model = make_model("AB1-AB2")
     blocks = startup_states_batch(p.system, p.initial_state, 0.0, 0.1, 2)
     assert np.array_equal(model.observe_newest(blocks[:, 0]), blocks[:, 0])
+
+
+@pytest.mark.parametrize(
+    "dimension, indices, y",
+    [(1, None, [1.0, 2.0, 3.0]), (1, None, 1.0), (2, [1], [1.0, 2.0])],
+    ids=["(3,)-on-1d", "()-on-1d", "(2,)-on-1-observed"],
+)
+def test_log_likelihood_rejects_y_of_another_shape(dimension, indices, y):
+    system = OdeSystem(dimension=dimension, rhs=lambda t, u, p: -u, vectorized=True)
+    model = make_model("AB1-AB2", system=system, indices=indices)
+    y = np.array(y)
+    message = f"observation has shape {y.shape}; the measurement variance has shape (1,)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.log_likelihood_batch(y, np.ones((4, dimension)))
 
 
 def test_model_rejects_nonpositive_measurement_var():
