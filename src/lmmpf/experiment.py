@@ -17,7 +17,7 @@ from .homec import MethodPair, make_pair
 from .integrators import step_count
 from .metrics import RunDiagnostics, diagnostics
 from .ode_models import get_problem, synthesize_observations
-from .particle_filter import RESAMPLERS, FilterConfig, iter_filter
+from .particle_filter import RESAMPLERS, FilterConfig, _check_integer, iter_filter
 from .state_space import EvolutionObservationModel
 from .svg_plot import render_line_plot
 
@@ -77,12 +77,14 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 def _resolve(config: ExperimentConfig):
     """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times)."""
-    if config.stride < 1:
-        raise ConfigError("stride must be >= 1")
-    if config.replicates < 1:
-        raise ConfigError("reps must be >= 1")
-    if config.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    for key, value, least in (
+        ("stride", config.stride, 1), ("reps", config.replicates, 1), ("seed", config.seed, 0)
+    ):
+        try:
+            _check_integer(key, value, least)
+        except ValueError:
+            rule = ">= 1 and an integer" if least else "a nonnegative integer"
+            raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
     if not 0 <= config.noise_stddev < np.inf:
         raise ConfigError("noise must be nonnegative and finite")
     if config.n_particles < 2:

@@ -165,7 +165,7 @@ def explicit_step_batch(
     the explicit part of an Adams-Moulton or BDF step.
     """
     out = np.einsum("i,nid->nd", spec.alpha, states)
-    if np.any(spec.beta):
+    if spec.beta.any():
         out = out + h * np.einsum("i,nid->nd", spec.beta, derivs)
     return out
 
@@ -173,16 +173,24 @@ def explicit_step_batch(
 def _iteration_inverse(
     system: OdeSystem, t_new: float, u: np.ndarray, f_val: np.ndarray, hb: float
 ) -> np.ndarray:
-    """(I - hb*J)^-1 at u, shape (N, d, d); J by forward differences (d rhs calls)."""
+    """(I - hb*J)^-1 at u, J by forward differences (d rhs calls): (N, d, d), or (N, 1) if d = 1."""
     n, d = u.shape
+    if d == 1:
+        # batched inv makes one LAPACK call per matrix: ~100x slower for 1x1
+        eps = 1e-8 * np.maximum(1.0, np.abs(u))
+        return 1.0 / (1.0 - hb * (system.rhs_batch(t_new, u + eps) - f_val) / eps)
     m = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     for k in range(d):
         eps = 1e-8 * np.maximum(1.0, np.abs(u[:, k]))
         up = u.copy()
         up[:, k] += eps
         m[:, :, k] -= hb * (system.rhs_batch(t_new, up) - f_val) / eps[:, None]
-    # batched inv makes one LAPACK call per matrix: ~100x slower for 1x1
-    return 1.0 / m if d == 1 else np.linalg.inv(m)
+    return np.linalg.inv(m)
+
+
+def _newton_correction(m_inv: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """M^-1 res per row; for d = 1, + 0.0 makes a -0.0 product +0.0, as einsum's sum does."""
+    return m_inv * res + 0.0 if m_inv.ndim == 2 else np.einsum("nij,nj->ni", m_inv, res)
 
 
 def _solve_stage_batch(
@@ -197,18 +205,18 @@ def _solve_stage_batch(
     f_val = system.rhs_batch(t_new, u)
     res = const + hb * f_val - u
     m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
-    norm = float(np.max(np.abs(res)))
+    norm = float(np.abs(res).max())
     for _ in range(SOLVE_MAX_ITERATIONS):
         if norm <= SOLVE_TOLERANCE:
             break
-        u = u + np.einsum("nij,nj->ni", m_inv, res)
+        u = u + _newton_correction(m_inv, res)
         f_val = system.rhs_batch(t_new, u)
         res = const + hb * f_val - u
-        norm, prev_norm = float(np.max(np.abs(res))), norm
+        norm, prev_norm = float(np.abs(res).max()), norm
         if norm > SOLVE_TOLERANCE and norm > 0.5 * prev_norm:
             m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
     if norm <= SOLVE_TOLERANCE:
-        return u + np.einsum("nij,nj->ni", m_inv, res)
+        return u + _newton_correction(m_inv, res)
     above = np.count_nonzero(~(np.max(np.abs(res), axis=1) <= SOLVE_TOLERANCE))
     raise ImplicitSolveError(t_new, len(res), int(above), norm)
 
@@ -292,9 +300,10 @@ def history_derivatives(
     system: OdeSystem, blocks: np.ndarray, t: float, h: float
 ) -> np.ndarray:
     """f(t - i*h, blocks[:, i]) for every history block i, shape (N, r, d)."""
-    return np.stack(
-        [system.rhs_batch(t - i * h, blocks[:, i]) for i in range(blocks.shape[1])], axis=1
-    )
+    out = np.empty(blocks.shape)
+    for i in range(blocks.shape[1]):
+        out[:, i] = system.rhs_batch(t - i * h, blocks[:, i])
+    return out
 
 
 _STARTUP_RK = make_method(_RK, 5)

@@ -29,7 +29,7 @@ see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 """
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -185,7 +185,11 @@ def propagate_ensemble(
     predictors, gammas = propagate_blocks(
         model.pair, model.system, ensemble.states, ensemble.time, h, derivs=ensemble.derivatives
     )
-    return replace(ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None)
+    return Ensemble(
+        states=ensemble.states, weights=ensemble.weights, time_index=ensemble.time_index,
+        time=ensemble.time, predictors=predictors, innovation_vars=gammas,
+        derivatives=ensemble.derivatives,
+    )
 
 
 def _require_propagated(ensemble: Ensemble, stage: str):
@@ -200,13 +204,13 @@ def _normalized_weights(
     log_values: np.ndarray, time_index: int, time: float, rows: np.ndarray, name: str
 ) -> np.ndarray:
     """Normalized exp(log_values), or `LikelihoodUnderflowError` counting non-finite ``rows``."""
-    m = np.max(log_values)
+    m = log_values.max()
     if not np.isfinite(m):
         bad = np.count_nonzero(~np.isfinite(rows).all(axis=1))
         non_finite = f"{bad} of {len(rows)} {name} hold nan or inf" if bad else ""
         raise LikelihoodUnderflowError(time_index, time, float(m), non_finite)
     w = np.exp(log_values - m)
-    return w / np.sum(w)
+    return w / w.sum()
 
 
 def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -217,9 +221,9 @@ def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
     to their own positions; each lookup is elementwise, so the result is
     the same as searching ``us`` as given.
     """
-    order = np.argsort(us)
+    order = us.argsort()
     idx = np.empty(us.shape[0], dtype=np.int64)
-    idx[order] = np.searchsorted(cumw, us[order], side="right")
+    idx[order] = cumw.searchsorted(us[order], side="right")
     return np.minimum(idx, cumw.shape[0] - 1, out=idx)
 
 
@@ -227,7 +231,7 @@ def _resample_indices(
     fitness: np.ndarray, rng: np.random.Generator, resampler: str
 ) -> np.ndarray:
     _check_resampler(resampler)
-    return inverse_cdf_indices(np.cumsum(fitness), RESAMPLERS[resampler](rng, fitness.shape[0]))
+    return inverse_cdf_indices(fitness.cumsum(), RESAMPLERS[resampler](rng, fitness.shape[0]))
 
 
 def _log_likelihood(
@@ -266,17 +270,14 @@ def survival_of_the_fittest(
     idx = _resample_indices(fitness, rng, resampler)
 
     def gather(rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        return None if rows is None else np.take(rows, idx, axis=0)
+        return None if rows is None else rows.take(idx, axis=0)
 
     n = ensemble.n_particles
-    return replace(
-        ensemble,
-        states=gather(ensemble.states),
-        weights=np.full(n, 1.0 / n),
-        predictors=gather(ensemble.predictors),
-        innovation_vars=gather(ensemble.innovation_vars),
-        derivatives=gather(ensemble.derivatives),
-        predictor_loglik=gather(loglik),
+    return Ensemble(
+        states=gather(ensemble.states), weights=np.full(n, 1.0 / n),
+        time_index=ensemble.time_index, time=ensemble.time,
+        predictors=gather(ensemble.predictors), innovation_vars=gather(ensemble.innovation_vars),
+        derivatives=gather(ensemble.derivatives), predictor_loglik=gather(loglik),
     )
 
 
@@ -302,12 +303,10 @@ def innovation_step(
     if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
         derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
-    return replace(
-        ensemble,
-        states=states,
-        time_index=ensemble.time_index + 1,
-        time=time,
-        derivatives=derivatives,
+    return Ensemble(
+        states=states, weights=ensemble.weights, time_index=ensemble.time_index + 1, time=time,
+        predictors=ensemble.predictors, innovation_vars=ensemble.innovation_vars,
+        derivatives=derivatives, predictor_loglik=ensemble.predictor_loglik,
     )
 
 
@@ -329,7 +328,12 @@ def weight_update(
     weights = _normalized_weights(
         log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
     )
-    return replace(ensemble, weights=weights)
+    return Ensemble(
+        states=ensemble.states, weights=weights, time_index=ensemble.time_index,
+        time=ensemble.time, predictors=ensemble.predictors,
+        innovation_vars=ensemble.innovation_vars, derivatives=ensemble.derivatives,
+        predictor_loglik=ensemble.predictor_loglik,
+    )
 
 
 def _observation_schedule(

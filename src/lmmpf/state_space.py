@@ -35,6 +35,8 @@ class EvolutionObservationModel:
         if not np.all((0.0 < var) & (var < np.inf)):
             raise ValueError("measurement covariance diagonal must be positive and finite")
         object.__setattr__(self, "measurement_var", var)
+        # sum(log(2*pi*var)), the likelihood's constant term; replace() recomputes it
+        object.__setattr__(self, "_log_norm", np.sum(np.log(2.0 * np.pi * var)))
         m = d = self.system.dimension
         if self.observed_indices is not None:
             indices = checked_observed_indices(self.observed_indices, d)
@@ -64,4 +66,4 @@ class EvolutionObservationModel:
             )
         residual = y[None, :] - self.observe_newest(newest)
         quad = residual**2 / var[None, :]
-        return -0.5 * (np.sum(quad, axis=1) + np.sum(np.log(2.0 * np.pi * var)))
+        return -0.5 * (quad.sum(axis=1) + self._log_norm)

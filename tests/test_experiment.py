@@ -107,6 +107,33 @@ def test_run_experiment_validates_settings(kw, msg):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "kw,msg",
+    [
+        (dict(stride=1.5), "stride must be >= 1 and an integer, got 1.5"),
+        (dict(replicates=1.5), "reps must be >= 1 and an integer, got 1.5"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+    ],
+    ids=["stride", "reps", "seed"],
+)
+def test_run_experiment_rejects_a_fractional_integer_setting_by_its_key(kw, msg):
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.2, **kw)
+    with pytest.raises(ConfigError, match=re.escape(msg)):
+        run_experiment(cfg)
+
+
+def test_run_experiment_takes_numpy_integer_settings():
+    kw = dict(problem="gaussian_decay", pair="AB1-AB2", n_particles=20, t_end=0.2)
+    plain = run_experiment(ExperimentConfig(**kw, stride=2, replicates=2, seed=3))
+    numpy = run_experiment(
+        ExperimentConfig(**kw, stride=np.int64(2), replicates=np.int64(2), seed=np.int64(3))
+    )
+    assert plain[1] == numpy[1]
+    for one, other in zip(plain[0], numpy[0]):
+        for name, value in vars(one).items():
+            assert np.array_equal(getattr(other, name), value), name
+
+
 @pytest.mark.parametrize("pair_id", [
     "AB1-AB2", "AB3-AB4", "AM1-AM2", "AM3-AM4",
     "BDF1-BDF2", "BDF3-BDF4", "RK1-RK2", "RK4-RK5",

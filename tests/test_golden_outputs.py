@@ -1,6 +1,7 @@
 """`lmmpf sweep` and `lmmpf run` reproduce their recorded outputs byte for byte.
 
-A small sweep over all eight pairs (two V0 values, both resamplers) and one
+A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
+of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and one
 run are compared by the SHA-256 of their stdout and of every file they write.
 """
 
@@ -17,6 +18,9 @@ SWEEP = ["sweep", "--problem", "gaussian_decay", "--pair", PAIRS, "--v0", "0.1,0
 COMMANDS = {
     "sweep_multinomial": SWEEP + ["--resampler", "multinomial"],
     "sweep_systematic": SWEEP + ["--resampler", "systematic"],
+    "sweep_full_span": ["sweep", "--problem", "gaussian_decay", "--pair",
+                        "AB1-AB2,AB3-AB4,AM1-AM2,AM3-AM4,BDF3-BDF4", "--v0", "0.1,0.0001",
+                        "--reps", "2"],
     "run_smooth": ["run", "--problem", "smooth", "--pair", "AM3-AM4", "--reps", "2",
                    "--tend", "1.0", "--stride", "2"],
 }
@@ -27,6 +31,8 @@ GOLDEN = {
     "sweep_multinomial/table.csv": "9dd77cf2f790ebf87def7f33f4b52c23ccd880a017694e98a2659c7945afd534",
     "sweep_systematic/stdout": "f31d600a32cfb248d2c08c6b25a1e03b5ef7adba528747fea82ba5bcfb26595e",
     "sweep_systematic/table.csv": "910a32352ea8502baf55c7f34eb33eb399fc9aa31e02d91f549b8ebfd43ab941",
+    "sweep_full_span/stdout": "51685bcdb388602fc3ccc02559a75ee72d650fb13bbbd8ca1a2427b75bbff6db",
+    "sweep_full_span/table.csv": "b874f84ef6e3d42786d75fedf6c9a6e13eba49765ee91e2b65c89c1ab279f055",
     "run_smooth/stdout": "9777659098bb1c88d7d3b30907185fd5db6c4511c79e863c77bd66becc5a296e",
     "run_smooth/plot_00.svg": "a2b15d8c1a07fcc15d314da2076cb8c1f15162d413450991216784bfc696ab73",
     "run_smooth/plot_01.svg": "6288644bfe591d8842aa853a1a789d064ce09c3093fd3d74bb03e26f8e7d2ac5",

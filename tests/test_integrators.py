@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import empirical_order, forward_startup, integrate_trajectory
@@ -276,6 +276,34 @@ def test_coupled_linear_step_matches_direct_solve():
     u = implicit_step_batch(make_method(AM, 1), system, 0.0, blocks, derivs, h)
     expected = np.linalg.solve(np.eye(2) - h * a, u_j.T).T
     assert np.max(np.abs(u - expected)) <= 1e-12
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@settings(deadline=None, database=None)
+@given(
+    rows=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=6),
+    hb=st.floats(-10.0, 10.0),
+)
+@example(rows=[(0.0, 1.0, -0.0)], hb=1.0)  # a -0.0 product, which einsum's sum makes +0.0
+def test_scalar_newton_path_matches_the_general_formula_bit_for_bit(rows, hb):
+    # d = 1: the inverse and correction equal the (N, 1, 1) matrix route they replace
+    system = OdeSystem(dimension=1, rhs=lambda t, u, p: np.sin(3.0 * u) - u**3, vectorized=True)
+    u, f_val, res = (np.array(col)[:, None] for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        m = np.broadcast_to(np.eye(1), (len(u), 1, 1)).copy()
+        eps = 1e-8 * np.maximum(1.0, np.abs(u[:, 0]))
+        up = u.copy()
+        up[:, 0] += eps
+        m[:, :, 0] -= hb * (system.rhs_batch(0.5, up) - f_val) / eps[:, None]
+        former_inv = 1.0 / m
+        former_corr = np.einsum("nij,nj->ni", former_inv, res)
+        m_inv = integrators._iteration_inverse(system, 0.5, u, f_val, hb)
+        corr = integrators._newton_correction(m_inv, res)
+    assert m_inv.shape == corr.shape == (len(u), 1)
+    assert m_inv.tobytes() == former_inv.tobytes()
+    assert corr.tobytes() == former_corr.tobytes()
 
 
 def test_smooth_step_needs_few_rhs_calls(rhs_calls):

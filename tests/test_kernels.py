@@ -2,6 +2,7 @@
 plain-loop and exact-sum references."""
 
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,22 @@ def test_gaussian_logpdf_parity(rng):
     const = sum(math.log(2.0 * math.pi * v) for v in var)
     b = [-0.5 * (sum((yj - mj) ** 2 / v for yj, mj, v in zip(y, row, var)) + const) for row in means]
     assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+
+
+def test_log_likelihood_constant_is_computed_once_and_follows_replace(rng):
+    # bit for bit the per-call formula, also for a model whose variance replace() changed
+    y = rng.normal(size=3)
+    means = rng.normal(size=(50, 3))
+    model = observation_model(rng.uniform(0.1, 2.0, size=3))
+    scaled = dataclasses.replace(model, measurement_var=7.0 * model.measurement_var)
+    for m in (model, scaled):
+        var = m.measurement_var
+        quad = (y[None, :] - means) ** 2 / var[None, :]
+        expected = -0.5 * (np.sum(quad, axis=1) + np.sum(np.log(2 * np.pi * var)))
+        assert m.log_likelihood_batch(y, means).tobytes() == expected.tobytes()
+    assert not np.array_equal(
+        model.log_likelihood_batch(y, means), scaled.log_likelihood_batch(y, means)
+    )
 
 
 def test_gaussian_logpdf_reference(rng):

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -425,6 +425,41 @@ def test_weight_update_reuses_resampled_predictor_loglik():
         model,
     )
     assert np.array_equal(reused.weights, recomputed.weights)
+
+
+@pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
+def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(pair_id):
+    # a non-vectorized system, so every ensemble carries its history derivatives
+    cfg, model, records, prior = streamed_inputs(pair_id, "multinomial", vectorized=False)
+    rng = np.random.default_rng(3)
+    obs = records[0]
+    n, r, d = cfg.n_particles, model.pair.steps_required, 1
+    rows, blocks = (n, d), (n, r, d)
+    stages = [
+        (lambda e: propagate_ensemble(e, model, cfg.step),
+         dict(predictors=rows, innovation_vars=rows, predictor_loglik=None)),
+        (lambda e: survival_of_the_fittest(e, obs, model, rng),
+         dict(states=blocks, weights=(n,), predictors=rows, innovation_vars=rows,
+              derivatives=blocks, predictor_loglik=(n,))),
+        (lambda e: innovation_step(e, rng, time=0.1, system=model.system),
+         dict(states=blocks, time_index=1, time=0.1, derivatives=blocks)),
+        (lambda e: weight_update(e, obs, model), dict(weights=(n,))),
+    ]
+    ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
+    assert ens.derivatives.shape == blocks
+    for stage, sets in stages:
+        new = stage(ens)
+        for name in (f.name for f in fields(Ensemble)):
+            value, old = getattr(new, name), getattr(ens, name)
+            if name not in sets:
+                assert value is old, name
+            elif isinstance(sets[name], tuple):
+                assert value.shape == sets[name] and value is not old, name
+            else:
+                assert value == sets[name], name
+        ens = new
+    assert ens.predictor_loglik is not None
+    assert propagate_ensemble(ens, model, cfg.step).predictor_loglik is None
 
 
 def test_filter_evaluates_likelihood_twice_per_observed_step(monkeypatch):
