@@ -78,17 +78,16 @@ def _sub_seed(seed: int, *key: int) -> int:
 def _resolve(config: ExperimentConfig):
     """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times)."""
     for key, value, least in (
-        ("stride", config.stride, 1), ("reps", config.replicates, 1), ("seed", config.seed, 0)
+        ("nsample", config.n_particles, 2), ("stride", config.stride, 1),
+        ("reps", config.replicates, 1), ("seed", config.seed, 0),
     ):
         try:
             _check_integer(key, value, least)
         except ValueError:
-            rule = ">= 1 and an integer" if least else "a nonnegative integer"
+            rule = f">= {least} and an integer" if least else "a nonnegative integer"
             raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
     if not 0 <= config.noise_stddev < np.inf:
         raise ConfigError("noise must be nonnegative and finite")
-    if config.n_particles < 2:
-        raise ConfigError("nsample must be >= 2")
     if not 0 < config.initial_variance < np.inf:
         raise ConfigError("v0 must be positive and finite")
     if not 0 < config.step < np.inf:

@@ -9,7 +9,7 @@ per-step (local) quantity.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -18,11 +18,12 @@ from .integrators import (
     ColdHistoryError,
     Family,
     MethodSpec,
-    advance_batch,
     history_derivatives,
     make_method,
     rk_combine_batch,
     rk_stages_batch,
+    step_members,
+    step_rows,
 )
 from .ode_models import OdeSystem
 
@@ -33,13 +34,14 @@ class MethodPair:
 
     The members of an embedded RK pair share one tableau. ``eps_floor`` keeps
     the innovation covariance away from an exactly degenerate zero (set 0 to
-    disable).
+    disable). A multistep pair derives its `step_rows` once, as ``rows``.
     """
 
     low: MethodSpec
     high: MethodSpec
     tau: float = 1.5
     eps_floor: float = 1e-20
+    rows: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1.0 < self.tau < np.inf:
@@ -52,6 +54,8 @@ class MethodPair:
             raise ValueError("high method order must exceed the low order")
         if self.low.rk_a != self.high.rk_a:
             raise ValueError("embedded RK pair methods must share a tableau")
+        if self.low.family is not Family.RUNGE_KUTTA_EMBEDDED:
+            object.__setattr__(self, "rows", step_rows((self.low, self.high), self.steps_required))
 
     @property
     def steps_required(self) -> int:
@@ -94,7 +98,10 @@ def propagate_blocks(
     Returns the low-order step (N, d), the predictor of the next newest
     block, and the innovation diagonal max(tau^2 (u_low - u_high)^2, eps_floor)
     (N, d). An embedded RK pair evaluates its shared stages once and applies
-    each member's weights.
+    each member's weights. A multistep pair computes both members' linear
+    parts at once over ``pair.rows``, so a non-finite entry in a column that
+    only one member reads can make both steps non-finite (0 * inf is nan);
+    such a particle was already non-finite at its next observed step.
     """
     r = pair.steps_required
     if blocks.shape[1] != r:
@@ -107,11 +114,7 @@ def propagate_blocks(
     else:
         if derivs is None and pair.low.reads_derivatives:
             derivs = history_derivatives(system, blocks, t, h)
-        outputs = []
-        for m in (pair.low, pair.high):
-            m_derivs = None if derivs is None else derivs[:, : m.steps]
-            outputs.append(advance_batch(m, system, t, blocks[:, : m.steps], m_derivs, h))
-        u_low, u_high = outputs
+        u_low, u_high = step_members((pair.low, pair.high), pair.rows, system, t, blocks, derivs, h)
     diff = u_low - u_high
     # ((tau * tau) * diff) * diff: another operand order changes gamma's last bits
     return u_low, np.maximum(pair.tau * pair.tau * diff * diff, pair.eps_floor)

@@ -153,7 +153,42 @@ def make_method(family: Family, order: int) -> MethodSpec:
     return MethodSpec(family, order, alpha=np.array(alpha), beta=np.array(beta), beta_new=beta_new)
 
 
+# AB spec of r steps seeding an AM solve of r steps: both have alpha = (1, 0, ...)
+_AM_SEED = {r: make_method(_AB, r) for family, r in _COEFFS if family is _AB}
+
+
 # --------------------------------------------------------------- batch steps
+
+
+def step_rows(specs, r: int) -> tuple:
+    """Coefficient rows of the multistep ``specs``, then of each AM spec's AB seed.
+
+    Returns (alpha, beta), each (k, r) with rows zero-padded to r columns;
+    alpha is None when every row's is e_0, and beta when every entry is 0.
+    """
+    rows = tuple(specs) + tuple(_AM_SEED[m.steps] for m in specs if m.family is _AM)
+    alpha, beta = np.zeros((2, len(rows), r))
+    for k, m in enumerate(rows):
+        alpha[k, : m.steps], beta[k, : m.steps] = m.alpha, m.beta
+    return (None if (alpha == np.eye(1, r)).all() else alpha), (beta if beta.any() else None)
+
+
+def linear_rows(
+    rows: tuple, states: np.ndarray, derivs: Optional[np.ndarray], h: float
+) -> np.ndarray:
+    """sum_i alpha[k, i]*states[:, i] + h * sum_i beta[k, i]*derivs[:, i], shape (k, N, d).
+
+    ``rows`` comes from `step_rows`; states/derivs are (N, r, d). Rows whose
+    alphas are all e_0 share u_j + 0.0: einsum's sum starts from +0.0.
+    """
+    alpha, beta = rows
+    out = states[None, :, 0] + 0.0 if alpha is None else np.einsum("ki,nid->knd", alpha, states)
+    if beta is None:
+        return out
+    scaled = np.einsum("ki,nid->knd", beta, derivs)
+    scaled *= h
+    scaled += out
+    return scaled
 
 
 def explicit_step_batch(
@@ -164,10 +199,8 @@ def explicit_step_batch(
     States/derivs are (N, r, d). This is the whole Adams-Bashforth step and
     the explicit part of an Adams-Moulton or BDF step.
     """
-    out = np.einsum("i,nid->nd", spec.alpha, states)
-    if spec.beta.any():
-        out = out + h * np.einsum("i,nid->nd", spec.beta, derivs)
-    return out
+    rows = spec.alpha[None], (spec.beta[None] if spec.beta.any() else None)
+    return linear_rows(rows, states, derivs, h)[0]
 
 
 def _iteration_inverse(
@@ -221,30 +254,55 @@ def _solve_stage_batch(
     raise ImplicitSolveError(t_new, len(res), int(above), norm)
 
 
-# AB spec of r steps seeding an AM solve of r steps: both have alpha = (1, 0, ...)
-_AM_SEED = {r: make_method(_AB, r) for family, r in _COEFFS if family is _AB}
-
-
 def implicit_step_batch(
     spec: MethodSpec,
+    system: OdeSystem,
+    t: float,
+    u: np.ndarray,
+    const: np.ndarray,
+    seed: Optional[np.ndarray],
+    h: float,
+) -> np.ndarray:
+    """Adams-Moulton / BDF update of u = u_j (N, d); t is the current time t_j.
+
+    ``const`` is the explicit part of the stage equation and ``seed``, for AM,
+    the explicit Adams step (see `step_members`).
+    """
+    if h == 0.0:
+        return u.copy()
+    if seed is not None:
+        # seed with the explicit Adams step, or with u_j where a stiff step throws it off
+        try:
+            return _solve_stage_batch(system, t + h, const, h * spec.beta_new, seed)
+        except ImplicitSolveError:
+            pass
+    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, u.copy())
+
+
+def step_members(
+    specs,
+    rows: tuple,
     system: OdeSystem,
     t: float,
     states: np.ndarray,
     derivs: Optional[np.ndarray],
     h: float,
-) -> np.ndarray:
-    """Adams-Moulton / BDF update for a batch; t is the current time t_j."""
-    if h == 0.0:
-        return states[:, 0].copy()
-    const = explicit_step_batch(spec, states, derivs, h)
-    if spec.family is _AM:
-        # seed with the explicit Adams step, or with u_j where a stiff step throws it off
-        predictor = explicit_step_batch(_AM_SEED[spec.steps], states, derivs, h)
-        try:
-            return _solve_stage_batch(system, t + h, const, h * spec.beta_new, predictor)
-        except ImplicitSolveError:
-            pass
-    return _solve_stage_batch(system, t + h, const, h * spec.beta_new, states[:, 0].copy())
+) -> List[np.ndarray]:
+    """One step (N, d) of each multistep spec, all of one family, from one history.
+
+    ``rows`` is the specs' `step_rows` over the r blocks of ``states`` (N, r, d):
+    the linear part of every member is computed at once, then each AM / BDF
+    member solves its own stage equation.
+    """
+    out = linear_rows(rows, states, derivs, h)
+    if specs[0].family is _AB:
+        # own arrays: a row kept as a predictor would keep the whole stack alive
+        return [row.copy() for row in out]
+    seeds = out[len(specs) :] if specs[0].family is _AM else [None] * len(specs)
+    return [
+        implicit_step_batch(m, system, t, states[:, 0], const, seed, h)
+        for m, const, seed in zip(specs, out, seeds)
+    ]
 
 
 def rk_stages_batch(
@@ -288,10 +346,9 @@ def advance_batch(
     ``derivs`` is f of every block (N, r, d), or None for a method whose
     ``reads_derivatives`` is false.
     """
-    if spec.family is _AB:
-        return explicit_step_batch(spec, states, derivs, h)
-    if spec.family in (_AM, _BDF):
-        return implicit_step_batch(spec, system, t, states, derivs, h)
+    if spec.family is not _RK:
+        rows = step_rows((spec,), spec.steps)
+        return step_members((spec,), rows, system, t, states, derivs, h)[0]
     u = states[:, 0]
     return rk_combine_batch(spec, u, rk_stages_batch(spec, system, t, u, h), h)
 

@@ -110,11 +110,13 @@ def test_run_experiment_validates_settings(kw, msg):
 @pytest.mark.parametrize(
     "kw,msg",
     [
+        (dict(n_particles=150.5), "nsample must be >= 2 and an integer, got 150.5"),
+        (dict(n_particles=1), "nsample must be >= 2"),
         (dict(stride=1.5), "stride must be >= 1 and an integer, got 1.5"),
         (dict(replicates=1.5), "reps must be >= 1 and an integer, got 1.5"),
         (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
     ],
-    ids=["stride", "reps", "seed"],
+    ids=["nsample", "nsample-1", "stride", "reps", "seed"],
 )
 def test_run_experiment_rejects_a_fractional_integer_setting_by_its_key(kw, msg):
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.2, **kw)
@@ -123,10 +125,13 @@ def test_run_experiment_rejects_a_fractional_integer_setting_by_its_key(kw, msg)
 
 
 def test_run_experiment_takes_numpy_integer_settings():
-    kw = dict(problem="gaussian_decay", pair="AB1-AB2", n_particles=20, t_end=0.2)
-    plain = run_experiment(ExperimentConfig(**kw, stride=2, replicates=2, seed=3))
+    kw = dict(problem="gaussian_decay", pair="AB1-AB2", t_end=0.2)
+    plain = run_experiment(ExperimentConfig(**kw, n_particles=20, stride=2, replicates=2, seed=3))
     numpy = run_experiment(
-        ExperimentConfig(**kw, stride=np.int64(2), replicates=np.int64(2), seed=np.int64(3))
+        ExperimentConfig(
+            **kw, n_particles=np.int64(20), stride=np.int64(2), replicates=np.int64(2),
+            seed=np.int64(3),
+        )
     )
     assert plain[1] == numpy[1]
     for one, other in zip(plain[0], numpy[0]):

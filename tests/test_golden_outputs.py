@@ -3,6 +3,8 @@
 A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
 of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and one
 run are compared by the SHA-256 of their stdout and of every file they write.
+Every command uses a vectorized problem, so a library-level run over a
+non-vectorized system pins the derivatives an Adams ensemble carries.
 """
 
 import contextlib
@@ -10,7 +12,15 @@ import hashlib
 import io
 import os
 
+import numpy as np
+import pytest
+
 from lmmpf.cli import main
+from lmmpf.homec import make_pair
+from lmmpf.metrics import diagnostics
+from lmmpf.ode_models import OdeSystem, smooth_problem, synthesize_observations
+from lmmpf.particle_filter import FilterConfig, iter_filter
+from lmmpf.state_space import EvolutionObservationModel
 
 PAIRS = "AB1-AB2,AB3-AB4,AM1-AM2,AM3-AM4,BDF1-BDF2,BDF3-BDF4,RK1-RK2,RK4-RK5"
 SWEEP = ["sweep", "--problem", "gaussian_decay", "--pair", PAIRS, "--v0", "0.1,0.001",
@@ -65,4 +75,38 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch):
     assert not changed, (
         f"outputs differ from the recorded digests: {', '.join(changed)}. A deliberate output "
         "change must update GOLDEN in this file and record that in CHANGES.md."
+    )
+
+
+# SHA-256 of the `diagnostics` of a carried-derivative run, by pair
+CARRIED_GOLDEN = {
+    "AB3-AB4": "ec492b75111eab60338b2d0b967b92764e070d16341a5e087bdeebcefbee3c35",
+    "AM3-AM4": "ba7f24dd56005d7a8834d312881c91a5f47e0e07269ee49eb52f4578b5893c49",
+}
+
+
+def carried_derivative_digest(pair_id):
+    """`iter_filter` over a non-vectorized smooth system (N = 50, 20 steps of
+    0.1, observed every 2nd), digested through `diagnostics`."""
+    problem = smooth_problem()
+    system = OdeSystem(dimension=1, rhs=problem.system.rhs, vectorized=False)
+    pair = make_pair(pair_id)
+    model = EvolutionObservationModel(system=system, pair=pair, measurement_var=np.array([0.0025]))
+    times = 0.1 * np.arange(2, 21, 2)
+    records = synthesize_observations(problem, times, 0.05, np.random.default_rng(7))
+    config = FilterConfig(n_particles=50, initial_variance=0.01, step=0.1, pair=pair, seed=3)
+    run = iter_filter(config, model, records, problem.initial_state, t_start=0.0)
+    d = diagnostics(run, problem.exact_solution)
+    digest = hashlib.sha256()
+    for arr in (d.times, d.ensemble_means, d.sample_variances, d.absolute_errors, d.exact_values):
+        digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    digest.update(repr((d.error_inf_norm, d.variance_2norm)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("pair_id", sorted(CARRIED_GOLDEN))
+def test_carried_derivative_run_matches_its_recorded_digest(pair_id):
+    assert carried_derivative_digest(pair_id) == CARRIED_GOLDEN[pair_id], (
+        f"{pair_id}: a deliberate output change must update CARRIED_GOLDEN and record it in "
+        "CHANGES.md."
     )

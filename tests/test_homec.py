@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lmmpf.homec import (
     PAIR_IDS,
@@ -10,6 +12,8 @@ from lmmpf.homec import (
 from lmmpf.integrators import (
     ColdHistoryError,
     Family,
+    ImplicitSolveError,
+    _solve_stage_batch,
     advance_batch,
     history_derivatives,
     make_method,
@@ -203,3 +207,115 @@ def test_propagate_blocks_with_given_derivatives_matches_recompute(pair_id):
     recomputed = propagate_blocks(pair, p.system, blocks, t, h)
     for a, b in zip(given, recomputed):
         assert np.array_equal(a, b)
+
+
+MULTISTEP_PAIRS = [pair_id for pair_id in PAIR_IDS if not pair_id.startswith("RK")]
+
+
+def per_member_step(pair, system, blocks, t, h, derivs):
+    """The pair step member by member: one einsum per coefficient vector, and an
+    AM solve seeded by its explicit Adams step, then by u_j if that fails."""
+    outputs = []
+    for m in (pair.low, pair.high):
+        states = blocks[:, : m.steps]
+        f = None if derivs is None else derivs[:, : m.steps]
+
+        def explicit(spec):
+            out = np.einsum("i,nid->nd", spec.alpha, states)
+            return out + h * np.einsum("i,nid->nd", spec.beta, f) if spec.beta.any() else out
+
+        const, hb = explicit(m), h * m.beta_new
+        if m.family is Family.ADAMS_BASHFORTH:
+            outputs.append(const)
+            continue
+        if m.family is Family.ADAMS_MOULTON:
+            seed = explicit(make_method(Family.ADAMS_BASHFORTH, m.steps))
+            try:
+                outputs.append(_solve_stage_batch(system, t + h, const, hb, seed))
+                continue
+            except ImplicitSolveError:
+                pass
+        outputs.append(_solve_stage_batch(system, t + h, const, hb, blocks[:, 0].copy()))
+    diff = outputs[0] - outputs[1]
+    return outputs[0], np.maximum(pair.tau * pair.tau * diff * diff, pair.eps_floor)
+
+
+@pytest.mark.parametrize("n", [1, 150, 1000])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pair_id", MULTISTEP_PAIRS)
+@settings(deadline=None, database=None, max_examples=4)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+    carried=st.booleans(),
+    h=st.sampled_from([0.1, -0.1]),
+)
+# all +-0.0: a backward step makes h * 0.0 = -0.0, so u_j = -0.0 must be read as +0.0
+@example(seed=0, zeros=1.0, carried=True, h=-0.1)
+@example(seed=1, zeros=1.0, carried=False, h=0.1)
+def test_pair_step_equals_the_per_member_step_bit_for_bit(pair_id, d, n, seed, zeros, carried, h):
+    # finite histories (and carried derivatives) with a share of entries +-0.0
+    pair = make_pair(pair_id)
+    r, t = pair.steps_required, 0.3
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(a):
+        mask = rng.random(a.shape) < zeros
+        a[mask] = np.where(rng.random(mask.sum()) < 0.5, 0.0, -0.0)
+        return a
+
+    system = OdeSystem(dimension=d, rhs=lambda t, u, p: np.sin(u) - 0.5 * u, vectorized=False)
+    blocks = signed_zeros(rng.uniform(-2.0, 2.0, (n, r, d)))
+    derivs = signed_zeros(rng.uniform(-3.0, 3.0, (n, r, d))) if carried else None
+    ref_derivs = derivs
+    if ref_derivs is None and pair.low.reads_derivatives:
+        ref_derivs = history_derivatives(system, blocks, t, h)
+    got = propagate_blocks(pair, system, blocks, t, h, derivs=derivs)
+    want = per_member_step(pair, system, blocks, t, h, ref_derivs)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape == (n, d)
+        assert a.tobytes() == b.tobytes()
+
+
+
+@pytest.mark.parametrize("pair_id", MULTISTEP_PAIRS)
+def test_predictor_owns_its_memory(pair_id):
+    # a predictor kept in an ensemble must not keep the pair's stack of rows alive
+    p = gaussian_decay_problem()
+    pair = make_pair(pair_id)
+    blocks = exact_history(p, 0.5, 0.1, pair.steps_required).repeat(4, axis=0)
+    pred, _ = propagate_blocks(pair, p.system, blocks, 0.5, 0.1)
+    assert pred.base is None
+
+def gain(pair, hj):
+    """rho(hJ) = tau^2 * sum_i (c_low_i - c_high_i)^2 with c_i = (alpha_i + hJ beta_i) /
+    (1 - hJ beta_new), each member's c zero-padded to the pair's r blocks."""
+    c = np.zeros((2, pair.steps_required))
+    for k, m in enumerate((pair.low, pair.high)):
+        c[k, : m.steps] = (m.alpha + hj * m.beta) / (1.0 - hj * m.beta_new)
+    return pair.tau**2 * float(np.sum((c[0] - c[1]) ** 2))
+
+
+def linearized_gain(pair, j, h):
+    """Summed gamma of `propagate_blocks` on u' = J u over the r unit histories."""
+    system = OdeSystem(dimension=1, rhs=lambda t, u, p: j * u, vectorized=True)
+    _, gamma = propagate_blocks(pair, system, np.eye(pair.steps_required)[:, :, None], 0.0, h)
+    return float(gamma.sum())
+
+
+@pytest.mark.parametrize("j", [2.0, -3.0, -8.0])
+@pytest.mark.parametrize("pair_id", MULTISTEP_PAIRS)
+def test_gamma_gain_matches_the_linearized_pair_step(pair_id, j):
+    # independent noise of variance gamma in each block feeds the next gamma by rho
+    pair = make_pair(pair_id, tau=5.5, eps_floor=0.0)
+    assert linearized_gain(pair, j, 0.1) == pytest.approx(gain(pair, 0.1 * j), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pair_id, rhos", [("AB1-AB2", (0.605, 1.361, 9.68)), ("BDF3-BDF4", (24.47, 16.83, 12.21))]
+)
+def test_gamma_gain_on_gaussian_decay(pair_id, rhos):
+    # J = -2(t - 1) at t = 0 / 2.5 / 5, h = 0.1, tau = 5.5
+    pair = make_pair(pair_id, tau=5.5, eps_floor=0.0)
+    got = [gain(pair, 0.1 * j) for j in (2.0, -3.0, -8.0)]
+    assert got == pytest.approx(rhos, abs=0.005)

@@ -15,7 +15,6 @@ from lmmpf.integrators import (
     advance_batch,
     explicit_step_batch,
     history_derivatives,
-    implicit_step_batch,
     make_method,
     startup_states_batch,
     step_count,
@@ -172,7 +171,7 @@ def test_am1_closed_form_value():
     p = gaussian_decay_problem()
     m = make_method(AM, 1)
     blocks, derivs, t = warm_history(p, m)
-    u = implicit_step_batch(m, p.system, t, blocks, derivs, 0.1)[0]
+    u = advance_batch(m, p.system, t, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / 0.82, abs=1e-9)
 
 
@@ -180,8 +179,8 @@ def test_bdf1_equals_am1():
     p = gaussian_decay_problem()
     hist_am = warm_history(p, make_method(AM, 1))
     hist_bdf = warm_history(p, make_method(BDF, 1))
-    u_am = implicit_step_batch(make_method(AM, 1), p.system, hist_am[2], *hist_am[:2], 0.1)
-    u_bdf = implicit_step_batch(make_method(BDF, 1), p.system, hist_bdf[2], *hist_bdf[:2], 0.1)
+    u_am = advance_batch(make_method(AM, 1), p.system, hist_am[2], *hist_am[:2], 0.1)
+    u_bdf = advance_batch(make_method(BDF, 1), p.system, hist_bdf[2], *hist_bdf[:2], 0.1)
     assert abs(u_am[0, 0] - u_bdf[0, 0]) < 1e-9
 
 
@@ -190,7 +189,7 @@ def test_implicit_zero_step(family, order):
     p = gaussian_decay_problem()
     m = make_method(family, order)
     blocks, derivs, t = warm_history(p, m)
-    assert implicit_step_batch(m, p.system, t, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
+    assert advance_batch(m, p.system, t, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
 
 
 def test_backward_euler_closed_form_linear_agreement():
@@ -200,8 +199,8 @@ def test_backward_euler_closed_form_linear_agreement():
         blocks, derivs = single([u0], p.system.rhs_batch(t0, np.array([[u0]]))[0])
         lam = -2.0 * (t0 + 0.1 - 1.0)
         expected = u0 / (1.0 - 0.1 * lam)
-        u_am = implicit_step_batch(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
-        u_bdf = implicit_step_batch(make_method(BDF, 1), p.system, t0, blocks, derivs, 0.1)
+        u_am = advance_batch(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
+        u_bdf = advance_batch(make_method(BDF, 1), p.system, t0, blocks, derivs, 0.1)
         assert u_am[0, 0] == pytest.approx(expected, abs=1e-9)
         assert u_bdf[0, 0] == pytest.approx(expected, abs=1e-9)
 
@@ -230,7 +229,7 @@ def test_implicit_nonconvergence_reports_residual():
     blocks, derivs = single([3.0], [10.0])
     for family in (AM, BDF):
         with pytest.raises(ImplicitSolveError) as err:
-            implicit_step_batch(make_method(family, 1), system, 0.0, blocks, derivs, 0.1)
+            advance_batch(make_method(family, 1), system, 0.0, blocks, derivs, 0.1)
         assert err.value.residual_norm > 0
         assert err.value.time == pytest.approx(0.1)
         assert err.value.rows_above_tolerance == 1
@@ -240,7 +239,7 @@ def test_implicit_nonconvergence_reports_residual():
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
-    u = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
+    u = advance_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / (1.0 + 1e3), rel=1e-8)
 
 
@@ -249,7 +248,7 @@ def test_stiff_cubic_step_converges_to_root(family):
     # u = 1 - 1000 u^3: the AM1 predictor starts at -999, far outside where a
     # fixed-point sweep contracts; Newton with a refreshed Jacobian walks in
     blocks, derivs = single([1.0], [-1e4])
-    u = implicit_step_batch(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
+    u = advance_batch(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
     assert abs(u + 1000.0 * u**3 - 1.0) <= 1e-10
     assert u == pytest.approx(0.0966679, abs=1e-7)
 
@@ -260,8 +259,8 @@ def test_stiff_am_step_falls_back_to_the_bdf_seed(k, root):
     # from u_j the AM1 solve is BDF1's, bit for bit
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -k * u**3, vectorized=True)
     blocks, derivs = single([1.0], [-k])
-    u_am = implicit_step_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)
-    u_bdf = implicit_step_batch(make_method(BDF, 1), stiff, 0.0, blocks, derivs, 0.1)
+    u_am = advance_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)
+    u_bdf = advance_batch(make_method(BDF, 1), stiff, 0.0, blocks, derivs, 0.1)
     assert u_am[0, 0] == u_bdf[0, 0] == root
     assert abs(root + 0.1 * k * root**3 - 1.0) <= 1e-10
 
@@ -273,7 +272,7 @@ def test_coupled_linear_step_matches_direct_solve():
     u_j = rng.normal(size=(7, 2))
     blocks, derivs = u_j[:, None, :], system.rhs_batch(0.0, u_j)[:, None, :]
     h = 0.1
-    u = implicit_step_batch(make_method(AM, 1), system, 0.0, blocks, derivs, h)
+    u = advance_batch(make_method(AM, 1), system, 0.0, blocks, derivs, h)
     expected = np.linalg.solve(np.eye(2) - h * a, u_j.T).T
     assert np.max(np.abs(u - expected)) <= 1e-12
 
@@ -310,7 +309,7 @@ def test_smooth_step_needs_few_rhs_calls(rhs_calls):
     p = gaussian_decay_problem()
     t, u_j = 4.9, p.exact_solution(4.9)
     blocks, derivs = single(u_j, p.system.rhs(t, u_j, p.system.params))
-    implicit_step_batch(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
+    advance_batch(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
     assert len(rhs_calls) <= 4
 
 
@@ -324,7 +323,7 @@ def test_implicit_step_meets_tolerance(problem, family, order):
     blocks, derivs, t = warm_history(problem, m)
     blocks = blocks + rng.normal(scale=0.1, size=(50,) + blocks.shape[1:])
     derivs = history_derivatives(problem.system, blocks, t, 0.1)
-    u = implicit_step_batch(m, problem.system, t, blocks, derivs, 0.1)
+    u = advance_batch(m, problem.system, t, blocks, derivs, 0.1)
     const = explicit_step_batch(m, blocks, derivs, 0.1)
     res = const + 0.1 * m.beta_new * problem.system.rhs_batch(t + 0.1, u) - u
     assert np.max(np.abs(res)) <= SOLVE_TOLERANCE
