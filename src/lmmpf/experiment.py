@@ -7,8 +7,10 @@ diagnostics to one results row. Sweeps cross method pairs with initial
 variances and collect the rows into the results table.
 """
 
+import functools
 import os
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +78,27 @@ def _sub_seed(seed: int, *key: int) -> int:
 
 
 def _resolve(config: ExperimentConfig):
-    """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times)."""
+    """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times).
+
+    Memoized per config: equal configs whose fields also have equal types
+    share one result (so ``seed=1.0`` is still checked apart from ``seed=1``).
+    An error is not cached, and a config holding an unhashable value is
+    resolved afresh, which names the invalid setting.
+    """
+    key = (config, *map(type, vars(config).values()))
+    try:
+        hash(key)
+    except TypeError:
+        return _resolve_uncached(config)
+    return _resolve_cached(key)
+
+
+@functools.lru_cache(maxsize=128)
+def _resolve_cached(key):
+    return _resolve_uncached(key[0])
+
+
+def _resolve_uncached(config: ExperimentConfig):
     for key, value, least in (
         ("nsample", config.n_particles, 2), ("stride", config.stride, 1),
         ("reps", config.replicates, 1), ("seed", config.seed, 0),
@@ -86,12 +108,14 @@ def _resolve(config: ExperimentConfig):
         except ValueError:
             rule = f">= {least} and an integer" if least else "a nonnegative integer"
             raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
-    if not 0 <= config.noise_stddev < np.inf:
+    if not (isinstance(config.noise_stddev, Real) and 0 <= config.noise_stddev < np.inf):
         raise ConfigError("noise must be nonnegative and finite")
-    if not 0 < config.initial_variance < np.inf:
+    if not (isinstance(config.initial_variance, Real) and 0 < config.initial_variance < np.inf):
         raise ConfigError("v0 must be positive and finite")
-    if not 0 < config.step < np.inf:
+    if not (isinstance(config.step, Real) and 0 < config.step < np.inf):
         raise ConfigError("dt must be positive and finite")
+    if not isinstance(config.t_end, (Real, type(None))):
+        raise ConfigError(f"tend must be a number, got {config.t_end!r}")
     try:
         problem = get_problem(config.problem)
         pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
@@ -100,6 +124,11 @@ def _resolve(config: ExperimentConfig):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # every replicate reads the exact solution at the same grid times; its
+    # callers copy what it returns, so sharing the arrays is safe
+    problem = replace(
+        problem, exact_solution=functools.lru_cache(maxsize=None)(problem.exact_solution)
+    )
     t_start = problem.t_span[0]
     t_end = float(config.t_end if config.t_end is not None else problem.t_span[1])
     n_steps = step_count(t_start, t_end, config.step)
@@ -118,8 +147,9 @@ def _resolve(config: ExperimentConfig):
             f"{n_steps} steps to t_end={t_end} are not a multiple of stride={config.stride}; "
             + (ending if last else "no step would be observed")
         )
-    obs_steps = list(range(config.stride, n_steps + 1, config.stride))
-    obs_times = [t_start + k * config.step for k in obs_steps]
+    # tuples: every replicate of the config shares the cached result
+    obs_steps = tuple(range(config.stride, n_steps + 1, config.stride))
+    obs_times = tuple(t_start + k * config.step for k in obs_steps)
     meas_var = np.array([max(config.noise_stddev**2, MIN_MEASUREMENT_VAR)])
     model = EvolutionObservationModel(system=problem.system, pair=pair, measurement_var=meas_var)
     return problem, model, fconfig, t_start, t_end, obs_steps, obs_times
@@ -219,8 +249,10 @@ def _trajectory_csv(diag: RunDiagnostics) -> str:
     d = diag.ensemble_means.shape[1]
     header = ["t"] + [name if d == 1 else f"{name}_{k}" for name in names for k in range(d)]
     rows = np.column_stack([diag.times, *values])
-    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    # one %-template for the whole file: the text of f"{v:.17g}" per value
+    row = ",".join(["%.17g"] * rows.shape[1])
+    body = "\n".join([row] * rows.shape[0]) % tuple(rows.ravel().tolist())
+    return ",".join(header) + "\n" + body + "\n"
 
 
 def _trajectory_svg(diag: RunDiagnostics, title: str) -> str:

@@ -10,6 +10,7 @@ per-step (local) quantity.
 
 import re
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .integrators import (
 from .ode_models import OdeSystem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodPair:
     """An order-p propagator and an order >= p+1 companion from one family.
 
@@ -41,12 +42,12 @@ class MethodPair:
     high: MethodSpec
     tau: float = 1.5
     eps_floor: float = 1e-20
-    rows: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    rows: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not 1.0 < self.tau < np.inf:
+        if not (isinstance(self.tau, Real) and 1.0 < self.tau < np.inf):
             raise ValueError("tau must be > 1 and finite")
-        if not 0.0 <= self.eps_floor < np.inf:
+        if not (isinstance(self.eps_floor, Real) and 0.0 <= self.eps_floor < np.inf):
             raise ValueError("eps_floor must be nonnegative and finite")
         if self.low.family is not self.high.family:
             raise ValueError("pair methods must share a family")

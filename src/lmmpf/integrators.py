@@ -52,7 +52,7 @@ SOLVE_MAX_ITERATIONS = 50
 SOLVE_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodSpec:
     """One integrator: family, order p and coefficients.
 

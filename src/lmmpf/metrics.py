@@ -8,7 +8,7 @@ import numpy as np
 from .particle_filter import Ensemble
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunDiagnostics:
     """Per-step ensemble means, spreads, and errors plus their table norms.
 

@@ -6,7 +6,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeSystem:
     """Right-hand side du/dt = f(t, u, params) of dimension d.
 
@@ -42,7 +42,7 @@ class OdeSystem:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestProblem:
     """An initial-value problem, optionally with a known exact solution."""
 
@@ -61,7 +61,7 @@ class TestProblem:
                 raise ValueError("exact_solution(t_start) does not match initial_state")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationRecord:
     """One noisy measurement b_j at time ``time``.
 
@@ -115,12 +115,9 @@ PROBLEMS = {
 
 
 def get_problem(name: str) -> TestProblem:
-    try:
-        return PROBLEMS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown problem {name!r}; valid problems: {', '.join(sorted(PROBLEMS))}"
-        ) from None
+    if not isinstance(name, str) or name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}; valid problems: {', '.join(sorted(PROBLEMS))}")
+    return PROBLEMS[name]()
 
 
 def synthesize_observations(

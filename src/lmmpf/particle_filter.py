@@ -28,8 +28,10 @@ the step that made the block, which can differ from t - i*h in the last ulp;
 see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 """
 
+import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -48,7 +50,7 @@ RESAMPLERS = {
 
 
 def _check_resampler(name: str):
-    if name not in RESAMPLERS:
+    if not isinstance(name, str) or name not in RESAMPLERS:
         raise ValueError(f"unknown resampler {name!r}; valid resamplers: {', '.join(RESAMPLERS)}")
 
 
@@ -77,7 +79,7 @@ class LikelihoodUnderflowError(RuntimeError):
         self.max_log_value = max_log_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Weighted particle sample at one time index, stored as stacked arrays.
 
@@ -123,7 +125,20 @@ class Ensemble:
         return self.states[:, 0]
 
 
-@dataclass(frozen=True)
+def _replace(ensemble: Ensemble, **changes) -> Ensemble:
+    """``dataclasses.replace(ensemble, **changes)`` without ``__init__``.
+
+    Each stage builds one ensemble; filling its ``__dict__`` from the old
+    one skips the frozen-dataclass ``__init__`` and its eight
+    ``object.__setattr__`` calls, which cost about as much as a stage's own
+    bookkeeping at N = 150.
+    """
+    new = object.__new__(Ensemble)
+    vars(new).update(vars(ensemble), **changes)
+    return new
+
+
+@dataclass(frozen=True, eq=False)
 class FilterConfig:
     n_particles: int
     initial_variance: float
@@ -135,9 +150,9 @@ class FilterConfig:
     def __post_init__(self):
         _check_integer("n_particles", self.n_particles, 2)
         _check_integer("seed", self.seed, 0)
-        if not 0.0 < self.initial_variance < np.inf:
+        if not (isinstance(self.initial_variance, Real) and 0.0 < self.initial_variance < np.inf):
             raise ValueError("initial_variance must be positive and finite")
-        if not 0.0 < self.step < np.inf:
+        if not (isinstance(self.step, Real) and 0.0 < self.step < np.inf):
             raise ValueError("step must be positive and finite")
         _check_resampler(self.resampler)
 
@@ -185,10 +200,8 @@ def propagate_ensemble(
     predictors, gammas = propagate_blocks(
         model.pair, model.system, ensemble.states, ensemble.time, h, derivs=ensemble.derivatives
     )
-    return Ensemble(
-        states=ensemble.states, weights=ensemble.weights, time_index=ensemble.time_index,
-        time=ensemble.time, predictors=predictors, innovation_vars=gammas,
-        derivatives=ensemble.derivatives,
+    return _replace(
+        ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None
     )
 
 
@@ -205,7 +218,7 @@ def _normalized_weights(
 ) -> np.ndarray:
     """Normalized exp(log_values), or `LikelihoodUnderflowError` counting non-finite ``rows``."""
     m = log_values.max()
-    if not np.isfinite(m):
+    if not math.isfinite(m):
         bad = np.count_nonzero(~np.isfinite(rows).all(axis=1))
         non_finite = f"{bad} of {len(rows)} {name} hold nan or inf" if bad else ""
         raise LikelihoodUnderflowError(time_index, time, float(m), non_finite)
@@ -268,16 +281,13 @@ def survival_of_the_fittest(
         log_fitness, ensemble.time_index + 1, observation.time, ensemble.predictors, "predictors"
     )
     idx = _resample_indices(fitness, rng, resampler)
-
-    def gather(rows: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        return None if rows is None else rows.take(idx, axis=0)
-
-    n = ensemble.n_particles
-    return Ensemble(
-        states=gather(ensemble.states), weights=np.full(n, 1.0 / n),
-        time_index=ensemble.time_index, time=ensemble.time,
-        predictors=gather(ensemble.predictors), innovation_vars=gather(ensemble.innovation_vars),
-        derivatives=gather(ensemble.derivatives), predictor_loglik=gather(loglik),
+    n, derivatives = ensemble.n_particles, ensemble.derivatives
+    return _replace(
+        ensemble, states=ensemble.states.take(idx, axis=0), weights=np.full(n, 1.0 / n),
+        predictors=ensemble.predictors.take(idx, axis=0),
+        innovation_vars=ensemble.innovation_vars.take(idx, axis=0),
+        derivatives=None if derivatives is None else derivatives.take(idx, axis=0),
+        predictor_loglik=loglik.take(idx, axis=0),
     )
 
 
@@ -303,10 +313,9 @@ def innovation_step(
     if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
         derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
-    return Ensemble(
-        states=states, weights=ensemble.weights, time_index=ensemble.time_index + 1, time=time,
-        predictors=ensemble.predictors, innovation_vars=ensemble.innovation_vars,
-        derivatives=derivatives, predictor_loglik=ensemble.predictor_loglik,
+    return _replace(
+        ensemble, states=states, time_index=ensemble.time_index + 1, time=time,
+        derivatives=derivatives,
     )
 
 
@@ -328,12 +337,7 @@ def weight_update(
     weights = _normalized_weights(
         log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
     )
-    return Ensemble(
-        states=ensemble.states, weights=weights, time_index=ensemble.time_index,
-        time=ensemble.time, predictors=ensemble.predictors,
-        innovation_vars=ensemble.innovation_vars, derivatives=ensemble.derivatives,
-        predictor_loglik=ensemble.predictor_loglik,
-    )
+    return _replace(ensemble, weights=weights)
 
 
 def _observation_schedule(

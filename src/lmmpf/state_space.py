@@ -17,7 +17,7 @@ from .homec import MethodPair
 from .ode_models import OdeSystem, checked_observed_indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionObservationModel:
     """Propagation by a method pair plus a diagonal-Gaussian observation map.
 
@@ -64,6 +64,6 @@ class EvolutionObservationModel:
             raise ValueError(
                 f"observation has shape {y.shape}; the measurement variance has shape {var.shape}"
             )
-        residual = y[None, :] - self.observe_newest(newest)
-        quad = residual**2 / var[None, :]
+        quad = (y - self.observe_newest(newest)) ** 2
+        quad /= var
         return -0.5 * (quad.sum(axis=1) + self._log_norm)

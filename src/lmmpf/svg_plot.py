@@ -6,6 +6,8 @@ byte-identical across runs.
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 18, 34, 46
 X_LABEL, Y_LABEL, X_TICKS, Y_TICKS = "t", "value", 6, 5
@@ -38,10 +40,11 @@ def render_line_plot(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(v: float) -> float:
+    # px and py map floats and float arrays alike, with the same IEEE operations
+    def px(v):
         return MARGIN_L + plot_w * (v - x_lo) / (x_hi - x_lo if x_hi > x_lo else 1.0)
 
-    def py(v: float) -> float:
+    def py(v):
         return MARGIN_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
     parts = [
@@ -81,8 +84,14 @@ def render_line_plot(
         f'font-family="sans-serif" transform="rotate(-90 16 {MARGIN_T + plot_h / 2:.1f})">'
         f"{Y_LABEL}</text>"
     )
+    with np.errstate(all="ignore"):  # inf and nan map as Python floats do, silently
+        xp = px(np.array(x))
     for _label, color, values in curves:
-        pts = " ".join(f"{px(vx):.2f},{py(float(vy)):.2f}" for vx, vy in zip(x, values))
+        n = min(len(x), len(values))
+        with np.errstate(all="ignore"):
+            xy = np.column_stack([xp[:n], py(np.array(values[:n], dtype=float))])
+        # one %-template per polyline: the text of f"{c:.2f}" per coordinate
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
     for i, (label, color, _) in enumerate(curves):
         ly = MARGIN_T + 14 + 16 * i

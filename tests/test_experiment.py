@@ -198,6 +198,122 @@ def test_run_experiment_resolves_once(monkeypatch):
             assert np.array_equal(getattr(other, name), value), name
 
 
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """Configs the uncached resolve body sees, starting from an empty cache."""
+    from lmmpf import experiment
+
+    calls = []
+    inner = experiment._resolve_uncached
+
+    def counted(config):
+        calls.append(config)
+        return inner(config)
+
+    monkeypatch.setattr(experiment, "_resolve_uncached", counted)
+    experiment._resolve_cached.cache_clear()
+    return calls
+
+
+def test_run_replicate_resolves_a_config_once_over_its_replicates(resolve_calls):
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AM1-AM2", **{**FAST, "replicates": 3})
+    separate = [run_replicate(cfg, rep) for rep in range(3)]
+    # an equal config built apart shares the entry; one whose seed is a float does not
+    run_replicate(dataclasses.replace(cfg), 0)
+    assert len(resolve_calls) == 1
+    diags, _ = run_experiment(cfg)
+    assert len(resolve_calls) == 1
+    for one, other in zip(separate, diags):
+        for name, value in vars(one).items():
+            assert np.array_equal(getattr(other, name), value), name
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got 5.0"):
+        run_replicate(dataclasses.replace(cfg, seed=5.0), 0)
+
+
+def test_an_invalid_config_raises_on_every_call(resolve_calls):
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", initial_variance=-1.0)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="v0"):
+            run_replicate(cfg, 0)
+    assert len(resolve_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "kw,msg",
+    [
+        (dict(initial_variance=[0.1]), "v0 must be positive and finite"),
+        (dict(initial_variance="0.1"), "v0 must be positive and finite"),
+        (dict(noise_stddev=[0.27]), "noise must be nonnegative and finite"),
+        (dict(step="0.1"), "dt must be positive and finite"),
+        (dict(step=[0.1]), "dt must be positive and finite"),
+        (dict(tau="5.5"), "tau must be > 1 and finite"),
+        (dict(tau=[5.5]), "tau must be > 1 and finite"),
+        (dict(eps_floor="0"), "eps_floor must be nonnegative and finite"),
+        (dict(t_end="1.0"), "tend must be a number, got '1.0'"),
+        (dict(pair=["AB1-AB2"]), "unknown method pair ['AB1-AB2']"),
+        (dict(problem=["gaussian_decay"]), "unknown problem ['gaussian_decay']"),
+        (dict(resampler=["systematic"]), "unknown resampler ['systematic']"),
+    ],
+    ids=["v0-list", "v0-str", "noise-list", "dt-str", "dt-list", "tau-str", "tau-list",
+         "eps_floor-str", "tend-str", "pair-list", "problem-list", "resampler-list"],
+)
+def test_a_setting_of_the_wrong_type_is_a_config_error_naming_its_key(kw, msg):
+    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)
+    cfg = dataclasses.replace(cfg, **kw)
+    for _ in range(2):  # unhashable or not, the error is raised afresh
+        with pytest.raises(ConfigError, match=re.escape(msg)):
+            run_replicate(cfg, 0)
+
+
+def _equal_valued_objects():
+    """Name -> a builder of a fresh instance; two builds hold equal values."""
+    from lmmpf.homec import make_pair
+    from lmmpf.integrators import Family, make_method
+    from lmmpf.metrics import diagnostics
+    from lmmpf.ode_models import ObservationRecord, OdeSystem, TestProblem, get_problem
+    from lmmpf.particle_filter import Ensemble, FilterConfig
+    from lmmpf.state_space import EvolutionObservationModel
+
+    def rhs(t, u, params):
+        return -u
+
+    problem = get_problem("gaussian_decay")
+    pair = make_pair("AB3-AB4")
+    states = np.arange(12.0).reshape(3, 2, 2)
+    return {
+        "MethodSpec": lambda: make_method(Family.ADAMS_MOULTON, 3),
+        "MethodPair": lambda: make_pair("AB1-AB2"),
+        "FilterConfig": lambda: FilterConfig(10, 0.1, 0.1, pair),
+        "EvolutionObservationModel": lambda: EvolutionObservationModel(
+            problem.system, pair, np.array([0.1])
+        ),
+        "OdeSystem": lambda: OdeSystem(2, rhs),
+        "TestProblem": lambda: TestProblem(OdeSystem(2, rhs), np.ones(2), (0.0, 1.0)),
+        "ObservationRecord": lambda: ObservationRecord(1, 0.1, np.array([1.0, 2.0])),
+        "Ensemble": lambda: Ensemble(states.copy(), np.full(3, 1 / 3), 0, 0.0),
+        "RunDiagnostics": lambda: diagnostics(
+            [Ensemble(states.copy(), np.full(3, 1 / 3), 0, 0.0)], lambda t: np.zeros(2)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_equal_valued_objects()))
+def test_array_holding_objects_compare_by_identity_and_never_raise(name):
+    build = _equal_valued_objects()[name]
+    one, other = build(), build()
+    assert (one == one) is True and (one != one) is False
+    assert (one == other) is False and (one != other) is True
+    assert (one == 0) is False
+    assert hash(one) == hash(one) and len({one, other}) == 2
+
+
+def test_configs_and_rows_compare_by_value():
+    kw = dict(problem="gaussian_decay", pair="AB1-AB2")
+    assert ExperimentConfig(**kw) == ExperimentConfig(**kw)
+    assert hash(ExperimentConfig(**kw)) == hash(ExperimentConfig(**kw))
+    assert ExperimentConfig(**kw) != ExperimentConfig(**kw, seed=1)
+
+
 def test_diagnostics_include_initial_ensemble():
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)
     d = run_replicate(cfg, 0)

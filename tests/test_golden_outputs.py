@@ -3,22 +3,28 @@
 A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
 of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and one
 run are compared by the SHA-256 of their stdout and of every file they write.
-Every command uses a vectorized problem, so a library-level run over a
-non-vectorized system pins the derivatives an Adams ensemble carries.
+Every command uses a vectorized scalar problem, so a library-level run over a
+non-vectorized system pins the derivatives an Adams ensemble carries, and an
+`emit_outputs` of a two-component system pins the files of a d = 2 run.
 """
 
 import contextlib
 import hashlib
 import io
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lmmpf import svg_plot
 from lmmpf.cli import main
+from lmmpf.experiment import ResultsTable, TableRow, _trajectory_csv, emit_outputs
 from lmmpf.homec import make_pair
-from lmmpf.metrics import diagnostics
-from lmmpf.ode_models import OdeSystem, smooth_problem, synthesize_observations
+from lmmpf.metrics import RunDiagnostics, diagnostics
+from lmmpf.ode_models import OdeSystem, TestProblem, smooth_problem, synthesize_observations
 from lmmpf.particle_filter import FilterConfig, iter_filter
 from lmmpf.state_space import EvolutionObservationModel
 
@@ -110,3 +116,124 @@ def test_carried_derivative_run_matches_its_recorded_digest(pair_id):
         f"{pair_id}: a deliberate output change must update CARRIED_GOLDEN and record it in "
         "CHANGES.md."
     )
+
+
+# SHA-256 of each file `emit_outputs` writes for two runs of a d = 2 system
+TWO_STATE_GOLDEN = {
+    "plot_00.svg": "c6f57305b88d9abd237921081195d02d1d14a71e10f5a398db8958367edff57f",
+    "plot_01.svg": "d5712bd5b4b00508bec37833cb14738479023d3e38531fe36c13c4ee3034fef6",
+    "table.csv": "8249c31d165f09e37f60935e1cbbb5c312ce19838953c61d2fe20c565e8f209d",
+    "trajectory_00.csv": "08a19dd707123b1d629a3fae237cdcf29c5a25fb379b5fc29b46bbc394811cc5",
+    "trajectory_01.csv": "b96e039e533dd7f12e1a472f738022734fd7d6f7a5f0c39eab3f7488b0afa43c",
+}
+
+
+def two_state_output_digests(outdir):
+    """Two AB3-AB4 runs (N = 40, 20 steps of 0.1, both components observed every
+    2nd step) of independent linear decay at rates 0.5 and 2, written by
+    `emit_outputs` into ``outdir`` under a one-row table."""
+    rates = np.array([0.5, 2.0])
+    system = OdeSystem(dimension=2, rhs=lambda t, u, params: -rates * u, vectorized=True)
+    problem = TestProblem(system, np.ones(2), (0.0, 2.0), lambda t: np.exp(-rates * t))
+    pair = make_pair("AB3-AB4")
+    model = EvolutionObservationModel(system=system, pair=pair, measurement_var=np.full(2, 1e-3))
+    times = 0.1 * np.arange(2, 21, 2)
+    records = synthesize_observations(problem, times, 0.03, np.random.default_rng(5))
+    diags = []
+    for seed in (1, 2):
+        config = FilterConfig(n_particles=40, initial_variance=1e-3, step=0.1, pair=pair, seed=seed)
+        run = iter_filter(config, model, records, problem.initial_state, t_start=0.0)
+        diags.append(diagnostics(run, problem.exact_solution))
+    errs = [d.error_inf_norm for d in diags]
+    variances = [d.variance_2norm for d in diags]
+    row = TableRow(
+        "AB3-AB4", 1e-3, float(np.mean(errs)), float(np.mean(variances)), (min(errs), max(errs)),
+        (min(variances), max(variances)), 2.0, len(diags),
+    )
+    digests = {}
+    for path in emit_outputs(ResultsTable([row]), diags, str(outdir)):
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+def test_two_component_outputs_match_their_recorded_digests(tmp_path):
+    digests = two_state_output_digests(tmp_path)
+    changed = sorted(
+        name for name in TWO_STATE_GOLDEN.keys() | digests.keys()
+        if TWO_STATE_GOLDEN.get(name) != digests.get(name)
+    )
+    assert not changed, (
+        f"d = 2 outputs differ from the recorded digests: {', '.join(changed)}. A deliberate "
+        "output change must update TWO_STATE_GOLDEN and record it in CHANGES.md."
+    )
+
+
+EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e300, -3.7e-300, 1.7976931348623157e308, 0.1, -123.456]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def trajectories(draw):
+    """(T, d, flat values) for T in {1, 2, 51}, d in {1, 2, 3}: T times and 4 (T, d) arrays."""
+    t, d = draw(st.sampled_from([1, 2, 51])), draw(st.sampled_from([1, 2, 3]))
+    n = t * (1 + 4 * d)
+    return t, d, np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+
+
+def reference_csv(diag):
+    names = ("mean", "exact", "abs_error", "variance")
+    d = diag.ensemble_means.shape[1]
+    header = ["t"] + [name if d == 1 else f"{name}_{k}" for name in names for k in range(d)]
+    rows = np.column_stack([diag.times, diag.ensemble_means, diag.exact_values,
+                            diag.absolute_errors, diag.sample_variances])
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(trajectories())
+def test_trajectory_csv_is_the_text_of_one_f_string_per_value(drawn):
+    t, d, flat = drawn
+    times, blocks = flat[:t], flat[t:].reshape(4, t, d)
+    diag = RunDiagnostics(times, blocks[0], blocks[3], blocks[2], blocks[1], 0.0, 0.0)
+    assert _trajectory_csv(diag) == reference_csv(diag)
+
+
+def reference_points(x, curves):
+    """Each polyline's points attribute, one f-string per coordinate."""
+    x = [float(v) for v in x]
+    ys = [float(v) for _, _, vals in curves for v in vals]
+    x_lo, x_hi, y_lo, y_hi = min(x), max(x), min(ys), max(ys)
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    w = svg_plot.WIDTH - svg_plot.MARGIN_L - svg_plot.MARGIN_R
+    h = svg_plot.HEIGHT - svg_plot.MARGIN_T - svg_plot.MARGIN_B
+    x_span = x_hi - x_lo if x_hi > x_lo else 1.0
+    return [
+        " ".join(
+            f"{svg_plot.MARGIN_L + w * (vx - x_lo) / x_span:.2f},"
+            f"{svg_plot.MARGIN_T + h * (1.0 - (float(vy) - y_lo) / (y_hi - y_lo)):.2f}"
+            for vx, vy in zip(x, vals)
+        )
+        for _, _, vals in curves
+    ]
+
+
+@settings(deadline=None, database=None, max_examples=40)
+@given(trajectories())
+def test_polyline_points_are_the_text_of_one_f_string_per_coordinate(drawn):
+    t, d, flat = drawn
+    times, blocks = flat[:t], flat[t:].reshape(4, t, d)
+    curves = [(f"c{k}", "black", blocks[k % 4][:, k // 4]) for k in range(min(3, 4 * d))]
+    try:
+        want = reference_points(times, curves)
+    except ZeroDivisionError:  # a flat curve too large for the +-1 spread to widen
+        with pytest.raises(ZeroDivisionError):
+            svg_plot.render_line_plot("edge", times, curves)
+        return
+    svg = svg_plot.render_line_plot("edge", times, curves)
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == want

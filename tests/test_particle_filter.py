@@ -89,7 +89,7 @@ def test_initialize_validation():
     model = make_model()
     with pytest.raises(ValueError, match="n_particles"):
         FilterConfig(n_particles=1, initial_variance=0.1, step=0.1, pair=model.pair)
-    for bad in (0.0, np.nan, np.inf):
+    for bad in (0.0, np.nan, np.inf, [0.1], "0.1"):
         with pytest.raises(ValueError, match="initial_variance"):
             FilterConfig(n_particles=10, initial_variance=bad, step=0.1, pair=model.pair)
         with pytest.raises(ValueError, match="step"):
