@@ -16,7 +16,8 @@ observations) followed by one (N, d) innovation normal block.
 All operations return new ensembles and never write to their inputs. To
 avoid copies, an ensemble may hold the very arrays it was built from (the
 predictors of one step are shared by its resampled and its innovated
-ensemble), so every ensemble array must be treated as read-only.
+ensemble), so every ensemble array must be treated as read-only; uniform
+weights are one read-only (N,) array per N, shared by every ensemble.
 
 For a system whose rhs is not vectorized (``rhs_batch`` loops over the
 particles in Python) and a pair that reads history derivatives (AB, AM), each
@@ -31,6 +32,7 @@ see `Ensemble`. Vectorized systems evaluate all r blocks as before.
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 from typing import Iterator, List, Optional, Sequence
 
@@ -47,6 +49,14 @@ RESAMPLERS = {
     "multinomial": lambda rng, n: rng.random(n),
     "systematic": lambda rng, n: (rng.random() + np.arange(n)) / n,
 }
+
+
+@lru_cache(maxsize=16)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The read-only (n,) weights 1/n that uniformly weighted ensembles of n share."""
+    weights = np.full(n, 1.0 / n)
+    weights.flags.writeable = False
+    return weights
 
 
 def _check_resampler(name: str):
@@ -184,9 +194,9 @@ def initialize(
     derivatives = None
     if model.pair.low.reads_derivatives and not model.system.vectorized:
         derivatives = history_derivatives(model.system, blocks, t_start, config.step)
-    weights = np.full(n, 1.0 / n)
     return Ensemble(
-        states=blocks, weights=weights, time_index=0, time=t_start, derivatives=derivatives
+        states=blocks, weights=_uniform_weights(n), time_index=0, time=t_start,
+        derivatives=derivatives,
     )
 
 
@@ -283,7 +293,7 @@ def survival_of_the_fittest(
     idx = _resample_indices(fitness, rng, resampler)
     n, derivatives = ensemble.n_particles, ensemble.derivatives
     return _replace(
-        ensemble, states=ensemble.states.take(idx, axis=0), weights=np.full(n, 1.0 / n),
+        ensemble, states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(n),
         predictors=ensemble.predictors.take(idx, axis=0),
         innovation_vars=ensemble.innovation_vars.take(idx, axis=0),
         derivatives=None if derivatives is None else derivatives.take(idx, axis=0),

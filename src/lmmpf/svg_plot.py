@@ -4,6 +4,7 @@ Output is a deterministic function of the input data, so files are
 byte-identical across runs.
 """
 
+import math
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +21,12 @@ def _ticks(lo: float, hi: float, count: int) -> List[float]:
     return [lo + span * i / (count - 1) for i in range(count)]
 
 
+def _finite_range(values: np.ndarray) -> Tuple[float, float]:
+    """(min, max) of the finite values, (0.0, 0.0) when there is none."""
+    finite = values[np.isfinite(values)]
+    return (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
@@ -27,13 +34,19 @@ def _fmt(v: float) -> str:
 def render_line_plot(
     title: str, x: Sequence[float], curves: List[Tuple[str, str, Sequence[float]]]
 ) -> str:
-    """Render labelled curves [(label, color, values)] over a shared x axis."""
-    x = list(map(float, x))
-    x_lo, x_hi = min(x), max(x)
-    ys = [float(v) for _, _, vals in curves for v in vals]
-    y_lo, y_hi = min(ys), max(ys)
+    """Render labelled curves [(label, color, values)] over a shared x axis.
+
+    The axis bounds come from the finite values only; a flat y range is
+    widened by 1 on each side, or by one ulp of the value where 1 does not
+    change it. A point that does not map to finite coordinates (nan or inf)
+    is left out and breaks its curve into separate polylines.
+    """
+    x = np.array(x, dtype=float)
+    x_lo, x_hi = _finite_range(x)
+    y_lo, y_hi = _finite_range(np.concatenate([np.asarray(v, dtype=float) for _, _, v in curves]))
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        spread = max(1.0, math.ulp(y_lo))
+        y_lo, y_hi = y_lo - spread, y_hi + spread
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
@@ -85,14 +98,22 @@ def render_line_plot(
         f"{Y_LABEL}</text>"
     )
     with np.errstate(all="ignore"):  # inf and nan map as Python floats do, silently
-        xp = px(np.array(x))
+        xp = px(x)
     for _label, color, values in curves:
         n = min(len(x), len(values))
         with np.errstate(all="ignore"):
             xy = np.column_stack([xp[:n], py(np.array(values[:n], dtype=float))])
-        # one %-template per polyline: the text of f"{c:.2f}" per coordinate
-        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        # one polyline per run of finite points: [start, stop) between run edges
+        finite = np.isfinite(xy).all(axis=1)
+        edges = [0, n] if finite.all() else np.flatnonzero(
+            np.diff(finite, prepend=False, append=False)
+        ).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            # one %-template per polyline: the text of f"{c:.2f}" per coordinate
+            pts = " ".join(["%.2f,%.2f"] * (stop - start)) % tuple(xy[start:stop].ravel().tolist())
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            )
     for i, (label, color, _) in enumerate(curves):
         ly = MARGIN_T + 14 + 16 * i
         lx = WIDTH - MARGIN_R - 130

@@ -1,8 +1,9 @@
 """`lmmpf sweep` and `lmmpf run` reproduce their recorded outputs byte for byte.
 
 A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
-of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and one
-run are compared by the SHA-256 of their stdout and of every file they write.
+of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and two
+runs (one of N = 2000, whose diagnostics span several moment batches) are
+compared by the SHA-256 of their stdout and of every file they write.
 Every command uses a vectorized scalar problem, so a library-level run over a
 non-vectorized system pins the derivatives an Adams ensemble carries, and an
 `emit_outputs` of a two-component system pins the files of a d = 2 run.
@@ -11,6 +12,7 @@ non-vectorized system pins the derivatives an Adams ensemble carries, and an
 import contextlib
 import hashlib
 import io
+import math
 import os
 import re
 
@@ -39,6 +41,9 @@ COMMANDS = {
                         "--reps", "2"],
     "run_smooth": ["run", "--problem", "smooth", "--pair", "AM3-AM4", "--reps", "2",
                    "--tend", "1.0", "--stride", "2"],
+    # N = 2000 puts 8 steps in each of the diagnostics' moment batches, and 3 in the last
+    "run_batched_moments": ["run", "--problem", "gaussian_decay", "--pair", "AB3-AB4",
+                            "--nsample", "2000", "--reps", "1"],
 }
 
 # SHA-256 of "<outdir>/stdout" and of "<outdir>/<file>" for each written file
@@ -55,6 +60,10 @@ GOLDEN = {
     "run_smooth/table.csv": "97987a71a9a2d856262525a5fa6e8a0d8421f54a8a07e0e372434ec81e1fed7f",
     "run_smooth/trajectory_00.csv": "e93edf4937a0de3a78069485cb3624cef9f167699caf00f454da0e14138ea16c",
     "run_smooth/trajectory_01.csv": "4e0c7639846a94a95ed0bef76ce59000e08c74e6fabe44126fb4f91c051c28a2",
+    "run_batched_moments/stdout": "61e058695d241587ba73eb90ddbf0d78ea05c1c1f1f87b39aa67ff440a3306ee",
+    "run_batched_moments/plot.svg": "309649b898decbd45f5c8ed2921231b91a6768750845dffb56a82e6ecfdcaa0b",
+    "run_batched_moments/table.csv": "780bbb04b5b80945005cacad0f153387b65cc728897767b90e1982959366382e",
+    "run_batched_moments/trajectory.csv": "c559ab6d3b7b2a33392c10e252dcd8614cbca8e2cb713bdca4e783508744b70b",
 }
 
 
@@ -202,25 +211,37 @@ def test_trajectory_csv_is_the_text_of_one_f_string_per_value(drawn):
 
 
 def reference_points(x, curves):
-    """Each polyline's points attribute, one f-string per coordinate."""
+    """Each polyline's points attribute, one f-string per coordinate.
+
+    Bounds come from the finite values, a flat y range widens by max(1, ulp),
+    and a point whose coordinates are not both finite ends its polyline.
+    """
     x = [float(v) for v in x]
-    ys = [float(v) for _, _, vals in curves for v in vals]
-    x_lo, x_hi, y_lo, y_hi = min(x), max(x), min(ys), max(ys)
+    xs = [v for v in x if math.isfinite(v)] or [0.0]
+    ys = [float(v) for _, _, vals in curves for v in vals if math.isfinite(v)] or [0.0]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        spread = max(1.0, math.ulp(y_lo))
+        y_lo, y_hi = y_lo - spread, y_hi + spread
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     w = svg_plot.WIDTH - svg_plot.MARGIN_L - svg_plot.MARGIN_R
     h = svg_plot.HEIGHT - svg_plot.MARGIN_T - svg_plot.MARGIN_B
     x_span = x_hi - x_lo if x_hi > x_lo else 1.0
-    return [
-        " ".join(
-            f"{svg_plot.MARGIN_L + w * (vx - x_lo) / x_span:.2f},"
-            f"{svg_plot.MARGIN_T + h * (1.0 - (float(vy) - y_lo) / (y_hi - y_lo)):.2f}"
-            for vx, vy in zip(x, vals)
-        )
-        for _, _, vals in curves
-    ]
+    lines = []
+    for _, _, vals in curves:
+        line = []
+        for vx, vy in zip(x, vals):
+            px = svg_plot.MARGIN_L + w * (vx - x_lo) / x_span
+            py = svg_plot.MARGIN_T + h * (1.0 - (float(vy) - y_lo) / (y_hi - y_lo))
+            if math.isfinite(px) and math.isfinite(py):
+                line.append(f"{px:.2f},{py:.2f}")
+            elif line:
+                lines.append(" ".join(line))
+                line = []
+        if line:
+            lines.append(" ".join(line))
+    return lines
 
 
 @settings(deadline=None, database=None, max_examples=40)
@@ -229,11 +250,5 @@ def test_polyline_points_are_the_text_of_one_f_string_per_coordinate(drawn):
     t, d, flat = drawn
     times, blocks = flat[:t], flat[t:].reshape(4, t, d)
     curves = [(f"c{k}", "black", blocks[k % 4][:, k // 4]) for k in range(min(3, 4 * d))]
-    try:
-        want = reference_points(times, curves)
-    except ZeroDivisionError:  # a flat curve too large for the +-1 spread to widen
-        with pytest.raises(ZeroDivisionError):
-            svg_plot.render_line_plot("edge", times, curves)
-        return
     svg = svg_plot.render_line_plot("edge", times, curves)
-    assert re.findall(r'<polyline points="([^"]*)"', svg) == want
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == reference_points(times, curves)

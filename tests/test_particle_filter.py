@@ -22,6 +22,7 @@ from lmmpf.particle_filter import (
     run_filter,
     survival_of_the_fittest,
     weight_update,
+    _uniform_weights,
 )
 from lmmpf.state_space import EvolutionObservationModel
 from lmmpf.ode_models import OdeSystem
@@ -439,7 +440,7 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
         (lambda e: propagate_ensemble(e, model, cfg.step),
          dict(predictors=rows, innovation_vars=rows, predictor_loglik=None)),
         (lambda e: survival_of_the_fittest(e, obs, model, rng),
-         dict(states=blocks, weights=(n,), predictors=rows, innovation_vars=rows,
+         dict(states=blocks, weights=_uniform_weights(n), predictors=rows, innovation_vars=rows,
               derivatives=blocks, predictor_loglik=(n,))),
         (lambda e: innovation_step(e, rng, time=0.1, system=model.system),
          dict(states=blocks, time_index=1, time=0.1, derivatives=blocks)),
@@ -455,11 +456,26 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
                 assert value is old, name
             elif isinstance(sets[name], tuple):
                 assert value.shape == sets[name] and value is not old, name
+            elif isinstance(sets[name], np.ndarray):  # the shared uniform weights
+                assert value is sets[name], name
             else:
                 assert value == sets[name], name
         ens = new
     assert ens.predictor_loglik is not None
     assert propagate_ensemble(ens, model, cfg.step).predictor_loglik is None
+
+
+def test_uniform_weights_are_one_shared_read_only_array():
+    cfg, model, records, prior = streamed_inputs("AB3-AB4", "multinomial")
+    rng = np.random.default_rng(0)
+    ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
+    resampled = survival_of_the_fittest(
+        propagate_ensemble(ens, model, cfg.step), records[0], model, rng
+    )
+    assert ens.weights is resampled.weights is _uniform_weights(cfg.n_particles)
+    assert np.array_equal(ens.weights, np.full(cfg.n_particles, 1.0 / cfg.n_particles))
+    with pytest.raises(ValueError, match="read-only"):
+        ens.weights[0] = 1.0
 
 
 def test_filter_evaluates_likelihood_twice_per_observed_step(monkeypatch):

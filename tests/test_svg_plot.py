@@ -35,3 +35,26 @@ def test_degenerate_data_renders_finite_repeatable_svg(x, curves):
     polylines = re.findall(r'<polyline points="([^"]*)"', svg)
     assert [len(p.split()) for p in polylines] == [len(x)] * len(curves)
     assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+
+
+def test_a_flat_curve_too_large_for_a_unit_spread_renders_finite_coordinates():
+    svg = render_line_plot("flat", [0.0, 1.0], [("big", "black", [1e17, 1e17])])
+    assert all(math.isfinite(v) for v in numbers(svg))
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == ["62.00,204.00 622.00,204.00"]
+
+
+def y_tick_labels(svg):
+    return re.findall(r'text-anchor="end"[^>]*>([^<]*)<', svg)
+
+
+def test_non_finite_values_break_the_line_and_leave_the_axes_to_the_finite_ones():
+    x = [0.0, 1.0, 2.0, 3.0]
+    nan, inf = float("nan"), float("inf")
+    svg = render_line_plot("gap", x, [("a", "black", [1.0, nan, 2.0, 3.0])])
+    assert "nan" not in svg and "inf" not in svg
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert [len(p.split()) for p in polylines] == [1, 2]
+    # the same finite values in another order, among nan and inf, give the same y axis
+    finite = y_tick_labels(render_line_plot("gap", x, [("a", "black", [1.0, 2.0, 3.0, 2.0])]))
+    for values in ([nan, 1.0, 3.0, inf], [3.0, -inf, 1.0, nan]):
+        assert y_tick_labels(render_line_plot("gap", x, [("a", "black", values)])) == finite
