@@ -87,7 +87,7 @@ def diagnostics(
     times = np.array(times)
     means = np.concatenate([mean for mean, _ in batches])
     variances = np.concatenate([var for _, var in batches])
-    truth = np.stack([np.atleast_1d(np.asarray(exact(t), dtype=float)) for t in times])
+    truth = np.array([exact(t) for t in times], dtype=float).reshape(len(times), -1)
     errors = np.abs(means - truth)
     return RunDiagnostics(
         times=times,

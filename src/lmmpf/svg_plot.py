@@ -5,6 +5,7 @@ byte-identical across runs.
 """
 
 import math
+import sys
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -19,6 +20,26 @@ def _ticks(lo: float, hi: float, count: int) -> List[float]:
         hi = lo + 1.0
     span = hi - lo
     return [lo + span * i / (count - 1) for i in range(count)]
+
+
+def _y_axis(y_lo: float, y_hi: float) -> Tuple[float, float, float]:
+    """Padded y bounds and the unit they are in: 1, or 16 where that overflows.
+
+    In units of 16 the padded span of any finite range, taken Y_TICKS - 1
+    times for the last tick, stays finite, and the bounds are clamped so
+    that the tick labels (tick times unit) do too.
+    """
+    for unit in (1.0, 16.0):
+        lo, hi = y_lo / unit, y_hi / unit
+        if hi == lo:
+            spread = max(1.0, math.ulp(lo))
+            lo, hi = lo - spread, hi + spread
+        pad = 0.05 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        if (hi - lo) * (Y_TICKS - 1) < math.inf:
+            break
+    top = sys.float_info.max / unit
+    return max(lo, -top), min(hi, top), unit
 
 
 def _finite_range(values: np.ndarray) -> Tuple[float, float]:
@@ -38,17 +59,15 @@ def render_line_plot(
 
     The axis bounds come from the finite values only; a flat y range is
     widened by 1 on each side, or by one ulp of the value where 1 does not
-    change it. A point that does not map to finite coordinates (nan or inf)
-    is left out and breaks its curve into separate polylines.
+    change it; a y range too wide for its padded span to be a float is
+    drawn in units of 16. A point that does not map to finite coordinates
+    (nan or inf) is left out and breaks its curve into separate polylines.
     """
     x = np.array(x, dtype=float)
     x_lo, x_hi = _finite_range(x)
-    y_lo, y_hi = _finite_range(np.concatenate([np.asarray(v, dtype=float) for _, _, v in curves]))
-    if y_hi == y_lo:
-        spread = max(1.0, math.ulp(y_lo))
-        y_lo, y_hi = y_lo - spread, y_hi + spread
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    y_lo, y_hi, y_unit = _y_axis(
+        *_finite_range(np.concatenate([np.asarray(v, dtype=float) for _, _, v in curves]))
+    )
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -57,7 +76,7 @@ def render_line_plot(
     def px(v):
         return MARGIN_L + plot_w * (v - x_lo) / (x_hi - x_lo if x_hi > x_lo else 1.0)
 
-    def py(v):
+    def py(v):  # v in units of y_unit
         return MARGIN_T + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
     parts = [
@@ -86,7 +105,7 @@ def render_line_plot(
         )
         parts.append(
             f'<text x="{MARGIN_L - 9}" y="{yp + 4:.2f}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{_fmt(ty)}</text>'
+            f'font-size="11" font-family="sans-serif">{_fmt(ty * y_unit)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
@@ -102,7 +121,7 @@ def render_line_plot(
     for _label, color, values in curves:
         n = min(len(x), len(values))
         with np.errstate(all="ignore"):
-            xy = np.column_stack([xp[:n], py(np.array(values[:n], dtype=float))])
+            xy = np.column_stack([xp[:n], py(np.array(values[:n], dtype=float) / y_unit)])
         # one polyline per run of finite points: [start, stop) between run edges
         finite = np.isfinite(xy).all(axis=1)
         edges = [0, n] if finite.all() else np.flatnonzero(

@@ -1,9 +1,10 @@
 """`lmmpf sweep` and `lmmpf run` reproduce their recorded outputs byte for byte.
 
 A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
-of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and two
-runs (one of N = 2000, whose diagnostics span several moment batches) are
-compared by the SHA-256 of their stdout and of every file they write.
+of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and
+three runs (one of N = 2000, whose diagnostics span several moment batches, and
+one of N = 4096 with systematic resampling) are compared by the SHA-256 of
+their stdout and of every file they write.
 Every command uses a vectorized scalar problem, so a library-level run over a
 non-vectorized system pins the derivatives an Adams ensemble carries, and an
 `emit_outputs` of a two-component system pins the files of a d = 2 run.
@@ -15,6 +16,7 @@ import io
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,10 @@ COMMANDS = {
     # N = 2000 puts 8 steps in each of the diagnostics' moment batches, and 3 in the last
     "run_batched_moments": ["run", "--problem", "gaussian_decay", "--pair", "AB3-AB4",
                             "--nsample", "2000", "--reps", "1"],
+    # systematic draws over the bucketed ancestor lookup (N >= 1024)
+    "run_systematic": ["run", "--problem", "gaussian_decay", "--pair", "AB3-AB4",
+                       "--nsample", "4096", "--resampler", "systematic", "--tend", "1",
+                       "--reps", "1"],
 }
 
 # SHA-256 of "<outdir>/stdout" and of "<outdir>/<file>" for each written file
@@ -64,6 +70,10 @@ GOLDEN = {
     "run_batched_moments/plot.svg": "309649b898decbd45f5c8ed2921231b91a6768750845dffb56a82e6ecfdcaa0b",
     "run_batched_moments/table.csv": "780bbb04b5b80945005cacad0f153387b65cc728897767b90e1982959366382e",
     "run_batched_moments/trajectory.csv": "c559ab6d3b7b2a33392c10e252dcd8614cbca8e2cb713bdca4e783508744b70b",
+    "run_systematic/stdout": "7f85be59e086bd2e54fce911d58308b724cc7ca91b512956d0197e8cb69682f5",
+    "run_systematic/plot.svg": "0f14aa2e4d58cde70ed42fb7e2e0639bdbeefe6e65936b8ea894da7b2a176f55",
+    "run_systematic/table.csv": "0d2de973226c7c0f02226f79f1f5775137c7c697b614ecc24dc0a42e4a11fa5f",
+    "run_systematic/trajectory.csv": "b6d254c26a1fa0ea82936c045b1d4882f1e4ac38560b44f229a2666f7185f2ea",
 }
 
 
@@ -214,17 +224,24 @@ def reference_points(x, curves):
     """Each polyline's points attribute, one f-string per coordinate.
 
     Bounds come from the finite values, a flat y range widens by max(1, ulp),
-    and a point whose coordinates are not both finite ends its polyline.
+    y is drawn in units of 16 where 4 padded spans would overflow (the bounds
+    clamped to the largest float), and a point whose coordinates are not both
+    finite ends its polyline.
     """
     x = [float(v) for v in x]
     xs = [v for v in x if math.isfinite(v)] or [0.0]
     ys = [float(v) for _, _, vals in curves for v in vals if math.isfinite(v)] or [0.0]
-    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
-    if y_hi == y_lo:
-        spread = max(1.0, math.ulp(y_lo))
-        y_lo, y_hi = y_lo - spread, y_hi + spread
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = min(xs), max(xs)
+    for unit in (1.0, 16.0):
+        y_lo, y_hi = min(ys) / unit, max(ys) / unit
+        if y_hi == y_lo:
+            spread = max(1.0, math.ulp(y_lo))
+            y_lo, y_hi = y_lo - spread, y_hi + spread
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        if math.isfinite(4 * (y_hi - y_lo)):
+            break
+    y_lo, y_hi = max(y_lo, -sys.float_info.max / unit), min(y_hi, sys.float_info.max / unit)
     w = svg_plot.WIDTH - svg_plot.MARGIN_L - svg_plot.MARGIN_R
     h = svg_plot.HEIGHT - svg_plot.MARGIN_T - svg_plot.MARGIN_B
     x_span = x_hi - x_lo if x_hi > x_lo else 1.0
@@ -233,7 +250,7 @@ def reference_points(x, curves):
         line = []
         for vx, vy in zip(x, vals):
             px = svg_plot.MARGIN_L + w * (vx - x_lo) / x_span
-            py = svg_plot.MARGIN_T + h * (1.0 - (float(vy) - y_lo) / (y_hi - y_lo))
+            py = svg_plot.MARGIN_T + h * (1.0 - (float(vy) / unit - y_lo) / (y_hi - y_lo))
             if math.isfinite(px) and math.isfinite(py):
                 line.append(f"{px:.2f},{py:.2f}")
             elif line:

@@ -7,12 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import moments
 from lmmpf.homec import make_pair
 from lmmpf.integrators import Family, MethodSpec, explicit_step_batch
 from lmmpf.ode_models import OdeSystem
-from lmmpf.particle_filter import Ensemble, _normalized_weights, inverse_cdf_indices
+from lmmpf.particle_filter import (
+    _BUCKETED_MIN, Ensemble, _normalized_weights, inverse_cdf_indices,
+)
 from lmmpf.state_space import EvolutionObservationModel
 
 
@@ -136,6 +140,72 @@ def test_inverse_cdf_single_particle(rng):
     us = np.concatenate([rng.random(5), [1.0]])
     idx = inverse_cdf_indices(cum, us)
     assert np.array_equal(idx, np.zeros(6, dtype=np.int64))
+
+
+def _weights(kind, rng, n):
+    if kind == "flat":
+        return np.ones(n)
+    if kind == "log-normal":
+        return np.exp(3.0 * rng.standard_normal(n))
+    if kind == "plateaus":  # runs of zero-weight particles, ties in cumw
+        w = rng.random(n) * (rng.random(n) < 0.05)
+    elif kind == "one-hot":
+        w = np.zeros(n)
+    else:  # three spikes over a near-degenerate floor
+        w = np.full(n, 1e-300)
+        w[rng.integers(n, size=3)] = 1.0
+    w[rng.integers(n)] = 1.0
+    return w
+
+
+@st.composite
+def cdf_lookups(draw):
+    """(cumw, us): a CDF of n particles on either side of the bucketed lookup's
+    threshold and m != n uniforms, ties and edges among them."""
+    n = draw(st.sampled_from([1, 2, 7, _BUCKETED_MIN - 1, _BUCKETED_MIN, _BUCKETED_MIN + 1])
+             | st.integers(1, _BUCKETED_MIN) | st.integers(_BUCKETED_MIN, 4 * _BUCKETED_MIN))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = _weights(draw(st.sampled_from(["flat", "log-normal", "plateaus", "one-hot", "spikes"])),
+                 rng, n)
+    cumw = np.cumsum(w / w.sum())
+    # every end is a positive scaling or a shift of a sorted cumw, so it stays sorted
+    end = draw(st.sampled_from(["summed", "one", "just-below-1", "just-above-1", "scaled",
+                                "shifted-below-0"]))
+    if end == "one":
+        cumw /= cumw[-1]
+    elif end == "just-below-1":
+        cumw *= np.nextafter(1.0, 0.0) / cumw[-1]
+    elif end == "just-above-1":
+        cumw *= 1.0 + 4 * np.finfo(float).eps
+    elif end == "scaled":
+        cumw *= 10.0 ** draw(st.sampled_from([-320, -310, 300]) | st.integers(-320, 300))
+    elif end == "shifted-below-0":
+        cumw -= 0.5
+    m = draw(st.integers(0, 3 * _BUCKETED_MIN))
+    draws = draw(st.sampled_from(["multinomial", "systematic", "on-steps"]))
+    if draws == "multinomial":
+        us = rng.random(m)
+    elif draws == "systematic":
+        us = (rng.random() + np.arange(m)) / max(m, 1)
+    else:
+        us = cumw[rng.integers(n, size=m)]
+    if draw(st.booleans()):
+        edges = [0.0, 1.0, np.nextafter(1.0, 0.0), cumw[0], cumw[-1], np.nextafter(cumw[-1], 0.0),
+                 np.nextafter(cumw[-1], 2.0)]
+        us = rng.permutation(np.concatenate([us, edges]))
+    return cumw, us
+
+
+@settings(deadline=None, database=None, max_examples=300)
+@given(cdf_lookups())
+def test_inverse_cdf_is_the_clamped_right_search_and_writes_nothing(lookup):
+    cumw, us = lookup
+    cumw_before, us_before = cumw.copy(), us.copy()
+    cumw.flags.writeable = us.flags.writeable = False
+    idx = inverse_cdf_indices(cumw, us)
+    assert idx.dtype == np.int64 and idx.shape == us.shape
+    assert np.array_equal(idx, _inverse_cdf_reference(cumw, us))
+    assert cumw.tobytes() == cumw_before.tobytes() and us.tobytes() == us_before.tobytes()
 
 
 def test_weighted_mean_var_matches_exact_sums(rng):

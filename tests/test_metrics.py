@@ -115,6 +115,30 @@ def test_diagnostics_records_exact_values():
     assert d.absolute_errors[0, 0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "exact",
+    [lambda t: 0.1 * t, lambda t: np.float64(0.1 * t), lambda t: np.array(0.1 * t),
+     lambda t: np.array([0.1 * t]), lambda t: [0.1 * t]],
+    ids=["float", "numpy-scalar", "0-d", "(1,)", "list"],
+)
+def test_a_truth_of_any_scalar_shape_is_one_column_per_step(exact):
+    run = [ens_from([0.7, 0.2], time=1.0), ens_from([0.4, 0.9], time=3.0)]
+    d = diagnostics(run, exact)
+    assert d.exact_values.shape == (2, 1) and d.exact_values.dtype == float
+    assert d.exact_values.tobytes() == np.array([[0.1], [0.1 * 3.0]]).tobytes()
+
+
+def test_a_two_component_truth_is_one_row_per_step():
+    def ens2(values, time):
+        return Ensemble(states=np.asarray(values, dtype=float)[:, None, :],
+                        weights=np.full(2, 0.5), time_index=0, time=time)
+
+    run = [ens2([[1.0, 2.0], [3.0, 4.0]], 0.0), ens2([[0.0, 1.0], [2.0, 5.0]], 1.0)]
+    d = diagnostics(run, lambda t: np.array([t, -t]))
+    assert d.exact_values.tolist() == [[0.0, -0.0], [1.0, -1.0]]
+    assert d.absolute_errors.tolist() == [[2.0, 3.0], [0.0, 4.0]]
+
+
 # ------------------------------------------------------ batched moments
 
 

@@ -58,3 +58,17 @@ def test_non_finite_values_break_the_line_and_leave_the_axes_to_the_finite_ones(
     finite = y_tick_labels(render_line_plot("gap", x, [("a", "black", [1.0, 2.0, 3.0, 2.0])]))
     for values in ([nan, 1.0, 3.0, inf], [3.0, -inf, 1.0, nan]):
         assert y_tick_labels(render_line_plot("gap", x, [("a", "black", values)])) == finite
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.7e308, -1.7e308], [1.7976931348623157e308] * 2, [-1.7976931348623157e308] * 2],
+    ids=["range-wider-than-a-float", "flat-at-max", "flat-at-minus-max"],
+)
+def test_a_y_range_whose_padded_span_overflows_renders_finite_ticks_and_a_line(values):
+    svg = render_line_plot("huge", [0.0, 1.0], [("a", "black", values)])
+    assert "nan" not in svg and "inf" not in svg
+    assert all(math.isfinite(v) for v in numbers(svg))
+    assert len(y_tick_labels(svg)) == 5
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert [len(p.split()) for p in polylines] == [2]
