@@ -1,32 +1,33 @@
 """Auxiliary particle filter driven by a multistep-integrator pair.
 
-A filter step runs four stages, each a function from `Ensemble` to
-`Ensemble`: `propagate_ensemble` steps every particle with the pair (the
-predictor) and sets a per-particle innovation covariance from the pair
-discrepancy; at observation times `survival_of_the_fittest` resamples by
-predictor fitness; `innovation_step` perturbs the predictor and shifts it in
-as the newest block; at observation times `weight_update` reweights by the
-observation-likelihood ratio. The per-particle arrays one stage hands to the
-next travel in the ensemble only.
+A filter step runs four stages: `propagate_ensemble` returns each particle's
+pair step (the predictor) and an innovation covariance from the pair
+discrepancy; at observation times `survival_of_the_fittest` resamples the
+ensemble and those arrays by predictor fitness; `innovation_step` perturbs
+the predictors and shifts them in as the newest block; at observation times
+`weight_update` reweights by the observation-likelihood ratio. Only the
+`Ensemble` crosses from one step to the next; the step's other per-particle
+arrays pass between its stages as arguments and return values.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
 then per step the resampler's uniforms (see `RESAMPLERS`; none between
 observations) followed by one (N, d) innovation normal block.
-All operations return new ensembles and never write to their inputs. To
-avoid copies, an ensemble may hold the very arrays it was built from (the
-predictors of one step are shared by its resampled and its innovated
-ensemble), so every ensemble array must be treated as read-only; uniform
-weights are one read-only (N,) array per N, shared by every ensemble.
+All operations return new arrays and ensembles and never write to their
+inputs. To avoid copies, an ensemble may hold the very arrays it was built
+from (an unobserved step's ensemble holds the weights of the one before it),
+so every ensemble array must be treated as read-only; uniform weights are
+one read-only (N,) array per N, shared by every ensemble.
 
 For a system whose rhs is not vectorized (``rhs_batch`` loops over the
-particles in Python) and a pair that reads history derivatives (AB, AM), each
-ensemble carries the f-values of its history blocks, so a step evaluates the
-rhs once, for the block innovation creates, instead of once per block. The
-cache adds N*r*d floats to every ensemble, including each one `run_filter`
-keeps. For a time-dependent rhs a carried value is f at the filter clock of
-the step that made the block, which can differ from t - i*h in the last ulp;
-see `Ensemble`. Vectorized systems evaluate all r blocks as before.
+particles in Python) and a pair that reads history derivatives (AB, AM), the
+filter's own ensemble carries the f-values of its history blocks, so a step
+evaluates the rhs once, for the block innovation creates, instead of once per
+block. The cache only serves the next step: ensembles `iter_filter` yields,
+and so those `run_filter` keeps, carry none. For a time-dependent rhs a
+carried value is f at the filter clock of the step that made the block,
+which can differ from t - i*h in the last ulp; see `Ensemble`. Vectorized
+systems evaluate all r blocks as before.
 """
 
 import math
@@ -34,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,14 +121,10 @@ class Ensemble:
     """Weighted particle sample at one time index, stored as stacked arrays.
 
     ``states`` holds each particle's history blocks (N, r, d) newest first.
-    ``predictors`` (N, d) and ``innovation_vars`` (N, d), when present, are
-    the pair propagation outputs aligned row-by-row with the particles. A
-    predictor is the low-order step: the newest block before innovation
-    perturbs it. It holds no older blocks; `innovation_step` takes those from
-    the states it shifts.
 
     ``derivatives`` (N, r, d) is set only for a non-vectorized system and a
-    pair that uses history derivatives: ``derivatives[n, i]`` is f of
+    pair that uses history derivatives, in the ensembles a filter loop steps
+    from (`iter_filter` yields none): ``derivatives[n, i]`` is f of
     ``states[n, i]`` at the filter time at which that block was newest
     (``t_start - i*h`` for the initial ensemble). For an autonomous rhs, and
     for every vectorized system (which recompute f at ``time - i*h``), runs
@@ -136,20 +133,13 @@ class Ensemble:
     of block i at step j can differ from ``time - i*h`` in the last ulp, so
     states can drift from the recompute path at rounding level; replay
     under one seed stays byte-identical.
-
-    ``predictor_loglik`` (N,) is log pi(y | predictor) of each particle.
-    Resampling sets it, innovation and reweighting carry it, and propagation
-    clears it, because new predictors make it stale. `weight_update` reads it.
     """
 
     states: np.ndarray
     weights: np.ndarray
     time_index: int
     time: float
-    predictors: Optional[np.ndarray] = None
-    innovation_vars: Optional[np.ndarray] = None
     derivatives: Optional[np.ndarray] = None
-    predictor_loglik: Optional[np.ndarray] = None
 
     @property
     def n_particles(self) -> int:
@@ -165,7 +155,7 @@ def _replace(ensemble: Ensemble, **changes) -> Ensemble:
     """``dataclasses.replace(ensemble, **changes)`` without ``__init__``.
 
     Each stage builds one ensemble; filling its ``__dict__`` from the old
-    one skips the frozen-dataclass ``__init__`` and its eight
+    one skips the frozen-dataclass ``__init__`` and its five
     ``object.__setattr__`` calls, which cost about as much as a stage's own
     bookkeeping at N = 150.
     """
@@ -228,25 +218,12 @@ def initialize(
 
 def propagate_ensemble(
     ensemble: Ensemble, model: EvolutionObservationModel, h: float
-) -> Ensemble:
-    """Pair-propagate every particle; sets ``predictors`` and ``innovation_vars``.
-
-    ``predictor_loglik`` is cleared, since it belonged to the old predictors.
-    """
-    predictors, gammas = propagate_blocks(
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(predictors, innovation_vars), each (N, d): every particle's low-order pair
+    step, the newest block before innovation perturbs it, and its innovation variances."""
+    return propagate_blocks(
         model.pair, model.system, ensemble.states, ensemble.time, h, derivs=ensemble.derivatives
     )
-    return _replace(
-        ensemble, predictors=predictors, innovation_vars=gammas, predictor_loglik=None
-    )
-
-
-def _require_propagated(ensemble: Ensemble, stage: str):
-    if ensemble.predictors is None or ensemble.innovation_vars is None:
-        raise ValueError(
-            "ensemble has no predictors or innovation_vars: propagate it with "
-            f"propagate_ensemble before {stage}"
-        )
 
 
 def _normalized_weights(
@@ -319,55 +296,48 @@ def _log_likelihood(
 
 
 def survival_of_the_fittest(
-    ensemble: Ensemble,
-    observation: ObservationRecord,
-    model: EvolutionObservationModel,
-    rng: np.random.Generator,
-    *,
-    resampler: str = FilterConfig.resampler,
-) -> Ensemble:
+    ensemble: Ensemble, predictors: np.ndarray, innovation_vars: np.ndarray,
+    observation: ObservationRecord, model: EvolutionObservationModel, rng: np.random.Generator,
+    *, resampler: str = FilterConfig.resampler,
+) -> Tuple[Ensemble, np.ndarray, np.ndarray, np.ndarray]:
     """Resample particles with replacement by normalized predictor fitness.
 
     Fitness of particle n is w_n * pi(y | predictor_n). One ancestor index
-    gathers every row-aligned array: states, predictors, innovation
-    covariances, carried derivatives and the new predictor log-likelihoods.
-    The returned ensemble has uniform weights.
+    gathers the ensemble (states, carried derivatives; weights become uniform),
+    the predictors, the innovation variances and the predictor log-likelihoods
+    (N,) that `weight_update` reads; all four are returned.
     """
-    _require_propagated(ensemble, "survival_of_the_fittest")
-    loglik = _log_likelihood(model, observation, ensemble.predictors)
+    loglik = _log_likelihood(model, observation, predictors)
     with np.errstate(divide="ignore"):
         log_fitness = np.log(ensemble.weights) + loglik
     fitness = _normalized_weights(
-        log_fitness, ensemble.time_index + 1, observation.time, ensemble.predictors, "predictors"
+        log_fitness, ensemble.time_index + 1, observation.time, predictors, "predictors"
     )
     idx = _resample_indices(fitness, rng, resampler)
     n, derivatives = ensemble.n_particles, ensemble.derivatives
-    return _replace(
+    resampled = _replace(
         ensemble, states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(n),
-        predictors=ensemble.predictors.take(idx, axis=0),
-        innovation_vars=ensemble.innovation_vars.take(idx, axis=0),
         derivatives=None if derivatives is None else derivatives.take(idx, axis=0),
-        predictor_loglik=loglik.take(idx, axis=0),
     )
+    return resampled, *(a.take(idx, axis=0) for a in (predictors, innovation_vars, loglik))
 
 
 def innovation_step(
-    ensemble: Ensemble, rng: np.random.Generator, *, time: float, system: OdeSystem
+    ensemble: Ensemble, predictors: np.ndarray, innovation_vars: np.ndarray,
+    rng: np.random.Generator, *, time: float, system: OdeSystem,
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
     The perturbed predictor becomes the newest block and the ensemble's
     blocks shift back by one, the oldest dropping out; this is the one place
-    the block vector shifts. Weights, predictors, innovation covariances and
-    predictor log-likelihoods are carried over as they are (the same
-    arrays, not copies). ``time`` is the time of the new newest block, the
+    the block vector shifts. Weights are carried over as they are (the same
+    array, not a copy). ``time`` is the time of the new newest block, the
     step's point on the filter grid t_start + j*h. When ``ensemble`` carries
     derivatives, f of the new newest block is evaluated there with ``system``
     and the older ones shift along.
     """
-    _require_propagated(ensemble, "innovation_step")
-    noise = np.sqrt(ensemble.innovation_vars) * rng.standard_normal(ensemble.predictors.shape)
-    newest = ensemble.predictors + noise
+    noise = np.sqrt(innovation_vars) * rng.standard_normal(predictors.shape)
+    newest = predictors + noise
     states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
     derivatives = None
     if ensemble.derivatives is not None:
@@ -380,20 +350,15 @@ def innovation_step(
 
 
 def weight_update(
-    ensemble: Ensemble, observation: ObservationRecord, model: EvolutionObservationModel
+    ensemble: Ensemble, predictor_loglik: np.ndarray, observation: ObservationRecord,
+    model: EvolutionObservationModel,
 ) -> Ensemble:
     """Set weights to the likelihood ratio pi(y|x) / pi(y|predictor), normalized.
 
-    log pi(y | predictor) is ``ensemble.predictor_loglik``, which only
-    resampling sets, so an ensemble must be resampled before it is reweighted.
+    ``predictor_loglik`` is log pi(y | predictor), as resampling returned it.
     """
-    if ensemble.predictor_loglik is None:
-        raise ValueError(
-            "ensemble has no predictor_loglik: resample it with "
-            "survival_of_the_fittest before weight_update"
-        )
     ll_state = _log_likelihood(model, observation, ensemble.newest)
-    log_ratio = ll_state - ensemble.predictor_loglik
+    log_ratio = ll_state - predictor_loglik
     weights = _normalized_weights(
         log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
     )
@@ -427,6 +392,24 @@ def _observation_schedule(
     return schedule
 
 
+def _step(
+    ensemble: Ensemble, model: EvolutionObservationModel, record: Optional[ObservationRecord],
+    rng: np.random.Generator, h: float, time: float, resampler: str,
+) -> Ensemble:
+    """One filter step to ``time``, ``record`` None between observations; its
+    predictor arrays are freed when it returns."""
+    predictors, innovation_vars = propagate_ensemble(ensemble, model, h)
+    if record is not None:
+        ensemble, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
+            ensemble, predictors, innovation_vars, record, model, rng, resampler=resampler
+        )
+    ensemble = innovation_step(ensemble, predictors, innovation_vars, rng, time=time,
+                               system=model.system)
+    if record is not None:
+        ensemble = weight_update(ensemble, predictor_loglik, record, model)
+    return ensemble
+
+
 def iter_filter(
     config: FilterConfig,
     model: EvolutionObservationModel,
@@ -446,6 +429,8 @@ def iter_filter(
     order, or a ``config.pair`` that differs from ``model.pair`` (which the
     filter runs), raise on the first request; an observation value whose
     shape is not ``measurement_var``'s raises at the step that assimilates it.
+    Yielded ensembles carry no ``derivatives``: the f-cache only serves the
+    next step, which starts from the filter's own ensemble.
     """
     config_pair, model_pair = ((p.label, p.tau, p.eps_floor) for p in (config.pair, model.pair))
     if config_pair != model_pair:
@@ -458,18 +443,12 @@ def iter_filter(
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)
-    yield ensemble
-    for j in range(1, last_step + 1):
-        ensemble = propagate_ensemble(ensemble, model, h)
-        record = schedule.get(j)
-        if record is not None:
-            ensemble = survival_of_the_fittest(
-                ensemble, record, model, rng, resampler=config.resampler
+    for j in range(last_step + 1):
+        if j:
+            ensemble = _step(
+                ensemble, model, schedule.get(j), rng, h, t_start + j * h, config.resampler
             )
-        ensemble = innovation_step(ensemble, rng, time=t_start + j * h, system=model.system)
-        if record is not None:
-            ensemble = weight_update(ensemble, record, model)
-        yield ensemble
+        yield ensemble if ensemble.derivatives is None else _replace(ensemble, derivatives=None)
 
 
 def run_filter(

@@ -22,21 +22,24 @@ def _ticks(lo: float, hi: float, count: int) -> List[float]:
     return [lo + span * i / (count - 1) for i in range(count)]
 
 
-def _y_axis(y_lo: float, y_hi: float) -> Tuple[float, float, float]:
-    """Padded y bounds and the unit they are in: 1, or 16 where that overflows.
+def _axis(v_lo: float, v_hi: float, reach: float, pad: bool) -> Tuple[float, float, float]:
+    """Axis bounds and the unit they are in: the first of 1, 16, 16^2, 16^3 in
+    which ``reach`` times the span is finite.
 
-    In units of 16 the padded span of any finite range, taken Y_TICKS - 1
-    times for the last tick, stays finite, and the bounds are clamped so
-    that the tick labels (tick times unit) do too.
+    With ``pad`` a flat range widens by max(1, ulp) on each side and then by
+    5% of its span. In units of 16^3 any finite span, padded, times 560
+    stays finite. The bounds are clamped so that the tick labels (tick times
+    unit) do too.
     """
-    for unit in (1.0, 16.0):
-        lo, hi = y_lo / unit, y_hi / unit
-        if hi == lo:
-            spread = max(1.0, math.ulp(lo))
-            lo, hi = lo - spread, hi + spread
-        pad = 0.05 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
-        if (hi - lo) * (Y_TICKS - 1) < math.inf:
+    for unit in (1.0, 16.0, 256.0, 4096.0):
+        lo, hi = v_lo / unit, v_hi / unit
+        if pad:
+            if hi == lo:
+                spread = max(1.0, math.ulp(lo))
+                lo, hi = lo - spread, hi + spread
+            margin = 0.05 * (hi - lo)
+            lo, hi = lo - margin, hi + margin
+        if (hi - lo) * reach < math.inf:
             break
     top = sys.float_info.max / unit
     return max(lo, -top), min(hi, top), unit
@@ -60,20 +63,23 @@ def render_line_plot(
     The axis bounds come from the finite values only; a flat y range is
     widened by 1 on each side, or by one ulp of the value where 1 does not
     change it; a y range too wide for its padded span to be a float is
-    drawn in units of 16. A point that does not map to finite coordinates
-    (nan or inf) is left out and breaks its curve into separate polylines.
+    drawn in units of 16, and an x range whose span times the plot width
+    overflows in the first power of 16 where it does not (see `_axis`). A
+    point that does not map to finite coordinates (nan or inf) is left out
+    and breaks its curve into separate polylines.
     """
-    x = np.array(x, dtype=float)
-    x_lo, x_hi = _finite_range(x)
-    y_lo, y_hi, y_unit = _y_axis(
-        *_finite_range(np.concatenate([np.asarray(v, dtype=float) for _, _, v in curves]))
-    )
-
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    x = np.array(x, dtype=float)
+    # px scales a span by plot_w before dividing; py divides first
+    x_lo, x_hi, x_unit = _axis(*_finite_range(x), max(plot_w, X_TICKS - 1), pad=False)
+    y_lo, y_hi, y_unit = _axis(
+        *_finite_range(np.concatenate([np.asarray(v, dtype=float) for _, _, v in curves])),
+        Y_TICKS - 1, pad=True,
+    )
 
     # px and py map floats and float arrays alike, with the same IEEE operations
-    def px(v):
+    def px(v):  # v in units of x_unit
         return MARGIN_L + plot_w * (v - x_lo) / (x_hi - x_lo if x_hi > x_lo else 1.0)
 
     def py(v):  # v in units of y_unit
@@ -96,7 +102,7 @@ def render_line_plot(
         )
         parts.append(
             f'<text x="{xp:.2f}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{_fmt(tx)}</text>'
+            f'font-size="11" font-family="sans-serif">{_fmt(tx * x_unit)}</text>'
         )
     for ty in _ticks(y_lo, y_hi, Y_TICKS):
         yp = py(ty)
@@ -117,7 +123,7 @@ def render_line_plot(
         f"{Y_LABEL}</text>"
     )
     with np.errstate(all="ignore"):  # inf and nan map as Python floats do, silently
-        xp = px(x)
+        xp = px(x / x_unit)
     for _label, color, values in curves:
         n = min(len(x), len(values))
         with np.errstate(all="ignore"):

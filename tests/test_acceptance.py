@@ -207,9 +207,11 @@ def test_criterion_6_one_step_bayes_oracle():
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
     rng = np.random.default_rng(SEED)
-    resampled = survival_of_the_fittest(propagate_ensemble(ens, model, 0.1), obs, model, rng)
-    moved = innovation_step(resampled, rng, time=0.1, system=system)
-    final = weight_update(moved, obs, model)
+    resampled, predictors, gammas, loglik = survival_of_the_fittest(
+        ens, *propagate_ensemble(ens, model, 0.1), obs, model, rng
+    )
+    moved = innovation_step(resampled, predictors, gammas, rng, time=0.1, system=system)
+    final = weight_update(moved, loglik, obs, model)
 
     replay = np.random.default_rng(SEED)
     us = replay.random(2)
@@ -260,17 +262,17 @@ def test_criterion_7_property_suite():
         weights=np.full(30, 1.0 / 30.0),
         time_index=0,
         time=0.0,
-        predictors=predictors,
-        innovation_vars=np.full((30, 1), 0.05),
     )
-    out = innovation_step(ens, rng, time=0.1, system=problem.system)
+    out = innovation_step(
+        ens, predictors, np.full((30, 1), 0.05), rng, time=0.1, system=problem.system
+    )
     checks["innovation support"] = np.array_equal(out.states[:, 1:], ens.states[:, :-1])
 
     # Markov shift structure: pair step, then the innovation that shifts
     base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
     base = Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0)
     propagated = propagate_ensemble(base, model, 0.1)
-    shifted = innovation_step(propagated, rng, time=0.1, system=problem.system).states
+    shifted = innovation_step(base, *propagated, rng, time=0.1, system=problem.system).states
     checks["Markov shift"] = np.array_equal(shifted[:, 1:], base_states[:, :-1])
 
     # multinomial resampling unbiasedness at N=1e5, 3 standard errors
@@ -289,11 +291,11 @@ def test_criterion_7_property_suite():
         weights=weights,
         time_index=0,
         time=0.0,
-        predictors=zeros,
-        innovation_vars=zeros,
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    resampled = survival_of_the_fittest(big, obs, flat_model, np.random.default_rng(SEED))
+    resampled, *_ = survival_of_the_fittest(
+        big, zeros, zeros, obs, flat_model, np.random.default_rng(SEED)
+    )
     unbiased = True
     for k, gw in enumerate(group_w):
         count = int(np.count_nonzero(resampled.states[:, 0, 0] == float(k)))

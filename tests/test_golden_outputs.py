@@ -225,13 +225,19 @@ def reference_points(x, curves):
 
     Bounds come from the finite values, a flat y range widens by max(1, ulp),
     y is drawn in units of 16 where 4 padded spans would overflow (the bounds
-    clamped to the largest float), and a point whose coordinates are not both
+    clamped to the largest float), x in the first power of 16 where the plot
+    width times its span does not, and a point whose coordinates are not both
     finite ends its polyline.
     """
+    w = svg_plot.WIDTH - svg_plot.MARGIN_L - svg_plot.MARGIN_R
+    h = svg_plot.HEIGHT - svg_plot.MARGIN_T - svg_plot.MARGIN_B
     x = [float(v) for v in x]
     xs = [v for v in x if math.isfinite(v)] or [0.0]
     ys = [float(v) for _, _, vals in curves for v in vals if math.isfinite(v)] or [0.0]
-    x_lo, x_hi = min(xs), max(xs)
+    for x_unit in (1.0, 16.0, 256.0, 4096.0):
+        x_lo, x_hi = min(xs) / x_unit, max(xs) / x_unit
+        if math.isfinite(w * (x_hi - x_lo)):
+            break
     for unit in (1.0, 16.0):
         y_lo, y_hi = min(ys) / unit, max(ys) / unit
         if y_hi == y_lo:
@@ -242,14 +248,12 @@ def reference_points(x, curves):
         if math.isfinite(4 * (y_hi - y_lo)):
             break
     y_lo, y_hi = max(y_lo, -sys.float_info.max / unit), min(y_hi, sys.float_info.max / unit)
-    w = svg_plot.WIDTH - svg_plot.MARGIN_L - svg_plot.MARGIN_R
-    h = svg_plot.HEIGHT - svg_plot.MARGIN_T - svg_plot.MARGIN_B
     x_span = x_hi - x_lo if x_hi > x_lo else 1.0
     lines = []
     for _, _, vals in curves:
         line = []
         for vx, vy in zip(x, vals):
-            px = svg_plot.MARGIN_L + w * (vx - x_lo) / x_span
+            px = svg_plot.MARGIN_L + w * (vx / x_unit - x_lo) / x_span
             py = svg_plot.MARGIN_T + h * (1.0 - (float(vy) / unit - y_lo) / (y_hi - y_lo))
             if math.isfinite(px) and math.isfinite(py):
                 line.append(f"{px:.2f},{py:.2f}")

@@ -32,11 +32,10 @@ def shifted_blocks(pair, system, blocks, t, h):
     """Blocks after one pair step and its innovation, where the block vector shifts."""
     pred, gamma = propagate_blocks(pair, system, blocks, t, h)
     n = blocks.shape[0]
-    ens = Ensemble(
-        states=blocks, weights=np.full(n, 1.0 / n), time_index=0, time=t,
-        predictors=pred, innovation_vars=gamma,
-    )
-    return innovation_step(ens, np.random.default_rng(0), time=t + h, system=system).states
+    ens = Ensemble(states=blocks, weights=np.full(n, 1.0 / n), time_index=0, time=t)
+    return innovation_step(
+        ens, pred, gamma, np.random.default_rng(0), time=t + h, system=system
+    ).states
 
 
 def rk12_gamma(slopes, tau):

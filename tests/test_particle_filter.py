@@ -8,6 +8,7 @@ import pytest
 from conftest import moments
 from lmmpf import homec, particle_filter
 from lmmpf.homec import make_pair
+from lmmpf.integrators import step_count
 from lmmpf.metrics import diagnostics
 from lmmpf.ode_models import ObservationRecord, gaussian_decay_problem, smooth_problem
 from lmmpf.particle_filter import (
@@ -128,9 +129,10 @@ def test_filter_config_takes_numpy_integers():
 def test_survival_degenerate_fitness_copies_winner():
     model = make_model(system=constant_system(), var=1e-6)
     ens = flat_ensemble([0.0, 50.0, -50.0])
-    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((3, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
+    out, *_ = survival_of_the_fittest(
+        ens, ens.newest.copy(), np.zeros((3, 1)), obs, model, np.random.default_rng(0)
+    )
     assert np.all(out.states[:, 0, 0] == 0.0)
     assert np.all(out.weights == 1.0 / 3.0)
 
@@ -144,11 +146,11 @@ def test_survival_multinomial_frequencies_uniform_fitness():
         weights=np.full(n, 1.0 / n),
         time_index=0,
         time=0.0,
-        predictors=np.zeros((n, 1)),
-        innovation_vars=np.zeros((n, 1)),
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(123))
+    out, *_ = survival_of_the_fittest(
+        ens, np.zeros((n, 1)), np.zeros((n, 1)), obs, model, np.random.default_rng(123)
+    )
     markers = np.round(out.states[:, 0, 0] / 1e-12).astype(int)
     p = 1.0 / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -175,30 +177,33 @@ def test_survival_reshuffles_predictors_and_gammas_together():
     ens = flat_ensemble([0.0, 7.0])
     predictors = np.array([[0.0], [7.0]])
     gammas = np.array([[1e-4], [9e-4]])
-    ens = replace(ens, predictors=predictors, innovation_vars=gammas)
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([7.0]))
-    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
+    out, out_predictors, out_gammas, _ = survival_of_the_fittest(
+        ens, predictors, gammas, obs, model, np.random.default_rng(0)
+    )
     assert np.all(out.states[:, 0, 0] == 7.0)
-    assert np.all(out.predictors[:, 0] == 7.0)
-    assert np.all(out.innovation_vars == 9e-4)
+    assert np.all(out_predictors[:, 0] == 7.0)
+    assert np.all(out_gammas == 9e-4)
 
 
 def test_survival_underflow_raises():
     model = make_model(system=constant_system(), var=1e-300)
     ens = flat_ensemble([0.0, 1.0])
-    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError, match="underflow"):
-        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
+        survival_of_the_fittest(
+            ens, ens.newest.copy(), np.zeros((2, 1)), obs, model, np.random.default_rng(0)
+        )
 
 
 def test_survival_underflow_names_step_time_and_log_fitness():
     model = make_model(system=constant_system(), var=1e-300)
     ens = flat_ensemble([0.0, 1.0])
-    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1e200]))
     with np.errstate(over="ignore"), pytest.raises(LikelihoodUnderflowError) as info:
-        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0))
+        survival_of_the_fittest(
+            ens, ens.newest.copy(), np.zeros((2, 1)), obs, model, np.random.default_rng(0)
+        )
     err = info.value
     assert (err.time_index, err.time) == (1, 0.1)
     assert not np.isfinite(err.max_log_value)
@@ -216,7 +221,7 @@ def test_weight_update_underflow_names_step_time_and_log_ratio():
         LikelihoodUnderflowError
     ) as info:
         loglik = model.log_likelihood_batch(obs.value, predictors)
-        weight_update(replace(ens, predictor_loglik=loglik), obs, model)
+        weight_update(ens, loglik, obs, model)
     err = info.value
     assert (err.time_index, err.time) == (3, 0.3)
     assert not np.isfinite(err.max_log_value)
@@ -242,7 +247,7 @@ def test_non_finite_predictors_are_named_instead_of_the_observation():
     ]
     rng = np.random.default_rng(cfg.seed)
     start = initialize(cfg, p.initial_state, rng, model=model, t_start=0.0)
-    predictors = propagate_ensemble(start, model, 0.1).predictors
+    predictors, _ = propagate_ensemble(start, model, 0.1)
     bad = int(np.count_nonzero(~np.isfinite(predictors[:, 0])))
     assert 0 < bad < 150
     with pytest.raises(LikelihoodUnderflowError) as info:
@@ -261,7 +266,7 @@ def test_non_finite_states_are_named_at_reweighting():
     ens = replace(flat_ensemble([0.0, np.nan, 1.0]), time_index=2, time=0.2)
     obs = ObservationRecord(time_index=2, time=0.2, value=np.array([0.5]))
     with pytest.raises(LikelihoodUnderflowError) as info:
-        weight_update(replace(ens, predictor_loglik=np.zeros(3)), obs, model)
+        weight_update(ens, np.zeros(3), obs, model)
     err = info.value
     assert (err.time_index, err.time) == (2, 0.2)
     assert str(err).endswith("step 2 (t=0.2): largest log value nan; 1 of 3 states hold nan or inf")
@@ -270,11 +275,13 @@ def test_non_finite_states_are_named_at_reweighting():
 def test_survival_rejects_an_unknown_resampler_as_filter_config_does():
     model = make_model(system=constant_system(), var=0.04)
     ens = flat_ensemble([0.0, 1.0])
-    ens = replace(ens, predictors=ens.newest.copy(), innovation_vars=np.zeros((2, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
     message = "unknown resampler 'bogus'; valid resamplers: multinomial, systematic"
     with pytest.raises(ValueError) as direct:
-        survival_of_the_fittest(ens, obs, model, np.random.default_rng(0), resampler="bogus")
+        survival_of_the_fittest(
+            ens, ens.newest.copy(), np.zeros((2, 1)), obs, model, np.random.default_rng(0),
+            resampler="bogus",
+        )
     with pytest.raises(ValueError) as configured:
         FilterConfig(
             n_particles=10, initial_variance=0.1, step=0.1, pair=model.pair, resampler="bogus"
@@ -293,9 +300,10 @@ def test_resampling_unbiasedness_multinomial():
         values.extend([float(k)] * sz)
         weights.extend([gw / sz] * sz)
     ens = flat_ensemble(values, weights=np.array(weights))
-    ens = replace(ens, predictors=np.zeros((n, 1)), innovation_vars=np.zeros((n, 1)))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out = survival_of_the_fittest(ens, obs, model, np.random.default_rng(2024))
+    out, *_ = survival_of_the_fittest(
+        ens, np.zeros((n, 1)), np.zeros((n, 1)), obs, model, np.random.default_rng(2024)
+    )
     for k, gw in enumerate(group_w):
         count = np.count_nonzero(out.states[:, 0, 0] == float(k))
         se = math.sqrt(n * gw * (1.0 - gw))
@@ -307,10 +315,11 @@ def test_resampling_unbiasedness_multinomial():
 
 def test_innovation_zero_gamma_copies_predictor():
     predictors = np.array([[1.5], [2.5]])
-    ens = replace(
-        flat_ensemble([1.0, 2.0], r=2), predictors=predictors, innovation_vars=np.zeros((2, 1))
+    ens = flat_ensemble([1.0, 2.0], r=2)
+    out = innovation_step(
+        ens, predictors, np.zeros((2, 1)), np.random.default_rng(0), time=0.1,
+        system=constant_system(),
     )
-    out = innovation_step(ens, np.random.default_rng(0), time=0.1, system=constant_system())
     assert np.array_equal(out.states[:, 0], predictors)
     assert out.time_index == 1
     assert out.time == pytest.approx(0.1)
@@ -319,10 +328,11 @@ def test_innovation_zero_gamma_copies_predictor():
 def test_innovation_stddev_matches_gamma():
     n = 10_000
     predictors = np.zeros((n, 1))
-    ens = replace(
-        flat_ensemble(np.zeros(n)), predictors=predictors, innovation_vars=np.full((n, 1), 0.01)
+    ens = flat_ensemble(np.zeros(n))
+    out = innovation_step(
+        ens, predictors, np.full((n, 1), 0.01), np.random.default_rng(99), time=0.1,
+        system=constant_system(),
     )
-    out = innovation_step(ens, np.random.default_rng(99), time=0.1, system=constant_system())
     sd = np.std(out.states[:, 0, 0] - predictors[:, 0])
     assert 0.097 <= sd <= 0.103
 
@@ -336,9 +346,9 @@ def test_innovation_leaves_older_blocks_untouched():
         time_index=0,
         time=0.0,
     )
-    ens = replace(ens, predictors=predictors, innovation_vars=np.abs(rng.normal(size=(6, 2))))
+    gammas = np.abs(rng.normal(size=(6, 2)))
     system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=True)
-    out = innovation_step(ens, rng, time=0.1, system=system)
+    out = innovation_step(ens, predictors, gammas, rng, time=0.1, system=system)
     assert np.array_equal(out.states[:, 1:], ens.states[:, :-1])
     assert not np.array_equal(out.states[:, 0], predictors)
 
@@ -350,8 +360,7 @@ def test_weight_update_unit_ratios():
     model = make_model(system=constant_system(), var=0.04)
     ens = flat_ensemble([0.3, -0.2, 1.0])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
-    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, ens.newest))
-    out = weight_update(ens, obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, ens.newest), obs, model)
     assert np.allclose(out.weights, 1.0 / 3.0, atol=1e-15)
 
 
@@ -362,8 +371,7 @@ def test_weight_update_log_gap():
     ens = flat_ensemble([0.0, x2])
     predictors = np.zeros((2, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, predictors))
-    out = weight_update(ens, obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
     assert out.weights[0] == pytest.approx(0.75, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.25, abs=1e-12)
 
@@ -374,56 +382,25 @@ def test_weight_update_normalized():
     ens = flat_ensemble(rng.normal(size=40), r=2)
     predictors = rng.normal(size=(40, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    ens = replace(ens, predictor_loglik=model.log_likelihood_batch(obs.value, predictors))
-    out = weight_update(ens, obs, model)
+    out = weight_update(ens, model.log_likelihood_batch(obs.value, predictors), obs, model)
     assert abs(np.sum(out.weights) - 1.0) < 1e-12
-
-
-def test_weight_update_requires_a_resampled_ensemble():
-    model = make_model(system=constant_system(), var=0.04)
-    ens = flat_ensemble([0.3, -0.2, 1.0], r=2)
-    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
-    with pytest.raises(ValueError, match="survival_of_the_fittest before weight_update"):
-        weight_update(propagate_ensemble(ens, model, 0.1), obs, model)
-
-
-@pytest.mark.parametrize("stage", ["survival_of_the_fittest", "innovation_step"])
-def test_stages_require_a_propagated_ensemble(stage):
-    model = make_model(system=constant_system(), var=0.04)
-    ens = flat_ensemble([0.3, -0.2, 1.0], r=2)
-    obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.5]))
-    rng = np.random.default_rng(0)
-    run = {
-        "survival_of_the_fittest": lambda: survival_of_the_fittest(ens, obs, model, rng),
-        "innovation_step": lambda: innovation_step(ens, rng, time=0.1, system=model.system),
-    }[stage]
-    with pytest.raises(ValueError, match=f"propagate_ensemble before {stage}"):
-        run()
 
 
 def test_weight_update_reuses_resampled_predictor_loglik():
     # the log-likelihoods resampling gathers equal a recompute bit for bit
     model = make_model(var=0.05)
     rng = np.random.default_rng(5)
-    ens = replace(
-        flat_ensemble(rng.normal(size=30), r=2),
-        predictors=rng.normal(size=(30, 1)),
-        innovation_vars=np.full((30, 1), 0.01),
-    )
+    ens = flat_ensemble(rng.normal(size=30), r=2)
+    predictors = rng.normal(size=(30, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    res = survival_of_the_fittest(ens, obs, model, rng)
-    assert np.array_equal(
-        res.predictor_loglik, model.log_likelihood_batch(obs.value, res.predictors)
+    res, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+        ens, predictors, np.full((30, 1), 0.01), obs, model, rng
     )
-    moved = innovation_step(res, rng, time=0.1, system=model.system)
-    assert moved.predictor_loglik is res.predictor_loglik
-    reused = weight_update(moved, obs, model)
+    assert np.array_equal(loglik, model.log_likelihood_batch(obs.value, res_predictors))
+    moved = innovation_step(res, res_predictors, res_gammas, rng, time=0.1, system=model.system)
+    reused = weight_update(moved, loglik, obs, model)
     recomputed = weight_update(
-        replace(
-            moved, predictor_loglik=model.log_likelihood_batch(obs.value, res.predictors)
-        ),
-        obs,
-        model,
+        moved, model.log_likelihood_batch(obs.value, res_predictors), obs, model
     )
     assert np.array_equal(reused.weights, recomputed.weights)
 
@@ -436,41 +413,41 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
     obs = records[0]
     n, r, d = cfg.n_particles, model.pair.steps_required, 1
     rows, blocks = (n, d), (n, r, d)
-    stages = [
-        (lambda e: propagate_ensemble(e, model, cfg.step),
-         dict(predictors=rows, innovation_vars=rows, predictor_loglik=None)),
-        (lambda e: survival_of_the_fittest(e, obs, model, rng),
-         dict(states=blocks, weights=_uniform_weights(n), predictors=rows, innovation_vars=rows,
-              derivatives=blocks, predictor_loglik=(n,))),
-        (lambda e: innovation_step(e, rng, time=0.1, system=model.system),
-         dict(states=blocks, time_index=1, time=0.1, derivatives=blocks)),
-        (lambda e: weight_update(e, obs, model), dict(weights=(n,))),
-    ]
-    ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
-    assert ens.derivatives.shape == blocks
-    for stage, sets in stages:
-        new = stage(ens)
+
+    def assert_sets(new, old, sets):
         for name in (f.name for f in fields(Ensemble)):
-            value, old = getattr(new, name), getattr(ens, name)
+            value, before = getattr(new, name), getattr(old, name)
             if name not in sets:
-                assert value is old, name
+                assert value is before, name
             elif isinstance(sets[name], tuple):
-                assert value.shape == sets[name] and value is not old, name
+                assert value.shape == sets[name] and value is not before, name
             elif isinstance(sets[name], np.ndarray):  # the shared uniform weights
                 assert value is sets[name], name
             else:
                 assert value == sets[name], name
-        ens = new
-    assert ens.predictor_loglik is not None
-    assert propagate_ensemble(ens, model, cfg.step).predictor_loglik is None
+
+    ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
+    assert ens.derivatives.shape == blocks
+    predictors, gammas = propagate_ensemble(ens, model, cfg.step)
+    assert predictors.shape == gammas.shape == rows
+    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+        ens, predictors, gammas, obs, model, rng
+    )
+    assert_sets(resampled, ens, dict(states=blocks, weights=_uniform_weights(n), derivatives=blocks))
+    assert (res_predictors.shape, res_gammas.shape, loglik.shape) == (rows, rows, (n,))
+    assert res_predictors is not predictors and res_gammas is not gammas
+    moved = innovation_step(resampled, res_predictors, res_gammas, rng, time=0.1,
+                            system=model.system)
+    assert_sets(moved, resampled, dict(states=blocks, time_index=1, time=0.1, derivatives=blocks))
+    assert_sets(weight_update(moved, loglik, obs, model), moved, dict(weights=(n,)))
 
 
 def test_uniform_weights_are_one_shared_read_only_array():
     cfg, model, records, prior = streamed_inputs("AB3-AB4", "multinomial")
     rng = np.random.default_rng(0)
     ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
-    resampled = survival_of_the_fittest(
-        propagate_ensemble(ens, model, cfg.step), records[0], model, rng
+    resampled, *_ = survival_of_the_fittest(
+        ens, *propagate_ensemble(ens, model, cfg.step), records[0], model, rng
     )
     assert ens.weights is resampled.weights is _uniform_weights(cfg.n_particles)
     assert np.array_equal(ens.weights, np.full(cfg.n_particles, 1.0 / cfg.n_particles))
@@ -512,18 +489,18 @@ def test_propagation_and_weighting_permutation_equivariant():
         time_index=0,
         time=0.0,
     )
-    prop_a = propagate_ensemble(base, model, 0.1)
-    prop_b = propagate_ensemble(permuted, model, 0.1)
-    assert np.array_equal(prop_a.predictors[perm], prop_b.predictors)
-    assert np.array_equal(prop_a.innovation_vars[perm], prop_b.innovation_vars)
+    pred_a, gamma_a = propagate_ensemble(base, model, 0.1)
+    pred_b, gamma_b = propagate_ensemble(permuted, model, 0.1)
+    assert np.array_equal(pred_a[perm], pred_b)
+    assert np.array_equal(gamma_a[perm], gamma_b)
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0]))
 
-    def reweighted(ens, prop):
-        loglik = model.log_likelihood_batch(obs.value, prop.predictors)
-        return weight_update(replace(ens, predictor_loglik=loglik), obs, model).weights
+    def reweighted(ens, predictors):
+        loglik = model.log_likelihood_batch(obs.value, predictors)
+        return weight_update(ens, loglik, obs, model).weights
 
-    wa = reweighted(base, prop_a)
-    wb = reweighted(permuted, prop_b)
+    wa = reweighted(base, pred_a)
+    wb = reweighted(permuted, pred_b)
     assert np.allclose(wa[perm], wb, atol=1e-15)
 
 
@@ -635,14 +612,21 @@ def test_run_filter_rejects_observation_of_another_shape(value):
 def test_stages_called_directly_reject_observation_of_another_shape(stage):
     model = make_model("AB1-AB2")
     rng = np.random.default_rng(0)
-    ens = propagate_ensemble(flat_ensemble([0.9, 1.0, 1.1], r=2), model, 0.1)
+    ens = flat_ensemble([0.9, 1.0, 1.1], r=2)
+    predictors, gammas = propagate_ensemble(ens, model, 0.1)
     bad = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0, 5.0]))
     good = replace(bad, value=np.array([1.0]))
-    resampled = survival_of_the_fittest(ens, good, model, rng)
-    innovated = innovation_step(resampled, rng, time=0.1, system=model.system)
+    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+        ens, predictors, gammas, good, model, rng
+    )
+    innovated = innovation_step(
+        resampled, res_predictors, res_gammas, rng, time=0.1, system=model.system
+    )
     run = {
-        "survival_of_the_fittest": lambda: survival_of_the_fittest(ens, bad, model, rng),
-        "weight_update": lambda: weight_update(innovated, bad, model),
+        "survival_of_the_fittest": lambda: survival_of_the_fittest(
+            ens, predictors, gammas, bad, model, rng
+        ),
+        "weight_update": lambda: weight_update(innovated, loglik, bad, model),
     }[stage]
     with pytest.raises(ValueError, match=r"t=0.1 has shape \(2,\); .* variance has shape \(1,\)"):
         run()
@@ -741,7 +725,7 @@ def test_run_filter_tracks_gaussian_decay():
     assert max(errors) < 0.15
 
 
-ENSEMBLE_ARRAYS = ("states", "weights", "predictors", "innovation_vars")
+ENSEMBLE_ARRAYS = ("states", "weights")
 SNAPSHOT_ARRAYS = ENSEMBLE_ARRAYS + ("derivatives",)
 
 
@@ -785,9 +769,33 @@ def test_iter_filter_yields_what_run_filter_returns(pair_id, resampler):
             assert x is None or np.array_equal(x, y), name
 
 
-def assert_later_steps_leave_yielded_ensembles_unchanged(cfg, model, records, prior):
+def by_hand(config, model, records, prior):
+    """S_0, S_1, ... as README's hand-written loop steps them: the loop's own
+    ensembles, which carry the f-cache that `iter_filter` drops from its yields."""
+    h = config.step
+    observed = {step_count(0.0, rec.time, h): rec for rec in records}
+    rng = np.random.default_rng(config.seed)
+    ensemble = initialize(config, prior, rng, model=model, t_start=0.0)
+    yield ensemble
+    for j in range(1, max(observed) + 1):
+        record = observed.get(j)
+        predictors, innovation_vars = propagate_ensemble(ensemble, model, h)
+        if record is not None:
+            ensemble, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
+                ensemble, predictors, innovation_vars, record, model, rng,
+                resampler=config.resampler,
+            )
+        ensemble = innovation_step(
+            ensemble, predictors, innovation_vars, rng, time=j * h, system=model.system
+        )
+        if record is not None:
+            ensemble = weight_update(ensemble, predictor_loglik, record, model)
+        yield ensemble
+
+
+def assert_later_steps_leave_ensembles_unchanged(ensembles):
     run, snapshots = [], []
-    for ens in iter_filter(cfg, model, records, prior, t_start=0.0):
+    for ens in ensembles:
         run.append(ens)
         arrays = {name: getattr(ens, name) for name in SNAPSHOT_ARRAYS}
         snapshots.append({k: None if v is None else v.copy() for k, v in arrays.items()})
@@ -801,8 +809,9 @@ def assert_later_steps_leave_yielded_ensembles_unchanged(cfg, model, records, pr
 def test_later_steps_leave_yielded_ensembles_unchanged(pair_id, resampler):
     # ensembles share arrays instead of copying them; no later step may
     # write through one of those shared arrays
-    assert_later_steps_leave_yielded_ensembles_unchanged(
-        *streamed_inputs(pair_id, resampler)
+    cfg, model, records, prior = streamed_inputs(pair_id, resampler)
+    assert_later_steps_leave_ensembles_unchanged(
+        iter_filter(cfg, model, records, prior, t_start=0.0)
     )
 
 
@@ -816,45 +825,53 @@ def test_unobserved_steps_shift_the_block_vector(pair_id):
     run = list(iter_filter(cfg, model, records, prior, t_start=0.0))
     unobserved = [j for j in range(len(run) - 1) if j + 1 not in observed]
     assert unobserved == [0, 2, 4, 6, 8]
-    for j in unobserved:
-        assert np.array_equal(run[j + 1].states[:, 1:], run[j].states[:, :-1]), j
-        assert np.array_equal(
-            run[j + 1].predictors, propagate_ensemble(run[j], model, 0.1).predictors
-        ), j
+    # replay the draws, the prior block and then per step the resampler's
+    # uniforms (observed steps only) and one innovation block, so that the
+    # newest block of an unobserved S_{j+1} is rebuilt from S_j's predictors
+    rng, shape = np.random.default_rng(cfg.seed), run[0].newest.shape
+    rng.standard_normal(shape)
+    for j in range(len(run) - 1):
+        if j + 1 in observed:
+            RESAMPLERS[cfg.resampler](rng, cfg.n_particles)
+        z = rng.standard_normal(shape)
+        if j in unobserved:
+            assert np.array_equal(run[j + 1].states[:, 1:], run[j].states[:, :-1]), j
+            predictors, gammas = propagate_ensemble(run[j], model, 0.1)
+            assert np.array_equal(run[j + 1].newest, predictors + np.sqrt(gammas) * z), j
 
 
 def test_by_hand_step_matches_iter_filter():
-    # the by-hand step of the README's "Library use" section gives S_1
-    # (unobserved at stride 2) and S_2 (observed) bit for bit
-    config, model, records, prior = streamed_inputs(
-        "AB3-AB4", "systematic", smooth_problem, vectorized=False
-    )
-    h = config.step
-    observed = {rec.time_index: rec for rec in records}
-    rng = np.random.default_rng(config.seed)
-    ensemble = initialize(config, prior, rng, model=model, t_start=0.0)
-    by_hand = []
-    for j in range(1, 3):
-        record = observed.get(j)
-        ensemble = propagate_ensemble(ensemble, model, h)
-        if record is not None:
-            ensemble = survival_of_the_fittest(
-                ensemble, record, model, rng, resampler=config.resampler
-            )
-        ensemble = innovation_step(ensemble, rng, time=j * h, system=model.system)
-        if record is not None:
-            ensemble = weight_update(ensemble, record, model)
-        by_hand.append(ensemble)
-    assert [j in observed for j in (1, 2)] == [False, True]
-    streamed = iter_filter(config, model, records, prior, t_start=0.0)
-    next(streamed)
-    for a in by_hand:
-        b = next(streamed)
+    # the hand-written loop of the README's "Library use" section gives S_1
+    # (unobserved at stride 2), S_2 (observed) and every later step bit for bit
+    inputs = streamed_inputs("AB3-AB4", "systematic", smooth_problem, vectorized=False)
+    assert [j in {rec.time_index for rec in inputs[2]} for j in (1, 2)] == [False, True]
+    hand = list(by_hand(*inputs))
+    streamed = list(iter_filter(*inputs, t_start=0.0))
+    assert len(hand) == len(streamed) == 11
+    for a, b in zip(hand, streamed):
         assert (a.time_index, a.time) == (b.time_index, b.time)
-        for name in SNAPSHOT_ARRAYS + ("predictor_loglik",):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None), (a.time_index, name)
-            assert x is None or np.array_equal(x, y), (a.time_index, name)
+        for name in ENSEMBLE_ARRAYS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.time_index, name)
+
+
+@pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
+def test_yielded_ensembles_carry_no_derivatives(pair_id):
+    # the loop steps from ensembles with an f-cache; the ones it yields drop it
+    inputs = streamed_inputs(pair_id, "systematic", smooth_problem, vectorized=False)
+    assert all(e.derivatives is not None for e in by_hand(*inputs))
+    assert all(e.derivatives is None for e in iter_filter(*inputs, t_start=0.0))
+
+
+@pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
+def test_run_filter_retains_only_its_states_and_weights(pair_id):
+    # counted by array id, as a kept run holds them: no step-local array and
+    # no f-cache stays behind, and every sample array owns its data
+    inputs = streamed_inputs(pair_id, "multinomial", smooth_problem, vectorized=False)
+    run = run_filter(*inputs, t_start=0.0)
+    held = {id(a): a for e in run for a in vars(e).values() if isinstance(a, np.ndarray)}
+    samples = {id(a): a for e in run for a in (e.states, e.weights)}
+    assert held.keys() == samples.keys()
+    assert all(a.base is None for a in held.values())
 
 
 # ------------------------------------------------- carried f-evaluations
@@ -868,8 +885,8 @@ CARRIED_CASES = [
 
 @pytest.mark.parametrize("pair_id,resampler", CARRIED_CASES)
 def test_later_steps_leave_carried_derivatives_unchanged(pair_id, resampler):
-    assert_later_steps_leave_yielded_ensembles_unchanged(
-        *streamed_inputs(pair_id, resampler, smooth_problem, vectorized=False)
+    assert_later_steps_leave_ensembles_unchanged(
+        by_hand(*streamed_inputs(pair_id, resampler, smooth_problem, vectorized=False))
     )
 
 
@@ -884,10 +901,8 @@ def test_carried_derivatives_match_recomputed(pair_id, resampler, problem, atol)
     # at t - i*h; a carried value is taken at the filter clock of the step
     # that made its block, which for a time-dependent rhs may differ from
     # t - i*h in the last ulp
-    cfg, model, records, prior = streamed_inputs(pair_id, resampler, problem)
-    recomputed = run_filter(cfg, model, records, prior, t_start=0.0)
-    cfg, model, records, prior = streamed_inputs(pair_id, resampler, problem, vectorized=False)
-    carried = run_filter(cfg, model, records, prior, t_start=0.0)
+    recomputed = list(by_hand(*streamed_inputs(pair_id, resampler, problem)))
+    carried = list(by_hand(*streamed_inputs(pair_id, resampler, problem, vectorized=False)))
     assert all(e.derivatives is None for e in recomputed)
     assert all(e.derivatives is not None for e in carried)
     for a, b in zip(carried, recomputed):
@@ -903,7 +918,7 @@ def test_carried_derivatives_are_rhs_of_each_block():
         "AB3-AB4", "multinomial", smooth_problem, vectorized=False
     )
     h, system = cfg.step, model.system
-    for ens in iter_filter(cfg, model, records, prior, t_start=0.0):
+    for ens in by_hand(cfg, model, records, prior):
         assert ens.derivatives.shape == ens.states.shape
         for i in range(ens.states.shape[1]):
             want = system.rhs_batch(ens.time - i * h, ens.states[:, i])
@@ -919,9 +934,7 @@ def test_only_non_vectorized_adams_runs_carry_derivatives(pair_id, vectorized):
     cfg, model, records, prior = streamed_inputs(
         pair_id, "multinomial", smooth_problem, vectorized=vectorized
     )
-    assert all(
-        e.derivatives is None for e in iter_filter(cfg, model, records, prior, t_start=0.0)
-    )
+    assert all(e.derivatives is None for e in by_hand(cfg, model, records, prior))
 
 
 def rhs_rows_per_ensemble(pair_id):
@@ -1013,10 +1026,12 @@ def test_full_step_matches_scratch_reference():
     )
     obs = ObservationRecord(time_index=4, time=t + h, value=np.array([y]))
     rng = np.random.default_rng(seed)
-    prop = propagate_ensemble(ens, model, h)
-    res = survival_of_the_fittest(prop, obs, model, rng)
-    moved = innovation_step(res, rng, time=t + h, system=p.system)
-    final = weight_update(moved, obs, model)
+    predictors, gammas = propagate_ensemble(ens, model, h)
+    res, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+        ens, predictors, gammas, obs, model, rng
+    )
+    moved = innovation_step(res, res_predictors, res_gammas, rng, time=t + h, system=p.system)
+    final = weight_update(moved, loglik, obs, model)
 
     # scratch reference with plain floats
     def f(tt, uu):
@@ -1045,9 +1060,9 @@ def test_full_step_matches_scratch_reference():
     rsum = sum(ratio)
     expected_w = [x / rsum for x in ratio]
 
-    assert np.allclose(prop.predictors[:, 0], ab1, rtol=1e-14)
+    assert np.allclose(predictors[:, 0], ab1, rtol=1e-14)
     assert np.allclose(res.states[:, 0, 0], [u0[k] for k in anc], rtol=1e-14)
-    assert np.allclose(prop.innovation_vars[:, 0], gam, rtol=1e-13)
+    assert np.allclose(gammas[:, 0], gam, rtol=1e-13)
     assert np.allclose(final.states[:, 0, 0], x_new, rtol=1e-12)
     assert np.allclose(final.states[:, 1, 0], [u0[k] for k in anc], rtol=1e-14)
     assert np.allclose(final.weights, expected_w, rtol=1e-11)
@@ -1088,11 +1103,13 @@ def test_one_step_bayes_oracle_two_particles():
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
 
     rng = np.random.default_rng(314)
-    prop = propagate_ensemble(ens, model, 0.1)
-    assert np.all(prop.innovation_vars == gamma0)
-    resampled = survival_of_the_fittest(prop, obs, model, rng)
-    moved = innovation_step(resampled, rng, time=0.1, system=system)
-    final = weight_update(moved, obs, model)
+    predictors, gammas = propagate_ensemble(ens, model, 0.1)
+    assert np.all(gammas == gamma0)
+    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+        ens, predictors, gammas, obs, model, rng
+    )
+    moved = innovation_step(resampled, res_predictors, res_gammas, rng, time=0.1, system=system)
+    final = weight_update(moved, loglik, obs, model)
 
     # replay the same draws by hand
     replay = np.random.default_rng(314)

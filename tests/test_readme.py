@@ -12,7 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmmpf import PAIR_IDS, PROBLEMS, integrators, iter_filter
+from lmmpf import (
+    PAIR_IDS,
+    PROBLEMS,
+    EvolutionObservationModel,
+    FilterConfig,
+    OdeSystem,
+    integrators,
+    iter_filter,
+    make_pair,
+    smooth_problem,
+    synthesize_observations,
+)
 from lmmpf.cli import _build_parser, main
 from lmmpf.experiment import CONFIG_FIELDS
 from lmmpf.particle_filter import RESAMPLERS
@@ -40,6 +51,36 @@ def test_readme_blocks_run_and_the_hand_written_loop_matches_iter_filter():
         assert (a is None) == (b is None), field.name
         if b is not None:
             assert np.array_equal(a, b), field.name
+
+
+@pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
+def test_readme_hand_written_loop_keeps_the_f_cache_that_iter_filter_yields_without(pair_id):
+    # the loop block run on a non-vectorized smooth rhs, where the filter
+    # carries f of every history block from one step to the next
+    loop = next(
+        block
+        for block in re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.DOTALL | re.M)
+        if "innovation_step(" in block
+    )
+    problem = smooth_problem()
+    system = OdeSystem(dimension=1, rhs=problem.system.rhs, vectorized=False)
+    model = EvolutionObservationModel(
+        system=system, pair=make_pair(pair_id), measurement_var=np.array([0.05])
+    )
+    config = FilterConfig(n_particles=30, initial_variance=0.05, step=0.1, pair=model.pair,
+                          resampler="systematic", seed=13)
+    records = synthesize_observations(
+        problem, [0.1 * k for k in range(2, 11, 2)], 0.2, np.random.default_rng(1),
+        time_indices=range(2, 11, 2),
+    )
+    namespace = dict(np=np, config=config, model=model, records=records, problem=problem)
+    exec(compile(loop, str(README), "exec"), namespace)
+    by_hand = namespace["ensemble"]
+    *_, streamed = iter_filter(config, model, records, problem.initial_state, t_start=0.0)
+    assert (by_hand.time_index, by_hand.time) == (streamed.time_index, streamed.time) == (10, 1.0)
+    assert by_hand.states.tobytes() == streamed.states.tobytes()
+    assert by_hand.weights.tobytes() == streamed.weights.tobytes()
+    assert by_hand.derivatives is not None and streamed.derivatives is None
 
 
 def test_readme_config_keys_are_the_config_fields_in_order():

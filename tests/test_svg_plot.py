@@ -72,3 +72,23 @@ def test_a_y_range_whose_padded_span_overflows_renders_finite_ticks_and_a_line(v
     assert len(y_tick_labels(svg)) == 5
     polylines = re.findall(r'<polyline points="([^"]*)"', svg)
     assert [len(p.split()) for p in polylines] == [2]
+
+
+def x_tick_labels(svg):
+    return re.findall(r'text-anchor="middle" font-size="11"[^>]*>([^<]*)<', svg)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[-1.7e308, 1.7e308], [-1.7976931348623157e308, 1.7976931348623157e308], [0.0, 1e306]],
+    ids=["range-wider-than-a-float", "range-of-every-float", "span-times-width-overflows"],
+)
+def test_an_x_range_that_overflows_renders_finite_ticks_and_a_line(x):
+    svg = render_line_plot("huge", x, [("a", "black", [0.0, 1.0])])
+    assert "nan" not in svg and "inf" not in svg
+    assert all(math.isfinite(v) for v in numbers(svg))
+    labels = x_tick_labels(svg)
+    assert len(labels) == 6
+    assert [labels[0], labels[-1]] == [f"{v:.4g}" for v in x]
+    polylines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert polylines == ["62.00,358.55 622.00,49.45"]
