@@ -178,8 +178,9 @@ def linear_rows(
 ) -> np.ndarray:
     """sum_i alpha[k, i]*states[:, i] + h * sum_i beta[k, i]*derivs[:, i], shape (k, N, d).
 
-    ``rows`` comes from `step_rows`; states/derivs are (N, r, d). Rows whose
-    alphas are all e_0 share u_j + 0.0: einsum's sum starts from +0.0.
+    ``rows`` comes from `step_rows`; states/derivs are (N, r, d). A row is the
+    whole AB step or the explicit part of an AM / BDF step. Rows whose alphas
+    are all e_0 share u_j + 0.0: einsum's sum starts from +0.0.
     """
     alpha, beta = rows
     out = states[None, :, 0] + 0.0 if alpha is None else np.einsum("ki,nid->knd", alpha, states)
@@ -189,18 +190,6 @@ def linear_rows(
     scaled *= h
     scaled += out
     return scaled
-
-
-def explicit_step_batch(
-    spec: MethodSpec, states: np.ndarray, derivs: Optional[np.ndarray], h: float
-) -> np.ndarray:
-    """sum_i alpha[i]*states[:, i] + h * sum_i beta[i]*derivs[:, i], shape (N, d).
-
-    States/derivs are (N, r, d). This is the whole Adams-Bashforth step and
-    the explicit part of an Adams-Moulton or BDF step.
-    """
-    rows = spec.alpha[None], (spec.beta[None] if spec.beta.any() else None)
-    return linear_rows(rows, states, derivs, h)[0]
 
 
 def _iteration_inverse(
@@ -238,14 +227,14 @@ def _solve_stage_batch(
     f_val = system.rhs_batch(t_new, u)
     res = const + hb * f_val - u
     m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
-    norm = float(np.abs(res).max())
+    norm = float(np.abs(res).max(initial=0.0))
     for _ in range(SOLVE_MAX_ITERATIONS):
         if norm <= SOLVE_TOLERANCE:
             break
         u = u + _newton_correction(m_inv, res)
         f_val = system.rhs_batch(t_new, u)
         res = const + hb * f_val - u
-        norm, prev_norm = float(np.abs(res).max()), norm
+        norm, prev_norm = float(np.abs(res).max(initial=0.0)), norm
         if norm > SOLVE_TOLERANCE and norm > 0.5 * prev_norm:
             m_inv = _iteration_inverse(system, t_new, u, f_val, hb)
     if norm <= SOLVE_TOLERANCE:
@@ -291,8 +280,8 @@ def step_members(
     """One step (N, d) of each multistep spec, all of one family, from one history.
 
     ``rows`` is the specs' `step_rows` over the r blocks of ``states`` (N, r, d):
-    the linear part of every member is computed at once, then each AM / BDF
-    member solves its own stage equation.
+    the linear part of every member (`linear_rows`) is computed at once, then
+    each AM / BDF member solves its own stage equation.
     """
     out = linear_rows(rows, states, derivs, h)
     if specs[0].family is _AB:
@@ -331,26 +320,6 @@ def rk_combine_batch(
         if b != 0.0:
             out = out + (h * b) * k
     return out
-
-
-def advance_batch(
-    spec: MethodSpec,
-    system: OdeSystem,
-    t: float,
-    states: np.ndarray,
-    derivs: Optional[np.ndarray],
-    h: float,
-) -> np.ndarray:
-    """One step of any family (batched).
-
-    ``derivs`` is f of every block (N, r, d), or None for a method whose
-    ``reads_derivatives`` is false.
-    """
-    if spec.family is not _RK:
-        rows = step_rows((spec,), spec.steps)
-        return step_members((spec,), rows, system, t, states, derivs, h)[0]
-    u = states[:, 0]
-    return rk_combine_batch(spec, u, rk_stages_batch(spec, system, t, u, h), h)
 
 
 def history_derivatives(

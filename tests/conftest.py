@@ -1,6 +1,14 @@
 import numpy as np
 
-from lmmpf.integrators import advance_batch, history_derivatives, startup_states_batch
+from lmmpf.integrators import (
+    Family,
+    history_derivatives,
+    rk_combine_batch,
+    rk_stages_batch,
+    startup_states_batch,
+    step_members,
+    step_rows,
+)
 from lmmpf.metrics import diagnostics
 
 
@@ -8,6 +16,15 @@ def forward_startup(system, u0, t0, h, r):
     """RK startup blocks (N, r, d) ahead of t0, newest (at t0 + (r-1)h) first."""
     # the copy keeps the blocks contiguous, so einsum results keep their bits
     return startup_states_batch(system, u0, t0, -h, r)[:, ::-1].copy()
+
+
+def one_step(method, system, t, blocks, derivs, h):
+    """One step (N, d) of one method from its history, by the routines a pair step runs."""
+    if method.family is Family.RUNGE_KUTTA_EMBEDDED:
+        u = blocks[:, 0]
+        return rk_combine_batch(method, u, rk_stages_batch(method, system, t, u, h), h)
+    rows = step_rows((method,), method.steps)
+    return step_members((method,), rows, system, t, blocks, derivs, h)[0]
 
 
 def integrate_trajectory(method, problem, h, t_end):
@@ -24,7 +41,7 @@ def integrate_trajectory(method, problem, h, t_end):
     out = [blocks[0, r - 1 - i] for i in range(min(r, n_steps + 1))]
     for j in range(r - 1, n_steps):
         derivs = history_derivatives(problem.system, blocks, times[j], h)
-        u_new = advance_batch(method, problem.system, times[j], blocks, derivs, h)
+        u_new = one_step(method, problem.system, times[j], blocks, derivs, h)
         blocks = np.concatenate([u_new[:, None, :], blocks[:, : r - 1]], axis=1)
         out.append(u_new[0])
     return times, np.stack(out)

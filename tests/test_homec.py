@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import one_step
 from lmmpf.homec import (
     PAIR_IDS,
     MethodPair,
@@ -14,7 +15,6 @@ from lmmpf.integrators import (
     Family,
     ImplicitSolveError,
     _solve_stage_batch,
-    advance_batch,
     history_derivatives,
     make_method,
     startup_states_batch,
@@ -139,7 +139,7 @@ def test_rk_pair_delegates_to_embedded_step():
     blocks = exact_history(p, 0.0, 0.1, 1)
     pred, gamma = propagate_blocks(pair, p.system, blocks, 0.0, 0.1)
     ref_low, ref_high = (
-        advance_batch(m, p.system, 0.0, blocks, None, 0.1) for m in (pair.low, pair.high)
+        one_step(m, p.system, 0.0, blocks, None, 0.1) for m in (pair.low, pair.high)
     )
     assert np.array_equal(pred, ref_low)
     diff = ref_low - ref_high
@@ -185,6 +185,17 @@ def test_propagate_blocks_rejects_wrong_block_count():
     pair = make_pair("AB1-AB2")
     with pytest.raises(ColdHistoryError, match="blocks"):
         propagate_blocks(pair, p.system, np.zeros((2, 1, 1)), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_propagate_blocks_on_an_empty_batch(pair_id, d):
+    # an implicit stage solve over no rows has residual norm 0, not a failed max
+    a = np.array([[-1.0, 0.5], [-0.5, -1.0]])[:d, :d]
+    system = OdeSystem(dimension=d, rhs=lambda t, u, p: u @ a.T, vectorized=True)
+    pair = make_pair(pair_id)
+    pred, gamma = propagate_blocks(pair, system, np.empty((0, pair.steps_required, d)), 0.0, 0.1)
+    assert pred.shape == gamma.shape == (0, d)
 
 
 def test_uses_derivatives_only_for_adams_pairs():

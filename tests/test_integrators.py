@@ -3,21 +3,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import empirical_order, forward_startup, integrate_trajectory
+from conftest import empirical_order, forward_startup, integrate_trajectory, one_step
 from lmmpf import integrators
-from lmmpf.homec import make_pair, propagate_blocks
+from lmmpf.homec import PAIR_IDS, make_pair, propagate_blocks
 from lmmpf.integrators import (
     SOLVE_TOLERANCE,
     ColdHistoryError,
     Family,
     ImplicitSolveError,
     MethodSpec,
-    advance_batch,
-    explicit_step_batch,
     history_derivatives,
+    linear_rows,
     make_method,
     startup_states_batch,
     step_count,
+    step_rows,
 )
 from lmmpf.ode_models import OdeSystem, TestProblem, gaussian_decay_problem, smooth_problem
 
@@ -127,14 +127,16 @@ def test_ab1_hand_value_gaussian_decay():
     p = gaussian_decay_problem()
     m = make_method(AB, 1)
     blocks, derivs, _ = warm_history(p, m)
-    assert explicit_step_batch(m, blocks, derivs, 0.1)[0, 0] == pytest.approx(1.2, abs=1e-15)
+    u = linear_rows(step_rows((m,), m.steps), blocks, derivs, 0.1)[0]
+    assert u[0, 0] == pytest.approx(1.2, abs=1e-15)
 
 
 def test_ab1_hand_value_smooth():
     p = smooth_problem()
     m = make_method(AB, 1)
     blocks, derivs, _ = warm_history(p, m)
-    assert explicit_step_batch(m, blocks, derivs, 0.1)[0, 0] == pytest.approx(0.1, abs=1e-15)
+    u = linear_rows(step_rows((m,), m.steps), blocks, derivs, 0.1)[0]
+    assert u[0, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -142,7 +144,8 @@ def test_zero_step_returns_state(order):
     p = gaussian_decay_problem()
     m = make_method(AB, order)
     blocks, derivs, _ = warm_history(p, m)
-    assert explicit_step_batch(m, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
+    u = linear_rows(step_rows((m,), m.steps), blocks, derivs, 0.0)[0]
+    assert u[0, 0] == blocks[0, 0, 0]
 
 
 def test_cold_history_rejected():
@@ -152,15 +155,22 @@ def test_cold_history_rejected():
         propagate_blocks(pair, p.system, p.initial_state[None, None], 0.0, 0.1)
 
 
-def test_step_explicit_pure():
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_pair_step_pure(pair_id):
+    # read-only inputs: a step that wrote to its history or f-values would raise
     p = gaussian_decay_problem()
-    m = make_method(AB, 2)
-    blocks, derivs, _ = warm_history(p, m)
-    before = (blocks.copy(), derivs.copy())
-    out1 = explicit_step_batch(m, blocks, derivs, 0.1)
-    out2 = explicit_step_batch(m, blocks, derivs, 0.1)
-    assert np.array_equal(out1, out2)
-    assert np.array_equal(before[0], blocks) and np.array_equal(before[1], derivs)
+    pair = make_pair(pair_id)
+    r = pair.steps_required
+    blocks = forward_startup(p.system, p.initial_state, 0.0, 0.1, r)
+    blocks = blocks + np.random.default_rng(3).normal(scale=0.05, size=(5, r, 1))
+    t = (r - 1) * 0.1
+    derivs = history_derivatives(p.system, blocks, t, 0.1)
+    before = (blocks.tobytes(), derivs.tobytes())
+    blocks.flags.writeable = derivs.flags.writeable = False
+    out1 = propagate_blocks(pair, p.system, blocks, t, 0.1, derivs)
+    out2 = propagate_blocks(pair, p.system, blocks, t, 0.1, derivs)
+    assert [a.tobytes() for a in out1] == [a.tobytes() for a in out2]
+    assert (blocks.tobytes(), derivs.tobytes()) == before
 
 
 # ------------------------------------------------------------ implicit steps
@@ -171,7 +181,7 @@ def test_am1_closed_form_value():
     p = gaussian_decay_problem()
     m = make_method(AM, 1)
     blocks, derivs, t = warm_history(p, m)
-    u = advance_batch(m, p.system, t, blocks, derivs, 0.1)[0]
+    u = one_step(m, p.system, t, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / 0.82, abs=1e-9)
 
 
@@ -179,8 +189,8 @@ def test_bdf1_equals_am1():
     p = gaussian_decay_problem()
     hist_am = warm_history(p, make_method(AM, 1))
     hist_bdf = warm_history(p, make_method(BDF, 1))
-    u_am = advance_batch(make_method(AM, 1), p.system, hist_am[2], *hist_am[:2], 0.1)
-    u_bdf = advance_batch(make_method(BDF, 1), p.system, hist_bdf[2], *hist_bdf[:2], 0.1)
+    u_am = one_step(make_method(AM, 1), p.system, hist_am[2], *hist_am[:2], 0.1)
+    u_bdf = one_step(make_method(BDF, 1), p.system, hist_bdf[2], *hist_bdf[:2], 0.1)
     assert abs(u_am[0, 0] - u_bdf[0, 0]) < 1e-9
 
 
@@ -189,7 +199,7 @@ def test_implicit_zero_step(family, order):
     p = gaussian_decay_problem()
     m = make_method(family, order)
     blocks, derivs, t = warm_history(p, m)
-    assert advance_batch(m, p.system, t, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
+    assert one_step(m, p.system, t, blocks, derivs, 0.0)[0, 0] == blocks[0, 0, 0]
 
 
 def test_backward_euler_closed_form_linear_agreement():
@@ -199,8 +209,8 @@ def test_backward_euler_closed_form_linear_agreement():
         blocks, derivs = single([u0], p.system.rhs_batch(t0, np.array([[u0]]))[0])
         lam = -2.0 * (t0 + 0.1 - 1.0)
         expected = u0 / (1.0 - 0.1 * lam)
-        u_am = advance_batch(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
-        u_bdf = advance_batch(make_method(BDF, 1), p.system, t0, blocks, derivs, 0.1)
+        u_am = one_step(make_method(AM, 1), p.system, t0, blocks, derivs, 0.1)
+        u_bdf = one_step(make_method(BDF, 1), p.system, t0, blocks, derivs, 0.1)
         assert u_am[0, 0] == pytest.approx(expected, abs=1e-9)
         assert u_bdf[0, 0] == pytest.approx(expected, abs=1e-9)
 
@@ -229,7 +239,7 @@ def test_implicit_nonconvergence_reports_residual():
     blocks, derivs = single([3.0], [10.0])
     for family in (AM, BDF):
         with pytest.raises(ImplicitSolveError) as err:
-            advance_batch(make_method(family, 1), system, 0.0, blocks, derivs, 0.1)
+            one_step(make_method(family, 1), system, 0.0, blocks, derivs, 0.1)
         assert err.value.residual_norm > 0
         assert err.value.time == pytest.approx(0.1)
         assert err.value.rows_above_tolerance == 1
@@ -239,7 +249,7 @@ def test_implicit_nonconvergence_reports_residual():
 def test_newton_strategy_handles_stiff_step():
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -1e4 * u, vectorized=True)
     blocks, derivs = single([1.0], [-1e4])
-    u = advance_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
+    u = one_step(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)[0]
     assert u[0] == pytest.approx(1.0 / (1.0 + 1e3), rel=1e-8)
 
 
@@ -248,7 +258,7 @@ def test_stiff_cubic_step_converges_to_root(family):
     # u = 1 - 1000 u^3: the AM1 predictor starts at -999, far outside where a
     # fixed-point sweep contracts; Newton with a refreshed Jacobian walks in
     blocks, derivs = single([1.0], [-1e4])
-    u = advance_batch(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
+    u = one_step(make_method(family, 1), stiff_cubic(), 0.0, blocks, derivs, 0.1)[0, 0]
     assert abs(u + 1000.0 * u**3 - 1.0) <= 1e-10
     assert u == pytest.approx(0.0966679, abs=1e-7)
 
@@ -259,8 +269,8 @@ def test_stiff_am_step_falls_back_to_the_bdf_seed(k, root):
     # from u_j the AM1 solve is BDF1's, bit for bit
     stiff = OdeSystem(dimension=1, rhs=lambda t, u, p: -k * u**3, vectorized=True)
     blocks, derivs = single([1.0], [-k])
-    u_am = advance_batch(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)
-    u_bdf = advance_batch(make_method(BDF, 1), stiff, 0.0, blocks, derivs, 0.1)
+    u_am = one_step(make_method(AM, 1), stiff, 0.0, blocks, derivs, 0.1)
+    u_bdf = one_step(make_method(BDF, 1), stiff, 0.0, blocks, derivs, 0.1)
     assert u_am[0, 0] == u_bdf[0, 0] == root
     assert abs(root + 0.1 * k * root**3 - 1.0) <= 1e-10
 
@@ -272,7 +282,7 @@ def test_coupled_linear_step_matches_direct_solve():
     u_j = rng.normal(size=(7, 2))
     blocks, derivs = u_j[:, None, :], system.rhs_batch(0.0, u_j)[:, None, :]
     h = 0.1
-    u = advance_batch(make_method(AM, 1), system, 0.0, blocks, derivs, h)
+    u = one_step(make_method(AM, 1), system, 0.0, blocks, derivs, h)
     expected = np.linalg.solve(np.eye(2) - h * a, u_j.T).T
     assert np.max(np.abs(u - expected)) <= 1e-12
 
@@ -309,7 +319,7 @@ def test_smooth_step_needs_few_rhs_calls(rhs_calls):
     p = gaussian_decay_problem()
     t, u_j = 4.9, p.exact_solution(4.9)
     blocks, derivs = single(u_j, p.system.rhs(t, u_j, p.system.params))
-    advance_batch(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
+    one_step(make_method(AM, 1), p.system, t, blocks, derivs, 0.1)
     assert len(rhs_calls) <= 4
 
 
@@ -323,8 +333,8 @@ def test_implicit_step_meets_tolerance(problem, family, order):
     blocks, derivs, t = warm_history(problem, m)
     blocks = blocks + rng.normal(scale=0.1, size=(50,) + blocks.shape[1:])
     derivs = history_derivatives(problem.system, blocks, t, 0.1)
-    u = advance_batch(m, problem.system, t, blocks, derivs, 0.1)
-    const = explicit_step_batch(m, blocks, derivs, 0.1)
+    u = one_step(m, problem.system, t, blocks, derivs, 0.1)
+    const = linear_rows(step_rows((m,), m.steps), blocks, derivs, 0.1)[0]
     res = const + 0.1 * m.beta_new * problem.system.rhs_batch(t + 0.1, u) - u
     assert np.max(np.abs(res)) <= SOLVE_TOLERANCE
 
@@ -335,21 +345,21 @@ def test_implicit_step_meets_tolerance(problem, family, order):
 def test_rk12_hand_values():
     p = gaussian_decay_problem()
     for order, value in ((1, 1.2), (2, 1.208)):
-        u = advance_batch(make_method(RK, order), p.system, 0.0, np.array([[[1.0]]]), None, 0.1)
+        u = one_step(make_method(RK, order), p.system, 0.0, np.array([[[1.0]]]), None, 0.1)
         assert u[0, 0] == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, 5])
 def test_rk_zero_step(order):
     p = gaussian_decay_problem()
-    u = advance_batch(make_method(RK, order), p.system, 0.3, np.array([[[0.7]]]), None, 0.0)
+    u = one_step(make_method(RK, order), p.system, 0.3, np.array([[[0.7]]]), None, 0.0)
     assert u[0, 0] == 0.7
 
 
 def test_rk45_constant_solution():
     zero = OdeSystem(dimension=1, rhs=lambda t, u, p: np.zeros_like(u), vectorized=True)
     for order in (4, 5):
-        u = advance_batch(make_method(RK, order), zero, 0.0, np.array([[[2.5]]]), None, 0.1)
+        u = one_step(make_method(RK, order), zero, 0.0, np.array([[[2.5]]]), None, 0.1)
         assert u[0, 0] == 2.5
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import moments
 from lmmpf.homec import make_pair
-from lmmpf.integrators import Family, MethodSpec, explicit_step_batch
+from lmmpf.integrators import Family, MethodSpec, linear_rows, step_rows
 from lmmpf.ode_models import OdeSystem
 from lmmpf.particle_filter import (
     _BUCKETED_MIN, Ensemble, _normalized_weights, inverse_cdf_indices,
@@ -242,7 +242,7 @@ def test_multistep_combine_parity(rng):
     alpha = rng.normal(size=3)
     beta = rng.normal(size=3)
     spec = MethodSpec(Family.ADAMS_BASHFORTH, order=3, alpha=alpha, beta=beta)
-    a = explicit_step_batch(spec, states, derivs, 0.1)
+    a = linear_rows(step_rows((spec,), spec.steps), states, derivs, 0.1)[0]
     ref = np.einsum("i,nid->nd", alpha, states) + 0.1 * np.einsum("i,nid->nd", beta, derivs)
     assert np.allclose(a, ref, rtol=1e-12, atol=1e-14)
 
