@@ -40,6 +40,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one experiment. They are checked when the config is built:
+    a bad one raises `ConfigError` naming its key, so a config that exists is valid."""
+
     problem: str
     pair: str
     n_particles: int = 150
@@ -54,6 +57,28 @@ class ExperimentConfig:
     replicates: int = 10
     resampler: str = FilterConfig.resampler
     outdir: str = "results"
+
+    def __post_init__(self):
+        for key, value, least in (
+            ("nsample", self.n_particles, 2), ("stride", self.stride, 1),
+            ("reps", self.replicates, 1), ("seed", self.seed, 0),
+        ):
+            try:
+                _check_integer(key, value, least)
+            except ValueError:
+                rule = f">= {least} and an integer" if least else "a nonnegative integer"
+                raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
+        if not (isinstance(self.noise_stddev, Real) and 0 <= self.noise_stddev < np.inf):
+            raise ConfigError("noise must be nonnegative and finite")
+        if not (isinstance(self.initial_variance, Real) and 0 < self.initial_variance < np.inf):
+            raise ConfigError("v0 must be positive and finite")
+        if not (isinstance(self.step, Real) and 0 < self.step < np.inf):
+            raise ConfigError("dt must be positive and finite")
+        if not isinstance(self.t_end, (Real, type(None))):
+            raise ConfigError(f"tend must be a number, got {self.t_end!r}")
+        if not isinstance(self.outdir, (str, os.PathLike)):
+            raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
+        _build(self)
 
 
 @dataclass(frozen=True)
@@ -77,45 +102,12 @@ def _sub_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
 
-def _resolve(config: ExperimentConfig):
+def _build(config: ExperimentConfig):
     """(problem, model, FilterConfig at its default seed, t_start, t_end, obs steps, obs times).
 
-    Memoized per config: equal configs whose fields also have equal types
-    share one result (so ``seed=1.0`` is still checked apart from ``seed=1``).
-    An error is not cached, and a config holding an unhashable value is
-    resolved afresh, which names the invalid setting.
+    Raises `ConfigError` for a problem, pair or resampler it cannot build and
+    for a t_end or stride off the step grid; the config checks the rest.
     """
-    key = (config, *map(type, vars(config).values()))
-    try:
-        hash(key)
-    except TypeError:
-        return _resolve_uncached(config)
-    return _resolve_cached(key)
-
-
-@functools.lru_cache(maxsize=128)
-def _resolve_cached(key):
-    return _resolve_uncached(key[0])
-
-
-def _resolve_uncached(config: ExperimentConfig):
-    for key, value, least in (
-        ("nsample", config.n_particles, 2), ("stride", config.stride, 1),
-        ("reps", config.replicates, 1), ("seed", config.seed, 0),
-    ):
-        try:
-            _check_integer(key, value, least)
-        except ValueError:
-            rule = f">= {least} and an integer" if least else "a nonnegative integer"
-            raise ConfigError(f"{key} must be {rule}, got {value!r}") from None
-    if not (isinstance(config.noise_stddev, Real) and 0 <= config.noise_stddev < np.inf):
-        raise ConfigError("noise must be nonnegative and finite")
-    if not (isinstance(config.initial_variance, Real) and 0 < config.initial_variance < np.inf):
-        raise ConfigError("v0 must be positive and finite")
-    if not (isinstance(config.step, Real) and 0 < config.step < np.inf):
-        raise ConfigError("dt must be positive and finite")
-    if not isinstance(config.t_end, (Real, type(None))):
-        raise ConfigError(f"tend must be a number, got {config.t_end!r}")
     try:
         problem = get_problem(config.problem)
         pair = make_pair(config.pair, tau=config.tau, eps_floor=config.eps_floor)
@@ -155,8 +147,13 @@ def _resolve_uncached(config: ExperimentConfig):
     return problem, model, fconfig, t_start, t_end, obs_steps, obs_times
 
 
+# a config that exists is valid, so the config itself keys the cache
+_resolve = functools.lru_cache(maxsize=128)(_build)
+
+
 def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
-    """One seeded end-to-end run: synthesize data, filter, diagnose."""
+    """One seeded end-to-end run: synthesize data, filter, diagnose. What it builds
+    from the config is cached per equal config (the 128 most recent)."""
     return _run_resolved(config, _resolve(config), replicate)
 
 
@@ -172,7 +169,7 @@ def _run_resolved(config: ExperimentConfig, resolved, replicate: int) -> RunDiag
 
 
 def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], TableRow]:
-    """Run all replicates of one experiment and reduce them to a table row."""
+    """Run all replicates of one experiment on one cached build; reduce them to a table row."""
     resolved = _resolve(config)
     diags = [_run_resolved(config, resolved, rep) for rep in range(config.replicates)]
     errs = np.array([d.error_inf_norm for d in diags])
@@ -196,19 +193,17 @@ def run_sweep(
     """Cross pairs with initial variances; rows sorted (pair, V descending).
 
     ``settings`` are further `ExperimentConfig` fields, such as ``replicates``
-    and ``seed``, shared by every cell.
+    and ``seed``, shared by every cell. Every cell's config is built, and so
+    checked, before any cell runs.
     """
     if not pair_ids or not len(v_values):
         raise ConfigError("sweep needs at least one pair and one variance value")
-    table = ResultsTable()
-    for pair_id in pair_ids:
-        for v in sorted(v_values, reverse=True):
-            config = ExperimentConfig(
-                problem=problem, pair=pair_id, initial_variance=float(v), **settings
-            )
-            _, row = run_experiment(config)
-            table.rows.append(row)
-    return table
+    configs = [
+        ExperimentConfig(problem=problem, pair=pair_id, initial_variance=float(v), **settings)
+        for pair_id in pair_ids
+        for v in sorted(v_values, reverse=True)
+    ]
+    return ResultsTable(rows=[run_experiment(config)[1] for config in configs])
 
 
 def _write(path: str, text: str) -> str:

@@ -36,16 +36,14 @@ def test_run_experiment_rejects_bad_ids():
 
 
 def test_run_experiment_rejects_fractional_span():
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.55)
     with pytest.raises(ConfigError, match="integral"):
-        run_experiment(cfg)
+        ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.55)
 
 
 @pytest.mark.parametrize("t_end", [0.0, -1.0])
 def test_run_experiment_rejects_a_span_without_a_step(t_end):
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=t_end)
     with pytest.raises(ConfigError, match="must lie at least one step of h=0.1 after the start"):
-        run_experiment(cfg)
+        ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=t_end)
 
 
 @pytest.mark.parametrize(
@@ -102,9 +100,8 @@ def test_cli_tend_half_a_tiny_step_off_the_grid_exits_2(tmp_path, capsys):
     ],
 )
 def test_run_experiment_validates_settings(kw, msg):
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **kw)
     with pytest.raises(ConfigError, match=msg):
-        run_experiment(cfg)
+        ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **kw)
 
 
 @pytest.mark.parametrize(
@@ -119,9 +116,8 @@ def test_run_experiment_validates_settings(kw, msg):
     ids=["nsample", "nsample-1", "stride", "reps", "seed"],
 )
 def test_run_experiment_rejects_a_fractional_integer_setting_by_its_key(kw, msg):
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.2, **kw)
     with pytest.raises(ConfigError, match=re.escape(msg)):
-        run_experiment(cfg)
+        ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.2, **kw)
 
 
 def test_run_experiment_takes_numpy_integer_settings():
@@ -199,30 +195,22 @@ def test_run_experiment_resolves_once(monkeypatch):
 
 
 @pytest.fixture
-def resolve_calls(monkeypatch):
-    """Configs the uncached resolve body sees, starting from an empty cache."""
+def resolve_misses():
+    """The count of cache misses of the runs' config build, from an empty cache."""
     from lmmpf import experiment
 
-    calls = []
-    inner = experiment._resolve_uncached
-
-    def counted(config):
-        calls.append(config)
-        return inner(config)
-
-    monkeypatch.setattr(experiment, "_resolve_uncached", counted)
-    experiment._resolve_cached.cache_clear()
-    return calls
+    experiment._resolve.cache_clear()
+    return lambda: experiment._resolve.cache_info().misses
 
 
-def test_run_replicate_resolves_a_config_once_over_its_replicates(resolve_calls):
+def test_run_replicate_resolves_a_config_once_over_its_replicates(resolve_misses):
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AM1-AM2", **{**FAST, "replicates": 3})
     separate = [run_replicate(cfg, rep) for rep in range(3)]
-    # an equal config built apart shares the entry; one whose seed is a float does not
+    # an equal config built apart shares the entry; one whose seed is a float is never built
     run_replicate(dataclasses.replace(cfg), 0)
-    assert len(resolve_calls) == 1
+    assert resolve_misses() == 1
     diags, _ = run_experiment(cfg)
-    assert len(resolve_calls) == 1
+    assert resolve_misses() == 1
     for one, other in zip(separate, diags):
         for name, value in vars(one).items():
             assert np.array_equal(getattr(other, name), value), name
@@ -230,12 +218,11 @@ def test_run_replicate_resolves_a_config_once_over_its_replicates(resolve_calls)
         run_replicate(dataclasses.replace(cfg, seed=5.0), 0)
 
 
-def test_an_invalid_config_raises_on_every_call(resolve_calls):
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", initial_variance=-1.0)
+def test_an_invalid_config_raises_on_every_call(resolve_misses):
     for _ in range(2):
         with pytest.raises(ConfigError, match="v0"):
-            run_replicate(cfg, 0)
-    assert len(resolve_calls) == 2
+            ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", initial_variance=-1.0)
+    assert resolve_misses() == 0
 
 
 @pytest.mark.parametrize(
@@ -253,16 +240,17 @@ def test_an_invalid_config_raises_on_every_call(resolve_calls):
         (dict(pair=["AB1-AB2"]), "unknown method pair ['AB1-AB2']"),
         (dict(problem=["gaussian_decay"]), "unknown problem ['gaussian_decay']"),
         (dict(resampler=["systematic"]), "unknown resampler ['systematic']"),
+        (dict(outdir=["results"]), "outdir must be a path, got ['results']"),
     ],
     ids=["v0-list", "v0-str", "noise-list", "dt-str", "dt-list", "tau-str", "tau-list",
-         "eps_floor-str", "tend-str", "pair-list", "problem-list", "resampler-list"],
+         "eps_floor-str", "tend-str", "pair-list", "problem-list", "resampler-list",
+         "outdir-list"],
 )
 def test_a_setting_of_the_wrong_type_is_a_config_error_naming_its_key(kw, msg):
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)
-    cfg = dataclasses.replace(cfg, **kw)
     for _ in range(2):  # unhashable or not, the error is raised afresh
         with pytest.raises(ConfigError, match=re.escape(msg)):
-            run_replicate(cfg, 0)
+            dataclasses.replace(cfg, **kw)
 
 
 def _equal_valued_objects():
@@ -348,6 +336,28 @@ def test_sweep_deterministic():
     assert a.rows == b.rows
 
 
+def test_a_sweep_with_a_bad_pair_runs_no_filter(monkeypatch, tmp_path, capsys):
+    from lmmpf import experiment
+
+    runs = []
+    inner = experiment._run_resolved
+
+    def counted(config, resolved, replicate):
+        runs.append((config.pair, replicate))
+        return inner(config, resolved, replicate)
+
+    monkeypatch.setattr(experiment, "_run_resolved", counted)
+    code = main([
+        "sweep", "--problem", "gaussian_decay", "--pair", "AB1-AB2,AB9-AB10",
+        "--v0", "0.1,0.01", "--reps", "3", "--nsample", "10", "--tend", "1.0",
+        "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "config error: unknown method pair 'AB9-AB10'" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_sweep_rejects_empty():
     with pytest.raises(ConfigError, match="at least one"):
         run_sweep("gaussian_decay", [], [0.1])
@@ -376,20 +386,17 @@ def test_stride_controls_observation_count():
     d = run_replicate(cfg, 0)
     # the run still covers every step, observations arrive at steps 5 and 10
     assert len(d.times) == 11
-    cfg_bad = ExperimentConfig(
-        problem="gaussian_decay", pair="AB1-AB2", t_end=0.3, stride=5
-    )
     with pytest.raises(ConfigError, match="stride=5; no step would be observed"):
-        run_experiment(cfg_bad)
+        ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", t_end=0.3, stride=5)
 
 
 def test_stride_must_divide_the_step_count():
     # 10 steps at stride 3 would observe last at t = 0.9 and stop there
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", stride=3, **FAST)
+    kw = dict(problem="gaussian_decay", pair="AB1-AB2", stride=3)
     with pytest.raises(ConfigError, match="not a multiple of stride=3") as info:
-        run_experiment(cfg)
+        ExperimentConfig(**kw, **FAST)
     assert str(info.value).endswith("the last observation would be at t=0.9")
-    _, row = run_experiment(dataclasses.replace(cfg, t_end=0.9))
+    _, row = run_experiment(ExperimentConfig(**kw, **{**FAST, "t_end": 0.9}))
     assert row.t_end == 0.9
 
 
@@ -682,7 +689,7 @@ SETTING_TEXTS = {
     "v0": "0.25",
     "dt": "0.05",
     "tend": "2.5",
-    "stride": "3",
+    "stride": "2",
     "noise": "0.5",
     "tau": "4",
     "eps_floor": "1e-12",

@@ -288,6 +288,42 @@ def test_pair_step_equals_the_per_member_step_bit_for_bit(pair_id, d, n, seed, z
 
 
 
+EXPLICIT_PAIRS = [pair_id for pair_id in PAIR_IDS if pair_id.startswith(("AB", "RK"))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pair_id", EXPLICIT_PAIRS)
+@settings(deadline=None, database=None, max_examples=10)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    share=st.floats(0.0, 1.0),
+    carried=st.booleans(),
+)
+def test_explicit_pair_step_is_row_independent(pair_id, d, seed, n, share, carried):
+    """Stepping any subset of the rows gives, bit for bit, those rows of the
+    full-batch step, so rows stacked from several runs step as the runs would
+    alone. AM and BDF pairs are left out: their implicit solve stops on the
+    max-norm of the whole batch's residual, which couples the rows."""
+    pair = make_pair(pair_id)
+    r, t, h = pair.steps_required, 0.3, 0.1
+    rng = np.random.default_rng(seed)
+    # a vectorized rhs of elementwise arithmetic that couples the components
+    system = OdeSystem(
+        dimension=d, rhs=lambda t, u, p: -2.0 * (t - 1.0) * u + 0.5 * u[:, ::-1], vectorized=True
+    )
+    blocks = rng.uniform(-2.0, 2.0, (n, r, d))
+    derivs = rng.uniform(-3.0, 3.0, (n, r, d)) if carried else None
+    rows = np.flatnonzero(rng.random(n) < share)
+    full = propagate_blocks(pair, system, blocks, t, h, derivs=derivs)
+    part = propagate_blocks(
+        pair, system, blocks[rows], t, h, derivs=None if derivs is None else derivs[rows]
+    )
+    for whole, sub in zip(full, part):
+        assert sub.shape == (len(rows), d)
+        assert sub.tobytes() == whole[rows].tobytes()
+
+
 @pytest.mark.parametrize("pair_id", MULTISTEP_PAIRS)
 def test_predictor_owns_its_memory(pair_id):
     # a predictor kept in an ensemble must not keep the pair's stack of rows alive
