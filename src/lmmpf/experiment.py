@@ -154,11 +154,7 @@ _resolve = functools.lru_cache(maxsize=128)(_build)
 def run_replicate(config: ExperimentConfig, replicate: int) -> RunDiagnostics:
     """One seeded end-to-end run: synthesize data, filter, diagnose. What it builds
     from the config is cached per equal config (the 128 most recent)."""
-    return _run_resolved(config, _resolve(config), replicate)
-
-
-def _run_resolved(config: ExperimentConfig, resolved, replicate: int) -> RunDiagnostics:
-    problem, model, fconfig, t_start, _, obs_steps, obs_times = resolved
+    problem, model, fconfig, t_start, _, obs_steps, obs_times = _resolve(config)
     obs_rng = np.random.default_rng(_sub_seed(config.seed, replicate, 0))
     records = synthesize_observations(
         problem, obs_times, config.noise_stddev, obs_rng, time_indices=obs_steps
@@ -170,8 +166,7 @@ def _run_resolved(config: ExperimentConfig, resolved, replicate: int) -> RunDiag
 
 def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], TableRow]:
     """Run all replicates of one experiment on one cached build; reduce them to a table row."""
-    resolved = _resolve(config)
-    diags = [_run_resolved(config, resolved, rep) for rep in range(config.replicates)]
+    diags = [run_replicate(config, rep) for rep in range(config.replicates)]
     errs = np.array([d.error_inf_norm for d in diags])
     variances = np.array([d.variance_2norm for d in diags])
     row = TableRow(
@@ -181,7 +176,7 @@ def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], Tabl
         variance_2norm=float(np.mean(variances)),
         error_band=(float(np.min(errs)), float(np.max(errs))),
         variance_band=(float(np.min(variances)), float(np.max(variances))),
-        t_end=resolved[4],
+        t_end=_resolve(config)[4],
         replicates=config.replicates,
     )
     return diags, row

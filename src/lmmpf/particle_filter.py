@@ -277,13 +277,6 @@ def inverse_cdf_indices(cumw: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.minimum(idx, n - 1, out=idx)
 
 
-def _resample_indices(
-    fitness: np.ndarray, rng: np.random.Generator, resampler: str
-) -> np.ndarray:
-    _check_resampler(resampler)
-    return inverse_cdf_indices(fitness.cumsum(), RESAMPLERS[resampler](rng, fitness.shape[0]))
-
-
 def _log_likelihood(
     model: EvolutionObservationModel, observation: ObservationRecord, newest: np.ndarray
 ) -> np.ndarray:
@@ -313,7 +306,8 @@ def survival_of_the_fittest(
     fitness = _normalized_weights(
         log_fitness, ensemble.time_index + 1, observation.time, predictors, "predictors"
     )
-    idx = _resample_indices(fitness, rng, resampler)
+    _check_resampler(resampler)
+    idx = inverse_cdf_indices(fitness.cumsum(), RESAMPLERS[resampler](rng, fitness.shape[0]))
     n, derivatives = ensemble.n_particles, ensemble.derivatives
     resampled = _replace(
         ensemble, states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(n),

@@ -181,26 +181,6 @@ def test_streamed_replicate_matches_stored_run(monkeypatch):
             assert other == value, name
 
 
-def test_run_experiment_resolves_once(monkeypatch):
-    from lmmpf import experiment
-
-    cfg = ExperimentConfig(problem="gaussian_decay", pair="AM1-AM2", **{**FAST, "replicates": 3})
-    separate = [run_replicate(cfg, rep) for rep in range(3)]
-    calls = []
-    inner = experiment._resolve
-
-    def counted(config):
-        calls.append(config)
-        return inner(config)
-
-    monkeypatch.setattr(experiment, "_resolve", counted)
-    diags, _ = run_experiment(cfg)
-    assert len(calls) == 1
-    for one, other in zip(separate, diags):
-        for name, value in vars(one).items():
-            assert np.array_equal(getattr(other, name), value), name
-
-
 @pytest.fixture
 def resolve_misses():
     """The count of cache misses of the runs' config build, from an empty cache."""
@@ -335,17 +315,33 @@ def test_sweep_deterministic():
     assert a.rows == b.rows
 
 
-def test_a_sweep_with_a_bad_pair_runs_no_filter(monkeypatch, tmp_path, capsys):
+def _count_replicates(monkeypatch):
+    """The (pair, replicate) of every later `run_replicate` call, in call order."""
     from lmmpf import experiment
 
     runs = []
-    inner = experiment._run_resolved
+    inner = experiment.run_replicate
 
-    def counted(config, resolved, replicate):
+    def counted(config, replicate):
         runs.append((config.pair, replicate))
-        return inner(config, resolved, replicate)
+        return inner(config, replicate)
 
-    monkeypatch.setattr(experiment, "_run_resolved", counted)
+    monkeypatch.setattr(experiment, "run_replicate", counted)
+    return runs
+
+
+def test_cli_run_runs_each_replicate_through_run_replicate(monkeypatch, tmp_path):
+    runs = _count_replicates(monkeypatch)
+    code = main([
+        "run", "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--reps", "3",
+        "--nsample", "10", "--tend", "1.0", "--outdir", str(tmp_path),
+    ])
+    assert code == 0
+    assert runs == [("AB1-AB2", 0), ("AB1-AB2", 1), ("AB1-AB2", 2)]
+
+
+def test_a_sweep_with_a_bad_pair_runs_no_filter(monkeypatch, tmp_path, capsys):
+    runs = _count_replicates(monkeypatch)
     code = main([
         "sweep", "--problem", "gaussian_decay", "--pair", "AB1-AB2,AB9-AB10",
         "--v0", "0.1,0.01", "--reps", "3", "--nsample", "10", "--tend", "1.0",
