@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError("dt must be positive and finite")
         if not isinstance(self.t_end, (Real, type(None))):
             raise ConfigError(f"tend must be a number, got {self.t_end!r}")
-        if not isinstance(self.outdir, (str, os.PathLike)):
+        if not isinstance(self.outdir, (str, os.PathLike)) or not os.fspath(self.outdir):
             raise ConfigError(f"outdir must be a path, got {self.outdir!r}")
         _build(self)
 

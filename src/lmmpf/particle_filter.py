@@ -151,19 +151,6 @@ class Ensemble:
         return self.states[:, 0]
 
 
-def _replace(ensemble: Ensemble, **changes) -> Ensemble:
-    """``dataclasses.replace(ensemble, **changes)`` without ``__init__``.
-
-    Each stage builds one ensemble; filling its ``__dict__`` from the old
-    one skips the frozen-dataclass ``__init__`` and its five
-    ``object.__setattr__`` calls, which cost about as much as a stage's own
-    bookkeeping at N = 150.
-    """
-    new = object.__new__(Ensemble)
-    vars(new).update(vars(ensemble), **changes)
-    return new
-
-
 @dataclass(frozen=True, eq=False)
 class FilterConfig:
     n_particles: int
@@ -308,9 +295,10 @@ def survival_of_the_fittest(
     )
     _check_resampler(resampler)
     idx = inverse_cdf_indices(fitness.cumsum(), RESAMPLERS[resampler](rng, fitness.shape[0]))
-    n, derivatives = ensemble.n_particles, ensemble.derivatives
-    resampled = _replace(
-        ensemble, states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(n),
+    derivatives = ensemble.derivatives
+    resampled = Ensemble(
+        states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(ensemble.n_particles),
+        time_index=ensemble.time_index, time=ensemble.time,
         derivatives=None if derivatives is None else derivatives.take(idx, axis=0),
     )
     return resampled, *(a.take(idx, axis=0) for a in (predictors, innovation_vars, loglik))
@@ -337,8 +325,8 @@ def innovation_step(
     if ensemble.derivatives is not None:
         f_new = system.rhs_batch(time, newest)
         derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
-    return _replace(
-        ensemble, states=states, time_index=ensemble.time_index + 1, time=time,
+    return Ensemble(
+        states=states, weights=ensemble.weights, time_index=ensemble.time_index + 1, time=time,
         derivatives=derivatives,
     )
 
@@ -356,7 +344,10 @@ def weight_update(
     weights = _normalized_weights(
         log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
     )
-    return _replace(ensemble, weights=weights)
+    return Ensemble(
+        states=ensemble.states, weights=weights, time_index=ensemble.time_index,
+        time=ensemble.time, derivatives=ensemble.derivatives,
+    )
 
 
 def _observation_schedule(
@@ -442,7 +433,10 @@ def iter_filter(
             ensemble = _step(
                 ensemble, model, schedule.get(j), rng, h, t_start + j * h, config.resampler
             )
-        yield ensemble if ensemble.derivatives is None else _replace(ensemble, derivatives=None)
+        yield ensemble if ensemble.derivatives is None else Ensemble(
+            states=ensemble.states, weights=ensemble.weights, time_index=ensemble.time_index,
+            time=ensemble.time,
+        )
 
 
 def run_filter(

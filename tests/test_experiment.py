@@ -221,10 +221,11 @@ def test_run_replicate_resolves_a_config_once_over_its_replicates(resolve_misses
         (dict(problem=["gaussian_decay"]), "unknown problem ['gaussian_decay']"),
         (dict(resampler=["systematic"]), "unknown resampler ['systematic']"),
         (dict(outdir=["results"]), "outdir must be a path, got ['results']"),
+        (dict(outdir=""), "outdir must be a path, got ''"),
     ],
     ids=["v0-list", "v0-str", "noise-list", "dt-str", "dt-list", "tau-str", "tau-list",
          "eps_floor-str", "tend-str", "pair-list", "problem-list", "resampler-list",
-         "outdir-list"],
+         "outdir-list", "outdir-empty"],
 )
 def test_a_setting_of_the_wrong_type_is_a_config_error_naming_its_key(kw, msg):
     cfg = ExperimentConfig(problem="gaussian_decay", pair="AB1-AB2", **FAST)

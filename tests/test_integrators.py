@@ -171,6 +171,7 @@ def test_pair_step_pure(pair_id):
     out2 = propagate_blocks(pair, p.system, blocks, t, 0.1, derivs)
     assert [a.tobytes() for a in out1] == [a.tobytes() for a in out2]
     assert (blocks.tobytes(), derivs.tobytes()) == before
+    assert not any(np.shares_memory(a, b) for a in out1 for b in (blocks, derivs))
 
 
 # ------------------------------------------------------------ implicit steps
