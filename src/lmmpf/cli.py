@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import List, Optional
 
@@ -16,7 +17,7 @@ from .experiment import (
     emit_outputs,
     parse_config_file,
     run_experiment,
-    run_sweep,
+    sweep_configs,
 )
 from .homec import PAIR_IDS
 from .ode_models import PROBLEMS
@@ -82,15 +83,17 @@ def _write_outputs(table: ResultsTable, diags, outdir: str) -> int:
 
 def _cmd_run(settings: dict) -> int:
     config = ExperimentConfig(**settings)
+    os.makedirs(config.outdir, exist_ok=True)  # an unusable outdir fails before any run
     diags, row = run_experiment(config)
     return _write_outputs(ResultsTable(rows=[row]), diags, config.outdir)
 
 
 def _cmd_sweep(settings: dict) -> int:
-    pair_ids = settings.pop("pair")
     v_values = settings.pop("initial_variance", [ExperimentConfig.initial_variance])
-    table = run_sweep(settings.pop("problem"), pair_ids, v_values, **settings)
-    return _write_outputs(table, [], settings.get("outdir", ExperimentConfig.outdir))
+    configs = sweep_configs(settings.pop("problem"), settings.pop("pair"), v_values, **settings)
+    os.makedirs(configs[0].outdir, exist_ok=True)
+    table = ResultsTable(rows=[run_experiment(config)[1] for config in configs])
+    return _write_outputs(table, [], configs[0].outdir)
 
 
 def _cmd_list() -> int:

@@ -182,22 +182,27 @@ def run_experiment(config: ExperimentConfig) -> Tuple[List[RunDiagnostics], Tabl
     return diags, row
 
 
-def run_sweep(
+def sweep_configs(
     problem: str, pair_ids: Sequence[str], v_values: Sequence[float], **settings
-) -> ResultsTable:
-    """Cross pairs with initial variances; rows sorted (pair, V descending).
-
-    ``settings`` are further `ExperimentConfig` fields, such as ``replicates``
-    and ``seed``, shared by every cell. Every cell's config is built, and so
-    checked, before any cell runs.
-    """
+) -> List[ExperimentConfig]:
+    """The config of each cell crossing pairs with initial variances, sorted
+    (pair, V descending). ``settings`` are further `ExperimentConfig` fields,
+    such as ``replicates`` and ``seed``, shared by every cell."""
     if not pair_ids or not len(v_values):
         raise ConfigError("sweep needs at least one pair and one variance value")
-    configs = [
+    return [
         ExperimentConfig(problem=problem, pair=pair_id, initial_variance=float(v), **settings)
         for pair_id in pair_ids
         for v in sorted(v_values, reverse=True)
     ]
+
+
+def run_sweep(
+    problem: str, pair_ids: Sequence[str], v_values: Sequence[float], **settings
+) -> ResultsTable:
+    """The table of `sweep_configs`' cells; every config is built, and so
+    checked, before any cell runs."""
+    configs = sweep_configs(problem, pair_ids, v_values, **settings)
     return ResultsTable(rows=[run_experiment(config)[1] for config in configs])
 
 

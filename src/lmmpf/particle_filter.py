@@ -2,12 +2,12 @@
 
 A filter step runs four stages: `propagate_ensemble` returns each particle's
 pair step (the predictor) and an innovation covariance from the pair
-discrepancy; at observation times `survival_of_the_fittest` resamples the
-ensemble and those arrays by predictor fitness; `innovation_step` perturbs
-the predictors and shifts them in as the newest block; at observation times
-`weight_update` reweights by the observation-likelihood ratio. Only the
-`Ensemble` crosses from one step to the next; the step's other per-particle
-arrays pass between its stages as arguments and return values.
+discrepancy; at observation times `survival_of_the_fittest` draws ancestors
+by predictor fitness and gathers those arrays by them; `innovation_step`
+perturbs the predictors and shifts them in ahead of the (ancestors') history;
+at observation times `weight_update` reweights by the observation-likelihood
+ratio. Only the `Ensemble` crosses from one step to the next; the step's
+other per-particle arrays pass between its stages as arguments and results.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
@@ -32,7 +32,7 @@ systems evaluate all r blocks as before.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Real
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -140,10 +140,6 @@ class Ensemble:
     time_index: int
     time: float
     derivatives: Optional[np.ndarray] = None
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
 
     @property
     def newest(self) -> np.ndarray:
@@ -279,13 +275,13 @@ def survival_of_the_fittest(
     ensemble: Ensemble, predictors: np.ndarray, innovation_vars: np.ndarray,
     observation: ObservationRecord, model: EvolutionObservationModel, rng: np.random.Generator,
     *, resampler: str = FilterConfig.resampler,
-) -> Tuple[Ensemble, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Resample particles with replacement by normalized predictor fitness.
 
-    Fitness of particle n is w_n * pi(y | predictor_n). One ancestor index
-    gathers the ensemble (states, carried derivatives; weights become uniform),
-    the predictors, the innovation variances and the predictor log-likelihoods
-    (N,) that `weight_update` reads; all four are returned.
+    Fitness of particle n is w_n * pi(y | predictor_n). Returns the (N,)
+    ancestor indices, which `innovation_step` gathers the ensemble's history
+    by, and by them the predictors, the innovation variances and the predictor
+    log-likelihoods (N,) that `weight_update` reads.
     """
     loglik = _log_likelihood(model, observation, predictors)
     with np.errstate(divide="ignore"):
@@ -295,39 +291,47 @@ def survival_of_the_fittest(
     )
     _check_resampler(resampler)
     idx = inverse_cdf_indices(fitness.cumsum(), RESAMPLERS[resampler](rng, fitness.shape[0]))
-    derivatives = ensemble.derivatives
-    resampled = Ensemble(
-        states=ensemble.states.take(idx, axis=0), weights=_uniform_weights(ensemble.n_particles),
-        time_index=ensemble.time_index, time=ensemble.time,
-        derivatives=None if derivatives is None else derivatives.take(idx, axis=0),
-    )
-    return resampled, *(a.take(idx, axis=0) for a in (predictors, innovation_vars, loglik))
+    return idx, *(a.take(idx, axis=0) for a in (predictors, innovation_vars, loglik))
+
+
+def _shift_in(newest: np.ndarray, history: np.ndarray, ancestors: Optional[np.ndarray]):
+    """A new (N, r, d) history: ``newest`` (N, d) as block 0, then the blocks of
+    ``history``'s rows (rows ``ancestors``, if given) moved back by one."""
+    if ancestors is None or history.shape[1] == 1:  # r = 1 drops the only block
+        return np.concatenate([newest[:, None, :], history[:, :-1]], axis=1)
+    out = history.take(ancestors, axis=0)
+    for i in range(out.shape[1] - 1, 0, -1):  # oldest first: each copy reads an unmoved block
+        out[:, i] = out[:, i - 1]
+    out[:, 0] = newest
+    return out
 
 
 def innovation_step(
     ensemble: Ensemble, predictors: np.ndarray, innovation_vars: np.ndarray,
     rng: np.random.Generator, *, time: float, system: OdeSystem,
+    ancestors: Optional[np.ndarray] = None,
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
     The perturbed predictor becomes the newest block and the ensemble's
     blocks shift back by one, the oldest dropping out; this is the one place
-    the block vector shifts. Weights are carried over as they are (the same
-    array, not a copy). ``time`` is the time of the new newest block, the
-    step's point on the filter grid t_start + j*h. When ``ensemble`` carries
-    derivatives, f of the new newest block is evaluated there with ``system``
-    and the older ones shift along.
+    the block vector shifts. With ``ancestors`` from `survival_of_the_fittest`,
+    particle n's older blocks are particle ``ancestors[n]``'s, gathered into
+    the new array, and weights become uniform; without, weights are carried
+    over (the same array, not a copy). ``time`` is the time of the new newest
+    block, the step's point on the filter grid t_start + j*h. When ``ensemble``
+    carries derivatives, f of the new newest block is evaluated there with
+    ``system`` and the older ones shift along.
     """
     noise = np.sqrt(innovation_vars) * rng.standard_normal(predictors.shape)
     newest = predictors + noise
-    states = np.concatenate([newest[:, None, :], ensemble.states[:, :-1]], axis=1)
-    derivatives = None
-    if ensemble.derivatives is not None:
-        f_new = system.rhs_batch(time, newest)
-        derivatives = np.concatenate([f_new[:, None, :], ensemble.derivatives[:, :-1]], axis=1)
+    derivatives = ensemble.derivatives
+    if derivatives is not None:
+        derivatives = _shift_in(system.rhs_batch(time, newest), derivatives, ancestors)
     return Ensemble(
-        states=states, weights=ensemble.weights, time_index=ensemble.time_index + 1, time=time,
-        derivatives=derivatives,
+        states=_shift_in(newest, ensemble.states, ancestors),
+        weights=ensemble.weights if ancestors is None else _uniform_weights(len(ancestors)),
+        time_index=ensemble.time_index + 1, time=time, derivatives=derivatives,
     )
 
 
@@ -384,12 +388,13 @@ def _step(
     """One filter step to ``time``, ``record`` None between observations; its
     predictor arrays are freed when it returns."""
     predictors, innovation_vars = propagate_ensemble(ensemble, model, h)
+    ancestors = None
     if record is not None:
-        ensemble, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
+        ancestors, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
             ensemble, predictors, innovation_vars, record, model, rng, resampler=resampler
         )
     ensemble = innovation_step(ensemble, predictors, innovation_vars, rng, time=time,
-                               system=model.system)
+                               system=model.system, ancestors=ancestors)
     if record is not None:
         ensemble = weight_update(ensemble, predictor_loglik, record, model)
     return ensemble
@@ -433,10 +438,7 @@ def iter_filter(
             ensemble = _step(
                 ensemble, model, schedule.get(j), rng, h, t_start + j * h, config.resampler
             )
-        yield ensemble if ensemble.derivatives is None else Ensemble(
-            states=ensemble.states, weights=ensemble.weights, time_index=ensemble.time_index,
-            time=ensemble.time,
-        )
+        yield ensemble if ensemble.derivatives is None else replace(ensemble, derivatives=None)
 
 
 def run_filter(

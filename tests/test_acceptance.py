@@ -207,10 +207,11 @@ def test_criterion_6_one_step_bayes_oracle():
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([y]))
     rng = np.random.default_rng(SEED)
-    resampled, predictors, gammas, loglik = survival_of_the_fittest(
+    drawn, predictors, gammas, loglik = survival_of_the_fittest(
         ens, *propagate_ensemble(ens, model, 0.1), obs, model, rng
     )
-    moved = innovation_step(resampled, predictors, gammas, rng, time=0.1, system=system)
+    moved = innovation_step(ens, predictors, gammas, rng, time=0.1, system=system,
+                            ancestors=drawn)
     final = weight_update(moved, loglik, obs, model)
 
     replay = np.random.default_rng(SEED)
@@ -293,12 +294,12 @@ def test_criterion_7_property_suite():
         time=0.0,
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    resampled, *_ = survival_of_the_fittest(
+    drawn, *_ = survival_of_the_fittest(
         big, zeros, zeros, obs, flat_model, np.random.default_rng(SEED)
     )
     unbiased = True
     for k, gw in enumerate(group_w):
-        count = int(np.count_nonzero(resampled.states[:, 0, 0] == float(k)))
+        count = int(np.count_nonzero(big.states[drawn, 0, 0] == float(k)))
         se = math.sqrt(n * gw * (1.0 - gw))
         if abs(count - n * gw) > 3.0 * se:
             unbiased = False

@@ -354,6 +354,32 @@ def test_a_sweep_with_a_bad_pair_runs_no_filter(monkeypatch, tmp_path, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_an_outdir_that_names_a_file_fails_before_any_replicate(verb, monkeypatch, tmp_path,
+                                                                capsys):
+    runs = _count_replicates(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code = main([
+        verb, "--problem", "gaussian_decay", "--pair", "AB1-AB2", "--reps", "3",
+        "--nsample", "10", "--tend", "1.0", "--outdir", str(afile),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{afile}'\n"
+    assert runs == []
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_a_config_error_creates_no_outdir(verb, tmp_path):
+    outdir = tmp_path / "new"
+    code = main([
+        verb, "--problem", "gaussian_decay", "--pair", "AB9-AB10", "--outdir", str(outdir),
+    ])
+    assert code == 2
+    assert not outdir.exists()
+
+
 def test_sweep_rejects_empty():
     with pytest.raises(ConfigError, match="at least one"):
         run_sweep("gaussian_decay", [], [0.1])

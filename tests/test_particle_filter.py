@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import moments
 from lmmpf import homec, particle_filter
@@ -120,7 +122,7 @@ def test_filter_config_takes_numpy_integers():
         seed=np.uint32(7),
     )
     records = [ObservationRecord(time_index=1, time=0.1, value=np.array([1.0]))]
-    assert run_filter(cfg, model, records, np.array([1.0]), t_start=0.0)[-1].n_particles == 10
+    assert run_filter(cfg, model, records, np.array([1.0]), t_start=0.0)[-1].states.shape[0] == 10
 
 
 # ------------------------------------------------------- survival (resample)
@@ -130,8 +132,13 @@ def test_survival_degenerate_fitness_copies_winner():
     model = make_model(system=constant_system(), var=1e-6)
     ens = flat_ensemble([0.0, 50.0, -50.0])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out, *_ = survival_of_the_fittest(
-        ens, ens.newest.copy(), np.zeros((3, 1)), obs, model, np.random.default_rng(0)
+    rng = np.random.default_rng(0)
+    ancestors, predictors, gammas, _ = survival_of_the_fittest(
+        ens, ens.newest.copy(), np.zeros((3, 1)), obs, model, rng
+    )
+    assert np.all(ancestors == 0)
+    out = innovation_step(
+        ens, predictors, gammas, rng, time=0.1, system=model.system, ancestors=ancestors
     )
     assert np.all(out.states[:, 0, 0] == 0.0)
     assert np.all(out.weights == 1.0 / 3.0)
@@ -148,10 +155,10 @@ def test_survival_multinomial_frequencies_uniform_fitness():
         time=0.0,
     )
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out, *_ = survival_of_the_fittest(
+    ancestors, *_ = survival_of_the_fittest(
         ens, np.zeros((n, 1)), np.zeros((n, 1)), obs, model, np.random.default_rng(123)
     )
-    markers = np.round(out.states[:, 0, 0] / 1e-12).astype(int)
+    markers = np.round(ens.states[ancestors, 0, 0] / 1e-12).astype(int)
     p = 1.0 / n
     band = 4.0 * math.sqrt(p * (1.0 - p) / n)
     for idx in (0, n // 2, n - 1):
@@ -178,10 +185,10 @@ def test_survival_reshuffles_predictors_and_gammas_together():
     predictors = np.array([[0.0], [7.0]])
     gammas = np.array([[1e-4], [9e-4]])
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([7.0]))
-    out, out_predictors, out_gammas, _ = survival_of_the_fittest(
+    ancestors, out_predictors, out_gammas, _ = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, np.random.default_rng(0)
     )
-    assert np.all(out.states[:, 0, 0] == 7.0)
+    assert np.all(ancestors == 1)
     assert np.all(out_predictors[:, 0] == 7.0)
     assert np.all(out_gammas == 9e-4)
 
@@ -301,11 +308,11 @@ def test_resampling_unbiasedness_multinomial():
         weights.extend([gw / sz] * sz)
     ens = flat_ensemble(values, weights=np.array(weights))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.0]))
-    out, *_ = survival_of_the_fittest(
+    ancestors, *_ = survival_of_the_fittest(
         ens, np.zeros((n, 1)), np.zeros((n, 1)), obs, model, np.random.default_rng(2024)
     )
     for k, gw in enumerate(group_w):
-        count = np.count_nonzero(out.states[:, 0, 0] == float(k))
+        count = np.count_nonzero(ens.states[ancestors, 0, 0] == float(k))
         se = math.sqrt(n * gw * (1.0 - gw))
         assert abs(count - n * gw) <= 3.0 * se
 
@@ -353,6 +360,87 @@ def test_innovation_leaves_older_blocks_untouched():
     assert not np.array_equal(out.states[:, 0], predictors)
 
 
+@st.composite
+def resampled_steps(draw):
+    """(model, ensemble, predictors, variances, ancestors or None, seed): an
+    ensemble of r in 1..4 blocks of dimension 1 or 2, with or without carried
+    derivatives, and an identity, constant or random ancestor vector with repeats."""
+    n, r, d = draw(st.integers(2, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    system = OdeSystem(dimension=d, rhs=lambda t, u, p: np.sin(u) + t, vectorized=True)
+    model = EvolutionObservationModel(
+        system=system, pair=make_pair("AB1-AB2"), measurement_var=np.full(d, 0.5)
+    )
+    weights = rng.random(n) + 0.1
+    ens = Ensemble(
+        states=rng.normal(size=(n, r, d)), weights=weights / weights.sum(), time_index=2,
+        time=0.2, derivatives=rng.normal(size=(n, r, d)) if draw(st.booleans()) else None,
+    )
+    ancestors = draw(st.sampled_from([
+        None, np.arange(n), np.full(n, draw(st.integers(0, n - 1))),
+        np.concatenate([[0], rng.integers(0, n, n - 2), [0]]),
+    ]))
+    return model, ens, rng.normal(size=(n, d)), rng.random((n, d)), ancestors, seed
+
+
+def _read_only_copies(*arrays):
+    copies = [None if a is None else a.copy() for a in arrays]
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return copies
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(resampled_steps())
+def test_innovation_with_ancestors_is_gathering_every_field_then_shifting(step):
+    model, ens, predictors, gammas, ancestors, seed = step
+    inputs = (ens.states, ens.derivatives, ens.weights, predictors, gammas, ancestors)
+    before = _read_only_copies(*inputs)
+    out = innovation_step(ens, predictors, gammas, np.random.default_rng(seed), time=0.3,
+                          system=model.system, ancestors=ancestors)
+    # the composition it replaces: take every field by the ancestors, then shift in
+    take = (lambda a: a) if ancestors is None else (lambda a: a.take(ancestors, axis=0))
+    newest = predictors + np.sqrt(gammas) * np.random.default_rng(seed).standard_normal(
+        predictors.shape
+    )
+    want = {"states": (newest, ens.states)}
+    if ens.derivatives is not None:
+        want["derivatives"] = (model.system.rhs_batch(0.3, newest), ens.derivatives)
+    for name, (first, history) in want.items():
+        expected = np.concatenate([first[:, None, :], take(history)[:, :-1]], axis=1)
+        got = getattr(out, name)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype), name
+        assert got.tobytes() == expected.tobytes(), name
+        assert not any(a is not None and np.shares_memory(got, a) for a in inputs), name
+    assert (out.derivatives is None) == (ens.derivatives is None)
+    n = len(predictors)
+    assert out.weights is (ens.weights if ancestors is None else _uniform_weights(n))
+    assert (out.time_index, out.time) == (3, 0.3)
+    for a, b in zip(inputs, before):
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(resampled_steps())
+def test_survival_gathers_its_three_arrays_by_the_ancestors_it_returns(step):
+    model, ens, predictors, gammas, _, seed = step
+    obs = ObservationRecord(time_index=3, time=0.3, value=np.zeros(predictors.shape[1]))
+    inputs = (ens.states, ens.weights, predictors, gammas)
+    before = _read_only_copies(*inputs)
+    ancestors, *outs = survival_of_the_fittest(
+        ens, predictors, gammas, obs, model, np.random.default_rng(seed)
+    )
+    loglik = model.log_likelihood_batch(obs.value, predictors)
+    assert ancestors.shape == (len(predictors),) and ancestors.dtype == np.int64
+    for got, source in zip(outs, (predictors, gammas, loglik)):
+        assert got.tobytes() == source.take(ancestors, axis=0).tobytes()
+        assert not any(np.shares_memory(got, a) for a in inputs)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------ weight update
 
 
@@ -393,11 +481,12 @@ def test_weight_update_reuses_resampled_predictor_loglik():
     ens = flat_ensemble(rng.normal(size=30), r=2)
     predictors = rng.normal(size=(30, 1))
     obs = ObservationRecord(time_index=1, time=0.1, value=np.array([0.2]))
-    res, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+    ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, np.full((30, 1), 0.01), obs, model, rng
     )
     assert np.array_equal(loglik, model.log_likelihood_batch(obs.value, res_predictors))
-    moved = innovation_step(res, res_predictors, res_gammas, rng, time=0.1, system=model.system)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, system=model.system,
+                            ancestors=ancestors)
     reused = weight_update(moved, loglik, obs, model)
     recomputed = weight_update(
         moved, model.log_likelihood_batch(obs.value, res_predictors), obs, model
@@ -430,15 +519,16 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
     assert ens.derivatives.shape == blocks
     predictors, gammas = propagate_ensemble(ens, model, cfg.step)
     assert predictors.shape == gammas.shape == rows
-    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+    ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, rng
     )
-    assert_sets(resampled, ens, dict(states=blocks, weights=_uniform_weights(n), derivatives=blocks))
+    assert ancestors.shape == (n,) and ancestors.dtype == np.int64
     assert (res_predictors.shape, res_gammas.shape, loglik.shape) == (rows, rows, (n,))
     assert res_predictors is not predictors and res_gammas is not gammas
-    moved = innovation_step(resampled, res_predictors, res_gammas, rng, time=0.1,
-                            system=model.system)
-    assert_sets(moved, resampled, dict(states=blocks, time_index=1, time=0.1, derivatives=blocks))
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1,
+                            system=model.system, ancestors=ancestors)
+    assert_sets(moved, ens, dict(states=blocks, weights=_uniform_weights(n), time_index=1,
+                                 time=0.1, derivatives=blocks))
     assert_sets(weight_update(moved, loglik, obs, model), moved, dict(weights=(n,)))
 
 
@@ -446,9 +536,11 @@ def test_uniform_weights_are_one_shared_read_only_array():
     cfg, model, records, prior = streamed_inputs("AB3-AB4", "multinomial")
     rng = np.random.default_rng(0)
     ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
-    resampled, *_ = survival_of_the_fittest(
+    ancestors, predictors, gammas, _ = survival_of_the_fittest(
         ens, *propagate_ensemble(ens, model, cfg.step), records[0], model, rng
     )
+    resampled = innovation_step(ens, predictors, gammas, rng, time=0.1, system=model.system,
+                                ancestors=ancestors)
     assert ens.weights is resampled.weights is _uniform_weights(cfg.n_particles)
     assert np.array_equal(ens.weights, np.full(cfg.n_particles, 1.0 / cfg.n_particles))
     with pytest.raises(ValueError, match="read-only"):
@@ -616,11 +708,11 @@ def test_stages_called_directly_reject_observation_of_another_shape(stage):
     predictors, gammas = propagate_ensemble(ens, model, 0.1)
     bad = ObservationRecord(time_index=1, time=0.1, value=np.array([1.0, 5.0]))
     good = replace(bad, value=np.array([1.0]))
-    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+    ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, good, model, rng
     )
     innovated = innovation_step(
-        resampled, res_predictors, res_gammas, rng, time=0.1, system=model.system
+        ens, res_predictors, res_gammas, rng, time=0.1, system=model.system, ancestors=ancestors
     )
     run = {
         "survival_of_the_fittest": lambda: survival_of_the_fittest(
@@ -780,13 +872,15 @@ def by_hand(config, model, records, prior):
     for j in range(1, max(observed) + 1):
         record = observed.get(j)
         predictors, innovation_vars = propagate_ensemble(ensemble, model, h)
+        ancestors = None
         if record is not None:
-            ensemble, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
+            ancestors, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
                 ensemble, predictors, innovation_vars, record, model, rng,
                 resampler=config.resampler,
             )
         ensemble = innovation_step(
-            ensemble, predictors, innovation_vars, rng, time=j * h, system=model.system
+            ensemble, predictors, innovation_vars, rng, time=j * h, system=model.system,
+            ancestors=ancestors,
         )
         if record is not None:
             ensemble = weight_update(ensemble, predictor_loglik, record, model)
@@ -1027,10 +1121,11 @@ def test_full_step_matches_scratch_reference():
     obs = ObservationRecord(time_index=4, time=t + h, value=np.array([y]))
     rng = np.random.default_rng(seed)
     predictors, gammas = propagate_ensemble(ens, model, h)
-    res, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+    ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, rng
     )
-    moved = innovation_step(res, res_predictors, res_gammas, rng, time=t + h, system=p.system)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=t + h, system=p.system,
+                            ancestors=ancestors)
     final = weight_update(moved, loglik, obs, model)
 
     # scratch reference with plain floats
@@ -1061,7 +1156,7 @@ def test_full_step_matches_scratch_reference():
     expected_w = [x / rsum for x in ratio]
 
     assert np.allclose(predictors[:, 0], ab1, rtol=1e-14)
-    assert np.allclose(res.states[:, 0, 0], [u0[k] for k in anc], rtol=1e-14)
+    assert ancestors.tolist() == anc
     assert np.allclose(gammas[:, 0], gam, rtol=1e-13)
     assert np.allclose(final.states[:, 0, 0], x_new, rtol=1e-12)
     assert np.allclose(final.states[:, 1, 0], [u0[k] for k in anc], rtol=1e-14)
@@ -1105,10 +1200,11 @@ def test_one_step_bayes_oracle_two_particles():
     rng = np.random.default_rng(314)
     predictors, gammas = propagate_ensemble(ens, model, 0.1)
     assert np.all(gammas == gamma0)
-    resampled, res_predictors, res_gammas, loglik = survival_of_the_fittest(
+    drawn, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, rng
     )
-    moved = innovation_step(resampled, res_predictors, res_gammas, rng, time=0.1, system=system)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, system=system,
+                            ancestors=drawn)
     final = weight_update(moved, loglik, obs, model)
 
     # replay the same draws by hand
