@@ -295,13 +295,13 @@ def survival_of_the_fittest(
 
 
 def _shift_in(newest: np.ndarray, history: np.ndarray, ancestors: Optional[np.ndarray]):
-    """A new (N, r, d) history: ``newest`` (N, d) as block 0, then the blocks of
-    ``history``'s rows (rows ``ancestors``, if given) moved back by one."""
-    if ancestors is None or history.shape[1] == 1:  # r = 1 drops the only block
-        return np.concatenate([newest[:, None, :], history[:, :-1]], axis=1)
-    out = history.take(ancestors, axis=0)
-    for i in range(out.shape[1] - 1, 0, -1):  # oldest first: each copy reads an unmoved block
-        out[:, i] = out[:, i - 1]
+    """A fresh C-ordered (N, r, d) history: ``newest`` (N, d) as block 0, then the
+    blocks of ``history``'s rows (rows ``ancestors``, if given) moved back by one."""
+    if history.shape[1] == 1:  # r = 1 drops the only block
+        return newest[:, None, :].copy()
+    out = history.copy() if ancestors is None else history.take(ancestors, axis=0)
+    flat = out.reshape(-1)  # a view only as out is C-ordered; np.copy keeps a Fortran layout
+    flat[newest.shape[1]:] = flat[: -newest.shape[1]]  # every block back one, in place
     out[:, 0] = newest
     return out
 
@@ -313,11 +313,11 @@ def innovation_step(
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
-    The perturbed predictor becomes the newest block and the ensemble's
-    blocks shift back by one, the oldest dropping out; this is the one place
-    the block vector shifts. With ``ancestors`` from `survival_of_the_fittest`,
-    particle n's older blocks are particle ``ancestors[n]``'s, gathered into
-    the new array, and weights become uniform; without, weights are carried
+    The perturbed predictor becomes the newest block and the ensemble's blocks
+    shift back by one, the oldest dropping out; this is the one place the block
+    vector shifts, on one path: the rows are copied, or gathered by ``ancestors``
+    from `survival_of_the_fittest`, into one new C-ordered array whose blocks move
+    back in place. Gathered, weights become uniform; copied, weights are carried
     over (the same array, not a copy). ``time`` is the time of the new newest
     block, the step's point on the filter grid t_start + j*h. When ``ensemble``
     carries derivatives, f of the new newest block is evaluated there with

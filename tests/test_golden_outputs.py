@@ -2,9 +2,9 @@
 
 A short sweep over all eight pairs (two V0 values, both resamplers), a sweep
 of the AB, AM and BDF3-BDF4 pairs over the problem's full 50-step span, and
-three runs (one of N = 2000, whose diagnostics span several moment batches, and
-one of N = 4096 with systematic resampling) are compared by the SHA-256 of
-their stdout and of every file they write.
+four runs (one of N = 2000, whose diagnostics span several moment batches, one
+of N = 4096 with systematic resampling, and an r = 4 BDF3-BDF4 run observed every
+2nd step) are compared by the SHA-256 of their stdout and of every file they write.
 Every command uses a vectorized scalar problem, so a library-level run over a
 non-vectorized system pins the derivatives an Adams ensemble carries, and an
 `emit_outputs` of a two-component system pins the files of a d = 2 run.
@@ -50,6 +50,9 @@ COMMANDS = {
     "run_systematic": ["run", "--problem", "gaussian_decay", "--pair", "AB3-AB4",
                        "--nsample", "4096", "--resampler", "systematic", "--tend", "1",
                        "--reps", "1"],
+    # r = 4 histories shift at observed and unobserved steps, at a bucketed N, with no f-cache
+    "run_bdf_shift": ["run", "--problem", "gaussian_decay", "--pair", "BDF3-BDF4",
+                      "--nsample", "2048", "--stride", "2", "--tend", "1", "--reps", "1"],
 }
 
 # SHA-256 of "<outdir>/stdout" and of "<outdir>/<file>" for each written file
@@ -74,6 +77,10 @@ GOLDEN = {
     "run_systematic/plot.svg": "0f14aa2e4d58cde70ed42fb7e2e0639bdbeefe6e65936b8ea894da7b2a176f55",
     "run_systematic/table.csv": "0d2de973226c7c0f02226f79f1f5775137c7c697b614ecc24dc0a42e4a11fa5f",
     "run_systematic/trajectory.csv": "b6d254c26a1fa0ea82936c045b1d4882f1e4ac38560b44f229a2666f7185f2ea",
+    "run_bdf_shift/stdout": "ff157e93f2098babff3e05e27870c2dde5271859e85e87e52a6a0ba49a5c410e",
+    "run_bdf_shift/plot.svg": "2b5ec3d69d62d8297696c80049879ca7c90231a7cdedea50471b67b13c0ec423",
+    "run_bdf_shift/table.csv": "e8b8e9923a239ef7eb0c191f1638f2168d3925fcc2c8ea0541c7e5da4dc101fc",
+    "run_bdf_shift/trajectory.csv": "217bf8af4811cf79305ea977d9f64adc8d26142543805dc9aeb68b4b0f1a0b10",
 }
 
 

@@ -363,20 +363,22 @@ def test_innovation_leaves_older_blocks_untouched():
 @st.composite
 def resampled_steps(draw):
     """(model, ensemble, predictors, variances, ancestors or None, seed): an
-    ensemble of r in 1..4 blocks of dimension 1 or 2, with or without carried
-    derivatives, and an identity, constant or random ancestor vector with repeats."""
-    n, r, d = draw(st.integers(2, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    ensemble of r in 1..4 blocks of dimension 1 to 3, with or without carried
+    derivatives, its histories C-ordered, Fortran-ordered or reversed views, and an
+    identity, constant or random ancestor vector with repeats."""
+    n, r, d = draw(st.integers(2, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     system = OdeSystem(dimension=d, rhs=lambda t, u, p: np.sin(u) + t, vectorized=True)
     model = EvolutionObservationModel(
         system=system, pair=make_pair("AB1-AB2"), measurement_var=np.full(d, 0.5)
     )
+    layouts = st.sampled_from([lambda a: a, np.asfortranarray, lambda a: a[::-1]])
+    states = draw(layouts)(rng.normal(size=(n, r, d)))
+    derivatives = draw(layouts)(rng.normal(size=(n, r, d))) if draw(st.booleans()) else None
     weights = rng.random(n) + 0.1
-    ens = Ensemble(
-        states=rng.normal(size=(n, r, d)), weights=weights / weights.sum(), time_index=2,
-        time=0.2, derivatives=rng.normal(size=(n, r, d)) if draw(st.booleans()) else None,
-    )
+    ens = Ensemble(states=states, weights=weights / weights.sum(), time_index=2, time=0.2,
+                   derivatives=derivatives)
     ancestors = draw(st.sampled_from([
         None, np.arange(n), np.full(n, draw(st.integers(0, n - 1))),
         np.concatenate([[0], rng.integers(0, n, n - 2), [0]]),
