@@ -317,6 +317,8 @@ def rk_combine_batch(
     spec: MethodSpec, states: np.ndarray, ks: List[np.ndarray], h: float
 ) -> np.ndarray:
     """The spec's RK solution: states plus its weights applied to the stages."""
+    # the first sum allocates anew anyway, but without this copy perfbench's
+    # `large_ensemble` ran about 4% slower on a 2-CPU VM and page-faulted more
     out = states.copy()
     for b, k in zip(spec.rk_b, ks):
         if b != 0.0:

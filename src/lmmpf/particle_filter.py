@@ -6,8 +6,9 @@ discrepancy; at observation times `survival_of_the_fittest` draws ancestors
 by predictor fitness and gathers those arrays by them; `innovation_step`
 perturbs the predictors and shifts them in ahead of the (ancestors') history;
 at observation times `weight_update` reweights by the observation-likelihood
-ratio. Only the `Ensemble` crosses from one step to the next; the step's
-other per-particle arrays pass between its stages as arguments and results.
+ratio. The `Ensemble`, the weighted sample, crosses from one step to the next
+(in `iter_filter` beside the f-cache below); the step's other per-particle
+arrays pass between its stages as arguments and results.
 
 Random draws are consumed in a fixed order so replay under one seed is
 byte-identical: the prior draw at initialization (one (N, d) normal block),
@@ -20,19 +21,19 @@ so every ensemble array must be treated as read-only; uniform weights are
 one read-only (N,) array per N, shared by every ensemble.
 
 For a system whose rhs is not vectorized (``rhs_batch`` loops over the
-particles in Python) and a pair that reads history derivatives (AB, AM), the
-filter's own ensemble carries the f-values of its history blocks, so a step
-evaluates the rhs once, for the block innovation creates, instead of once per
-block. The cache only serves the next step: ensembles `iter_filter` yields,
-and so those `run_filter` keeps, carry none. For a time-dependent rhs a
-carried value is f at the filter clock of the step that made the block,
-which can differ from t - i*h in the last ulp; see `Ensemble`. Vectorized
-systems evaluate all r blocks as before.
+particles in Python) and a pair that reads history derivatives (AB, AM),
+`iter_filter` carries the f-values of the ensemble's history blocks beside it,
+so a step evaluates the rhs once, for the block innovation creates, instead of
+once per block. A carried value is f at the filter clock of the step that made
+its block (``t_start - i*h`` for the initial blocks), which for a time-dependent
+rhs can differ from t - i*h in the last ulp, so states can differ at rounding
+level from a hand-written loop of the stages, which like every vectorized
+system recomputes f at t - i*h; autonomous systems are bit-identical.
 """
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -41,7 +42,7 @@ import numpy as np
 
 from .homec import MethodPair, propagate_blocks
 from .integrators import history_derivatives, startup_states_batch, step_count
-from .ode_models import ObservationRecord, OdeSystem
+from .ode_models import ObservationRecord
 from .state_space import EvolutionObservationModel
 
 # Resampler name -> its n ancestor uniforms in [0, 1): n independent draws,
@@ -121,25 +122,12 @@ class Ensemble:
     """Weighted particle sample at one time index, stored as stacked arrays.
 
     ``states`` holds each particle's history blocks (N, r, d) newest first.
-
-    ``derivatives`` (N, r, d) is set only for a non-vectorized system and a
-    pair that uses history derivatives, in the ensembles a filter loop steps
-    from (`iter_filter` yields none): ``derivatives[n, i]`` is f of
-    ``states[n, i]`` at the filter time at which that block was newest
-    (``t_start - i*h`` for the initial ensemble). For an autonomous rhs, and
-    for every vectorized system (which recompute f at ``time - i*h``), runs
-    are bit-identical to evaluating all blocks each step. For a
-    time-dependent non-vectorized rhs the grid time ``t_start + (j - i)*h``
-    of block i at step j can differ from ``time - i*h`` in the last ulp, so
-    states can drift from the recompute path at rounding level; replay
-    under one seed stays byte-identical.
     """
 
     states: np.ndarray
     weights: np.ndarray
     time_index: int
     time: float
-    derivatives: Optional[np.ndarray] = None
 
     @property
     def newest(self) -> np.ndarray:
@@ -178,8 +166,6 @@ def initialize(
 
     The sampled value is each particle's newest block; older blocks are
     filled by reverse-time RK startup steps along the particle's own flow.
-    A non-vectorized system with an AB or AM pair also gets the blocks'
-    f-values (see `Ensemble`).
     """
     prior_mean = np.atleast_1d(np.asarray(prior_mean, dtype=float))
     n, d = config.n_particles, model.system.dimension
@@ -189,23 +175,18 @@ def initialize(
     blocks = startup_states_batch(
         model.system, draws, t_start, config.step, model.pair.steps_required
     )
-    t_start = float(t_start)
-    derivatives = None
-    if model.pair.low.reads_derivatives and not model.system.vectorized:
-        derivatives = history_derivatives(model.system, blocks, t_start, config.step)
-    return Ensemble(
-        states=blocks, weights=_uniform_weights(n), time_index=0, time=t_start,
-        derivatives=derivatives,
-    )
+    return Ensemble(states=blocks, weights=_uniform_weights(n), time_index=0, time=float(t_start))
 
 
 def propagate_ensemble(
-    ensemble: Ensemble, model: EvolutionObservationModel, h: float
+    ensemble: Ensemble, model: EvolutionObservationModel, h: float,
+    *, derivs: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(predictors, innovation_vars), each (N, d): every particle's low-order pair
-    step, the newest block before innovation perturbs it, and its innovation variances."""
+    step, the newest block before innovation perturbs it, and its innovation variances.
+    ``derivs``, f of every history block (N, r, d), spares their rhs evaluations."""
     return propagate_blocks(
-        model.pair, model.system, ensemble.states, ensemble.time, h, derivs=ensemble.derivatives
+        model.pair, model.system, ensemble.states, ensemble.time, h, derivs=derivs
     )
 
 
@@ -308,8 +289,7 @@ def _shift_in(newest: np.ndarray, history: np.ndarray, ancestors: Optional[np.nd
 
 def innovation_step(
     ensemble: Ensemble, predictors: np.ndarray, innovation_vars: np.ndarray,
-    rng: np.random.Generator, *, time: float, system: OdeSystem,
-    ancestors: Optional[np.ndarray] = None,
+    rng: np.random.Generator, *, time: float, ancestors: Optional[np.ndarray] = None,
 ) -> Ensemble:
     """Proliferate: perturb each predictor by N(0, Gamma_n) and shift it in.
 
@@ -319,19 +299,13 @@ def innovation_step(
     from `survival_of_the_fittest`, into one new C-ordered array whose blocks move
     back in place. Gathered, weights become uniform; copied, weights are carried
     over (the same array, not a copy). ``time`` is the time of the new newest
-    block, the step's point on the filter grid t_start + j*h. When ``ensemble``
-    carries derivatives, f of the new newest block is evaluated there with
-    ``system`` and the older ones shift along.
+    block, the step's point on the filter grid t_start + j*h.
     """
     noise = np.sqrt(innovation_vars) * rng.standard_normal(predictors.shape)
-    newest = predictors + noise
-    derivatives = ensemble.derivatives
-    if derivatives is not None:
-        derivatives = _shift_in(system.rhs_batch(time, newest), derivatives, ancestors)
     return Ensemble(
-        states=_shift_in(newest, ensemble.states, ancestors),
+        states=_shift_in(predictors + noise, ensemble.states, ancestors),
         weights=ensemble.weights if ancestors is None else _uniform_weights(len(ancestors)),
-        time_index=ensemble.time_index + 1, time=time, derivatives=derivatives,
+        time_index=ensemble.time_index + 1, time=time,
     )
 
 
@@ -349,8 +323,7 @@ def weight_update(
         log_ratio, ensemble.time_index, observation.time, ensemble.newest, "states"
     )
     return Ensemble(
-        states=ensemble.states, weights=weights, time_index=ensemble.time_index,
-        time=ensemble.time, derivatives=ensemble.derivatives,
+        states=ensemble.states, weights=weights, time_index=ensemble.time_index, time=ensemble.time
     )
 
 
@@ -382,22 +355,26 @@ def _observation_schedule(
 
 
 def _step(
-    ensemble: Ensemble, model: EvolutionObservationModel, record: Optional[ObservationRecord],
-    rng: np.random.Generator, h: float, time: float, resampler: str,
-) -> Ensemble:
-    """One filter step to ``time``, ``record`` None between observations; its
-    predictor arrays are freed when it returns."""
-    predictors, innovation_vars = propagate_ensemble(ensemble, model, h)
+    ensemble: Ensemble, derivs: Optional[np.ndarray], model: EvolutionObservationModel,
+    record: Optional[ObservationRecord], rng: np.random.Generator, h: float, time: float,
+    resampler: str,
+) -> Tuple[Ensemble, Optional[np.ndarray]]:
+    """One filter step to ``time``, ``record`` None between observations, and the
+    f-cache ``derivs`` (or None) shifted along; its predictor arrays are freed
+    when it returns."""
+    predictors, innovation_vars = propagate_ensemble(ensemble, model, h, derivs=derivs)
     ancestors = None
     if record is not None:
         ancestors, predictors, innovation_vars, predictor_loglik = survival_of_the_fittest(
             ensemble, predictors, innovation_vars, record, model, rng, resampler=resampler
         )
     ensemble = innovation_step(ensemble, predictors, innovation_vars, rng, time=time,
-                               system=model.system, ancestors=ancestors)
+                               ancestors=ancestors)
+    if derivs is not None:
+        derivs = _shift_in(model.system.rhs_batch(time, ensemble.newest), derivs, ancestors)
     if record is not None:
         ensemble = weight_update(ensemble, predictor_loglik, record, model)
-    return ensemble
+    return ensemble, derivs
 
 
 def iter_filter(
@@ -419,8 +396,8 @@ def iter_filter(
     order, or a ``config.pair`` that differs from ``model.pair`` (which the
     filter runs), raise on the first request; an observation value whose
     shape is not ``measurement_var``'s raises at the step that assimilates it.
-    Yielded ensembles carry no ``derivatives``: the f-cache only serves the
-    next step, which starts from the filter's own ensemble.
+    The f-cache of the module docstring is evaluated here, after
+    initialization, and steps beside the ensemble.
     """
     config_pair, model_pair = ((p.label, p.tau, p.eps_floor) for p in (config.pair, model.pair))
     if config_pair != model_pair:
@@ -433,12 +410,16 @@ def iter_filter(
     last_step = max(schedule)
     rng = np.random.default_rng(config.seed)
     ensemble = initialize(config, prior_mean, rng, model=model, t_start=t_start)
+    derivs = None
+    if model.pair.low.reads_derivatives and not model.system.vectorized:
+        derivs = history_derivatives(model.system, ensemble.states, t_start, h)
     for j in range(last_step + 1):
         if j:
-            ensemble = _step(
-                ensemble, model, schedule.get(j), rng, h, t_start + j * h, config.resampler
+            ensemble, derivs = _step(
+                ensemble, derivs, model, schedule.get(j), rng, h, t_start + j * h,
+                config.resampler,
             )
-        yield ensemble if ensemble.derivatives is None else replace(ensemble, derivatives=None)
+        yield ensemble
 
 
 def run_filter(

@@ -210,8 +210,7 @@ def test_criterion_6_one_step_bayes_oracle():
     drawn, predictors, gammas, loglik = survival_of_the_fittest(
         ens, *propagate_ensemble(ens, model, 0.1), obs, model, rng
     )
-    moved = innovation_step(ens, predictors, gammas, rng, time=0.1, system=system,
-                            ancestors=drawn)
+    moved = innovation_step(ens, predictors, gammas, rng, time=0.1, ancestors=drawn)
     final = weight_update(moved, loglik, obs, model)
 
     replay = np.random.default_rng(SEED)
@@ -264,16 +263,14 @@ def test_criterion_7_property_suite():
         time_index=0,
         time=0.0,
     )
-    out = innovation_step(
-        ens, predictors, np.full((30, 1), 0.05), rng, time=0.1, system=problem.system
-    )
+    out = innovation_step(ens, predictors, np.full((30, 1), 0.05), rng, time=0.1)
     checks["innovation support"] = np.array_equal(out.states[:, 1:], ens.states[:, :-1])
 
     # Markov shift structure: pair step, then the innovation that shifts
     base_states = rng.normal(loc=1.0, scale=0.05, size=(20, 2, 1))
     base = Ensemble(states=base_states, weights=np.full(20, 0.05), time_index=0, time=0.0)
     propagated = propagate_ensemble(base, model, 0.1)
-    shifted = innovation_step(base, *propagated, rng, time=0.1, system=problem.system).states
+    shifted = innovation_step(base, *propagated, rng, time=0.1).states
     checks["Markov shift"] = np.array_equal(shifted[:, 1:], base_states[:, :-1])
 
     # multinomial resampling unbiasedness at N=1e5, 3 standard errors

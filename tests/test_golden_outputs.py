@@ -6,7 +6,7 @@ four runs (one of N = 2000, whose diagnostics span several moment batches, one
 of N = 4096 with systematic resampling, and an r = 4 BDF3-BDF4 run observed every
 2nd step) are compared by the SHA-256 of their stdout and of every file they write.
 Every command uses a vectorized scalar problem, so a library-level run over a
-non-vectorized system pins the derivatives an Adams ensemble carries, and an
+non-vectorized system pins the f-values the filter carries for an Adams pair, and an
 `emit_outputs` of a two-component system pins the files of a d = 2 run.
 """
 

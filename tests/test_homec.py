@@ -33,9 +33,7 @@ def shifted_blocks(pair, system, blocks, t, h):
     pred, gamma = propagate_blocks(pair, system, blocks, t, h)
     n = blocks.shape[0]
     ens = Ensemble(states=blocks, weights=np.full(n, 1.0 / n), time_index=0, time=t)
-    return innovation_step(
-        ens, pred, gamma, np.random.default_rng(0), time=t + h, system=system
-    ).states
+    return innovation_step(ens, pred, gamma, np.random.default_rng(0), time=t + h).states
 
 
 def rk12_gamma(slopes, tau):

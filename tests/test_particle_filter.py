@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from dataclasses import fields, replace
@@ -137,9 +138,7 @@ def test_survival_degenerate_fitness_copies_winner():
         ens, ens.newest.copy(), np.zeros((3, 1)), obs, model, rng
     )
     assert np.all(ancestors == 0)
-    out = innovation_step(
-        ens, predictors, gammas, rng, time=0.1, system=model.system, ancestors=ancestors
-    )
+    out = innovation_step(ens, predictors, gammas, rng, time=0.1, ancestors=ancestors)
     assert np.all(out.states[:, 0, 0] == 0.0)
     assert np.all(out.weights == 1.0 / 3.0)
 
@@ -323,10 +322,7 @@ def test_resampling_unbiasedness_multinomial():
 def test_innovation_zero_gamma_copies_predictor():
     predictors = np.array([[1.5], [2.5]])
     ens = flat_ensemble([1.0, 2.0], r=2)
-    out = innovation_step(
-        ens, predictors, np.zeros((2, 1)), np.random.default_rng(0), time=0.1,
-        system=constant_system(),
-    )
+    out = innovation_step(ens, predictors, np.zeros((2, 1)), np.random.default_rng(0), time=0.1)
     assert np.array_equal(out.states[:, 0], predictors)
     assert out.time_index == 1
     assert out.time == pytest.approx(0.1)
@@ -337,8 +333,7 @@ def test_innovation_stddev_matches_gamma():
     predictors = np.zeros((n, 1))
     ens = flat_ensemble(np.zeros(n))
     out = innovation_step(
-        ens, predictors, np.full((n, 1), 0.01), np.random.default_rng(99), time=0.1,
-        system=constant_system(),
+        ens, predictors, np.full((n, 1), 0.01), np.random.default_rng(99), time=0.1
     )
     sd = np.std(out.states[:, 0, 0] - predictors[:, 0])
     assert 0.097 <= sd <= 0.103
@@ -355,7 +350,7 @@ def test_innovation_leaves_older_blocks_untouched():
     )
     gammas = np.abs(rng.normal(size=(6, 2)))
     system = OdeSystem(dimension=2, rhs=lambda t, u, p: -u, vectorized=True)
-    out = innovation_step(ens, predictors, gammas, rng, time=0.1, system=system)
+    out = innovation_step(ens, predictors, gammas, rng, time=0.1)
     assert np.array_equal(out.states[:, 1:], ens.states[:, :-1])
     assert not np.array_equal(out.states[:, 0], predictors)
 
@@ -363,9 +358,9 @@ def test_innovation_leaves_older_blocks_untouched():
 @st.composite
 def resampled_steps(draw):
     """(model, ensemble, predictors, variances, ancestors or None, seed): an
-    ensemble of r in 1..4 blocks of dimension 1 to 3, with or without carried
-    derivatives, its histories C-ordered, Fortran-ordered or reversed views, and an
-    identity, constant or random ancestor vector with repeats."""
+    ensemble of r in 1..4 blocks of dimension 1 to 3, its histories C-ordered,
+    Fortran-ordered or reversed views, and an identity, constant or random
+    ancestor vector with repeats."""
     n, r, d = draw(st.integers(2, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -375,10 +370,8 @@ def resampled_steps(draw):
     )
     layouts = st.sampled_from([lambda a: a, np.asfortranarray, lambda a: a[::-1]])
     states = draw(layouts)(rng.normal(size=(n, r, d)))
-    derivatives = draw(layouts)(rng.normal(size=(n, r, d))) if draw(st.booleans()) else None
     weights = rng.random(n) + 0.1
-    ens = Ensemble(states=states, weights=weights / weights.sum(), time_index=2, time=0.2,
-                   derivatives=derivatives)
+    ens = Ensemble(states=states, weights=weights / weights.sum(), time_index=2, time=0.2)
     ancestors = draw(st.sampled_from([
         None, np.arange(n), np.full(n, draw(st.integers(0, n - 1))),
         np.concatenate([[0], rng.integers(0, n, n - 2), [0]]),
@@ -398,25 +391,19 @@ def _read_only_copies(*arrays):
 @given(resampled_steps())
 def test_innovation_with_ancestors_is_gathering_every_field_then_shifting(step):
     model, ens, predictors, gammas, ancestors, seed = step
-    inputs = (ens.states, ens.derivatives, ens.weights, predictors, gammas, ancestors)
+    inputs = (ens.states, ens.weights, predictors, gammas, ancestors)
     before = _read_only_copies(*inputs)
     out = innovation_step(ens, predictors, gammas, np.random.default_rng(seed), time=0.3,
-                          system=model.system, ancestors=ancestors)
-    # the composition it replaces: take every field by the ancestors, then shift in
-    take = (lambda a: a) if ancestors is None else (lambda a: a.take(ancestors, axis=0))
+                          ancestors=ancestors)
+    # the composition it replaces: take the states by the ancestors, then shift in
+    history = ens.states if ancestors is None else ens.states.take(ancestors, axis=0)
     newest = predictors + np.sqrt(gammas) * np.random.default_rng(seed).standard_normal(
         predictors.shape
     )
-    want = {"states": (newest, ens.states)}
-    if ens.derivatives is not None:
-        want["derivatives"] = (model.system.rhs_batch(0.3, newest), ens.derivatives)
-    for name, (first, history) in want.items():
-        expected = np.concatenate([first[:, None, :], take(history)[:, :-1]], axis=1)
-        got = getattr(out, name)
-        assert (got.shape, got.dtype) == (expected.shape, expected.dtype), name
-        assert got.tobytes() == expected.tobytes(), name
-        assert not any(a is not None and np.shares_memory(got, a) for a in inputs), name
-    assert (out.derivatives is None) == (ens.derivatives is None)
+    expected = np.concatenate([newest[:, None, :], history[:, :-1]], axis=1)
+    assert (out.states.shape, out.states.dtype) == (expected.shape, expected.dtype)
+    assert out.states.tobytes() == expected.tobytes()
+    assert not any(a is not None and np.shares_memory(out.states, a) for a in inputs)
     n = len(predictors)
     assert out.weights is (ens.weights if ancestors is None else _uniform_weights(n))
     assert (out.time_index, out.time) == (3, 0.3)
@@ -487,8 +474,7 @@ def test_weight_update_reuses_resampled_predictor_loglik():
         ens, predictors, np.full((30, 1), 0.01), obs, model, rng
     )
     assert np.array_equal(loglik, model.log_likelihood_batch(obs.value, res_predictors))
-    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, system=model.system,
-                            ancestors=ancestors)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, ancestors=ancestors)
     reused = weight_update(moved, loglik, obs, model)
     recomputed = weight_update(
         moved, model.log_likelihood_batch(obs.value, res_predictors), obs, model
@@ -498,7 +484,7 @@ def test_weight_update_reuses_resampled_predictor_loglik():
 
 @pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
 def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(pair_id):
-    # a non-vectorized system, so every ensemble carries its history derivatives
+    # a non-vectorized system: the stages carry no f-cache, which `iter_filter` keeps itself
     cfg, model, records, prior = streamed_inputs(pair_id, "multinomial", vectorized=False)
     rng = np.random.default_rng(3)
     obs = records[0]
@@ -518,7 +504,6 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
                 assert value == sets[name], name
 
     ens = initialize(cfg, prior, rng, model=model, t_start=0.0)
-    assert ens.derivatives.shape == blocks
     predictors, gammas = propagate_ensemble(ens, model, cfg.step)
     assert predictors.shape == gammas.shape == rows
     ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
@@ -527,10 +512,9 @@ def test_each_stage_sets_its_fields_and_carries_the_others_as_the_same_objects(p
     assert ancestors.shape == (n,) and ancestors.dtype == np.int64
     assert (res_predictors.shape, res_gammas.shape, loglik.shape) == (rows, rows, (n,))
     assert res_predictors is not predictors and res_gammas is not gammas
-    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1,
-                            system=model.system, ancestors=ancestors)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, ancestors=ancestors)
     assert_sets(moved, ens, dict(states=blocks, weights=_uniform_weights(n), time_index=1,
-                                 time=0.1, derivatives=blocks))
+                                 time=0.1))
     assert_sets(weight_update(moved, loglik, obs, model), moved, dict(weights=(n,)))
 
 
@@ -541,8 +525,7 @@ def test_uniform_weights_are_one_shared_read_only_array():
     ancestors, predictors, gammas, _ = survival_of_the_fittest(
         ens, *propagate_ensemble(ens, model, cfg.step), records[0], model, rng
     )
-    resampled = innovation_step(ens, predictors, gammas, rng, time=0.1, system=model.system,
-                                ancestors=ancestors)
+    resampled = innovation_step(ens, predictors, gammas, rng, time=0.1, ancestors=ancestors)
     assert ens.weights is resampled.weights is _uniform_weights(cfg.n_particles)
     assert np.array_equal(ens.weights, np.full(cfg.n_particles, 1.0 / cfg.n_particles))
     with pytest.raises(ValueError, match="read-only"):
@@ -714,7 +697,7 @@ def test_stages_called_directly_reject_observation_of_another_shape(stage):
         ens, predictors, gammas, good, model, rng
     )
     innovated = innovation_step(
-        ens, res_predictors, res_gammas, rng, time=0.1, system=model.system, ancestors=ancestors
+        ens, res_predictors, res_gammas, rng, time=0.1, ancestors=ancestors
     )
     run = {
         "survival_of_the_fittest": lambda: survival_of_the_fittest(
@@ -820,7 +803,6 @@ def test_run_filter_tracks_gaussian_decay():
 
 
 ENSEMBLE_ARRAYS = ("states", "weights")
-SNAPSHOT_ARRAYS = ENSEMBLE_ARRAYS + ("derivatives",)
 
 
 def streamed_inputs(pair_id, resampler, problem=gaussian_decay_problem, vectorized=True):
@@ -864,8 +846,8 @@ def test_iter_filter_yields_what_run_filter_returns(pair_id, resampler):
 
 
 def by_hand(config, model, records, prior):
-    """S_0, S_1, ... as README's hand-written loop steps them: the loop's own
-    ensembles, which carry the f-cache that `iter_filter` drops from its yields."""
+    """S_0, S_1, ... as README's hand-written loop steps them, recomputing f at
+    every history block where `iter_filter` carries an f-cache."""
     h = config.step
     observed = {step_count(0.0, rec.time, h): rec for rec in records}
     rng = np.random.default_rng(config.seed)
@@ -881,8 +863,7 @@ def by_hand(config, model, records, prior):
                 resampler=config.resampler,
             )
         ensemble = innovation_step(
-            ensemble, predictors, innovation_vars, rng, time=j * h, system=model.system,
-            ancestors=ancestors,
+            ensemble, predictors, innovation_vars, rng, time=j * h, ancestors=ancestors
         )
         if record is not None:
             ensemble = weight_update(ensemble, predictor_loglik, record, model)
@@ -893,12 +874,10 @@ def assert_later_steps_leave_ensembles_unchanged(ensembles):
     run, snapshots = [], []
     for ens in ensembles:
         run.append(ens)
-        arrays = {name: getattr(ens, name) for name in SNAPSHOT_ARRAYS}
-        snapshots.append({k: None if v is None else v.copy() for k, v in arrays.items()})
+        snapshots.append({name: getattr(ens, name).copy() for name in ENSEMBLE_ARRAYS})
     for ens, snap in zip(run, snapshots):
         for name, before in snap.items():
-            after = getattr(ens, name)
-            assert before is None or np.array_equal(after, before), (ens.time_index, name)
+            assert np.array_equal(getattr(ens, name), before), (ens.time_index, name)
 
 
 @pytest.mark.parametrize("pair_id,resampler", STREAM_CASES)
@@ -950,12 +929,10 @@ def test_by_hand_step_matches_iter_filter():
             assert np.array_equal(getattr(a, name), getattr(b, name)), (a.time_index, name)
 
 
-@pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
-def test_yielded_ensembles_carry_no_derivatives(pair_id):
-    # the loop steps from ensembles with an f-cache; the ones it yields drop it
-    inputs = streamed_inputs(pair_id, "systematic", smooth_problem, vectorized=False)
-    assert all(e.derivatives is not None for e in by_hand(*inputs))
-    assert all(e.derivatives is None for e in iter_filter(*inputs, t_start=0.0))
+def test_ensemble_is_the_weighted_sample_and_innovation_step_takes_no_system():
+    # the f-cache steps beside the ensemble in `iter_filter`, so no stage needs the system
+    assert [f.name for f in fields(Ensemble)] == ["states", "weights", "time_index", "time"]
+    assert "system" not in inspect.signature(innovation_step).parameters
 
 
 @pytest.mark.parametrize("pair_id", ["AB3-AB4", "AM3-AM4"])
@@ -979,11 +956,30 @@ CARRIED_CASES = [
 ]
 
 
+def f_cache_run(inputs):
+    """The ensembles `iter_filter` yields on ``inputs`` and, per step, (the ensemble
+    it steps from, the f-cache it passes `propagate_ensemble` beside it, a copy of
+    that cache taken then)."""
+    steps = []
+    propagate = particle_filter.propagate_ensemble
+
+    def recorded(ensemble, model, h, *, derivs=None):
+        steps.append((ensemble, derivs, None if derivs is None else derivs.copy()))
+        return propagate(ensemble, model, h, derivs=derivs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(particle_filter, "propagate_ensemble", recorded)
+        run = list(iter_filter(*inputs, t_start=0.0))
+    assert (len(run), len(steps)) == (11, 10)  # initialization and 10 steps
+    return run, steps
+
+
 @pytest.mark.parametrize("pair_id,resampler", CARRIED_CASES)
 def test_later_steps_leave_carried_derivatives_unchanged(pair_id, resampler):
-    assert_later_steps_leave_ensembles_unchanged(
-        by_hand(*streamed_inputs(pair_id, resampler, smooth_problem, vectorized=False))
-    )
+    inputs = streamed_inputs(pair_id, resampler, smooth_problem, vectorized=False)
+    assert_later_steps_leave_ensembles_unchanged(iter_filter(*inputs, t_start=0.0))
+    for ens, derivs, before in f_cache_run(inputs)[1]:
+        assert np.array_equal(derivs, before), ens.time_index
 
 
 @pytest.mark.parametrize(
@@ -997,10 +993,10 @@ def test_carried_derivatives_match_recomputed(pair_id, resampler, problem, atol)
     # at t - i*h; a carried value is taken at the filter clock of the step
     # that made its block, which for a time-dependent rhs may differ from
     # t - i*h in the last ulp
-    recomputed = list(by_hand(*streamed_inputs(pair_id, resampler, problem)))
-    carried = list(by_hand(*streamed_inputs(pair_id, resampler, problem, vectorized=False)))
-    assert all(e.derivatives is None for e in recomputed)
-    assert all(e.derivatives is not None for e in carried)
+    recomputed, fresh = f_cache_run(streamed_inputs(pair_id, resampler, problem))
+    carried, cached = f_cache_run(streamed_inputs(pair_id, resampler, problem, vectorized=False))
+    assert all(derivs is None for _, derivs, _ in fresh)
+    assert all(derivs is not None for _, derivs, _ in cached)
     for a, b in zip(carried, recomputed):
         assert (a.time_index, a.time) == (b.time_index, b.time)
         for name in ENSEMBLE_ARRAYS:
@@ -1010,15 +1006,13 @@ def test_carried_derivatives_match_recomputed(pair_id, resampler, problem, atol)
 
 
 def test_carried_derivatives_are_rhs_of_each_block():
-    cfg, model, records, prior = streamed_inputs(
-        "AB3-AB4", "multinomial", smooth_problem, vectorized=False
-    )
-    h, system = cfg.step, model.system
-    for ens in by_hand(cfg, model, records, prior):
-        assert ens.derivatives.shape == ens.states.shape
+    inputs = streamed_inputs("AB3-AB4", "multinomial", smooth_problem, vectorized=False)
+    h, system = inputs[0].step, inputs[1].system
+    for ens, derivs, _ in f_cache_run(inputs)[1]:
+        assert derivs.shape == ens.states.shape
         for i in range(ens.states.shape[1]):
             want = system.rhs_batch(ens.time - i * h, ens.states[:, i])
-            assert np.array_equal(ens.derivatives[:, i], want), (ens.time_index, i)
+            assert np.array_equal(derivs[:, i], want), (ens.time_index, i)
 
 
 @pytest.mark.parametrize(
@@ -1027,10 +1021,8 @@ def test_carried_derivatives_are_rhs_of_each_block():
      ("BDF3-BDF4", True), ("RK4-RK5", True)],
 )
 def test_only_non_vectorized_adams_runs_carry_derivatives(pair_id, vectorized):
-    cfg, model, records, prior = streamed_inputs(
-        pair_id, "multinomial", smooth_problem, vectorized=vectorized
-    )
-    assert all(e.derivatives is None for e in by_hand(cfg, model, records, prior))
+    inputs = streamed_inputs(pair_id, "multinomial", smooth_problem, vectorized=vectorized)
+    assert all(derivs is None for _, derivs, _ in f_cache_run(inputs)[1])
 
 
 def rhs_rows_per_ensemble(pair_id):
@@ -1126,8 +1118,7 @@ def test_full_step_matches_scratch_reference():
     ancestors, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, rng
     )
-    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=t + h, system=p.system,
-                            ancestors=ancestors)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=t + h, ancestors=ancestors)
     final = weight_update(moved, loglik, obs, model)
 
     # scratch reference with plain floats
@@ -1205,8 +1196,7 @@ def test_one_step_bayes_oracle_two_particles():
     drawn, res_predictors, res_gammas, loglik = survival_of_the_fittest(
         ens, predictors, gammas, obs, model, rng
     )
-    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, system=system,
-                            ancestors=drawn)
+    moved = innovation_step(ens, res_predictors, res_gammas, rng, time=0.1, ancestors=drawn)
     final = weight_update(moved, loglik, obs, model)
 
     # replay the same draws by hand

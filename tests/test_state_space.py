@@ -33,9 +33,7 @@ def shift(model, blocks, t, h):
     """A single block state (r, d) after one pair step and its innovation."""
     ens = Ensemble(states=blocks[None], weights=np.ones(1), time_index=0, time=t)
     rng = np.random.default_rng(0)
-    moved = innovation_step(
-        ens, *propagate_ensemble(ens, model, h), rng, time=t + h, system=model.system
-    )
+    moved = innovation_step(ens, *propagate_ensemble(ens, model, h), rng, time=t + h)
     return moved.states[0]
 
 
